@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class HessianWeights:
     """Diagonal of per-sample loss curvatures at a model's margins."""
 
     e: np.ndarray
-    evaluated_at: RatioModel | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         e = np.asarray(self.e, dtype=np.float64).reshape(-1)
@@ -99,7 +98,7 @@ def hessian_weights(family: LossFamily, model: RatioModel, dataset: LabeledDatas
     """
     margins = predict_margin(model, dataset.xs)
     e = loss_d2(family, dataset.ys.astype(np.float64), margins)
-    return HessianWeights(e=e, evaluated_at=model)
+    return HessianWeights(e=e)
 
 
 def empirical_h_norm(gram, weights: HessianWeights, alpha, beta, lambda_t: float) -> float:
@@ -305,6 +304,45 @@ def choose_max_qualifying(n_candidates: int, norm_sq: dict, thresholds) -> int:
     return chosen
 
 
+def _balance(
+    grid: LambdaGrid, rule: SelectionRule, norm_sq, thresholds, per_lambda, params: dict
+) -> SelectionReport:
+    """The pairwise balancing loop shared by every selection rule.
+
+    `norm_sq(i, j)` is the squared distance between the fits at 1-based
+    grid indices j < i; `thresholds[j - 1]` bounds it.
+    """
+    values = grid.values
+    pairwise = []
+    norms = {}
+    for i in range(2, len(values) + 1):
+        for j in range(1, i):
+            value = norm_sq(i, j)
+            norms[(i, j)] = value
+            pairwise.append(
+                PairwiseEntry(
+                    i=i,
+                    j=j,
+                    lambda_i=float(values[i - 1]),
+                    lambda_j=float(values[j - 1]),
+                    norm_sq=value,
+                    threshold=thresholds[j - 1],
+                    passed=value <= thresholds[j - 1],
+                )
+            )
+    chosen = choose_max_qualifying(len(values), norms, thresholds)
+    return SelectionReport(
+        chosen_lambda=float(values[chosen - 1]),
+        chosen_index=chosen,
+        rule=rule,
+        grid=grid,
+        pairwise=tuple(pairwise),
+        thresholds_used=tuple(thresholds),
+        per_lambda=tuple(per_lambda),
+        params=params,
+    )
+
+
 def fit_grid(
     family: LossFamily,
     kernel: KernelSpec,
@@ -371,27 +409,10 @@ def select_from_fits(
         thresholds.append(threshold)
         per_lambda.append(entry)
 
-    pairwise = []
-    norm_sq = {}
-    for i in range(2, len(values) + 1):
-        alpha_i = fits[i - 1][0].alpha
-        for j in range(1, i):
-            lam_j = float(values[j - 1])
-            value = empirical_h_norm(gram, weights[j - 1], alpha_i, fits[j - 1][0].alpha, lam_j)
-            norm_sq[(i, j)] = value
-            pairwise.append(
-                PairwiseEntry(
-                    i=i,
-                    j=j,
-                    lambda_i=float(values[i - 1]),
-                    lambda_j=lam_j,
-                    norm_sq=value,
-                    threshold=thresholds[j - 1],
-                    passed=value <= thresholds[j - 1],
-                )
-            )
+    def norm_sq(i: int, j: int) -> float:
+        alpha_i, alpha_j = fits[i - 1][0].alpha, fits[j - 1][0].alpha
+        return empirical_h_norm(gram, weights[j - 1], alpha_i, alpha_j, float(values[j - 1]))
 
-    chosen = choose_max_qualifying(len(values), norm_sq, thresholds)
     params = {"rule": rule.value, "n_total": n_total}
     if rule is SelectionRule.THEORETICAL_ETA_S:
         params.update(
@@ -399,16 +420,7 @@ def select_from_fits(
         )
     else:
         params["capacity_alpha"] = consts.capacity_alpha
-    return SelectionReport(
-        chosen_lambda=float(values[chosen - 1]),
-        chosen_index=chosen,
-        rule=rule,
-        grid=grid,
-        pairwise=tuple(pairwise),
-        thresholds_used=tuple(thresholds),
-        per_lambda=tuple(per_lambda),
-        params=params,
-    )
+    return _balance(grid, rule, norm_sq, thresholds, per_lambda, params)
 
 
 def select_lambda(
@@ -450,36 +462,16 @@ def known_norm_select(
     thresholds = [
         8.0 * eta * s_term(BalanceRule.FAST_RATE, consts, n_total, float(lam)) for lam in values
     ]
-    pairwise = []
-    norm_sq = {}
-    for i in range(2, len(values) + 1):
-        for j in range(1, i):
-            lam_j = float(values[j - 1])
-            delta_coeffs = models[i - 1].alpha - models[j - 1].alpha
-            value = float(oracle_h_quadratic_form(delta_coeffs, lam_j))
-            norm_sq[(i, j)] = value
-            pairwise.append(
-                PairwiseEntry(
-                    i=i,
-                    j=j,
-                    lambda_i=float(values[i - 1]),
-                    lambda_j=lam_j,
-                    norm_sq=value,
-                    threshold=thresholds[j - 1],
-                    passed=value <= thresholds[j - 1],
-                )
-            )
-    chosen = choose_max_qualifying(len(values), norm_sq, thresholds)
-    per_lambda = tuple(
-        {"lambda": float(lam), "threshold": thresholds[idx]} for idx, lam in enumerate(values)
-    )
-    return SelectionReport(
-        chosen_lambda=float(values[chosen - 1]),
-        chosen_index=chosen,
-        rule=SelectionRule.KNOWN_NORM_ORACLE,
-        grid=grid,
-        pairwise=tuple(pairwise),
-        thresholds_used=tuple(thresholds),
-        per_lambda=per_lambda,
-        params={"delta": consts.delta, "q0": consts.q0, "capacity_alpha": consts.capacity_alpha, "n_total": n_total},
-    )
+
+    def norm_sq(i: int, j: int) -> float:
+        delta_coeffs = models[i - 1].alpha - models[j - 1].alpha
+        return float(oracle_h_quadratic_form(delta_coeffs, float(values[j - 1])))
+
+    per_lambda = [{"lambda": float(lam), "threshold": t} for lam, t in zip(values, thresholds)]
+    params = {
+        "delta": consts.delta,
+        "q0": consts.q0,
+        "capacity_alpha": consts.capacity_alpha,
+        "n_total": n_total,
+    }
+    return _balance(grid, SelectionRule.KNOWN_NORM_ORACLE, norm_sq, thresholds, per_lambda, params)

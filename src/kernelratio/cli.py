@@ -1,7 +1,8 @@
 """Command-line surface: fit, select, experiment, rate-sweep.
 
 Exit codes: 0 success, 2 usage/input error, 3 numerical failure.  All
-outputs are JSON/CSV and deterministic given the flags and seed.
+outputs are JSON/CSV and deterministic given the flags and seed.  `select`
+names any unconverged grid fit on stderr and still exits 0.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from .errors import InputError, NumericalError
 from .experiment import (
     ExperimentConfig,
     rate_sweep_csv_rows,
+    report_summary,
     run_experiment,
     run_rate_sweep,
     write_experiment_outputs,
 )
 from .kernel import KernelFamily, KernelSpec
 from .losses import LossFamily
-from .solver import FitOptions, fit, model_to_dict
+from .solver import FitOptions, fit, save_model
 
 _KERNELS = {"one-plus-gaussian": KernelFamily.ONE_PLUS_GAUSSIAN, "gaussian": KernelFamily.GAUSSIAN}
 
@@ -94,10 +96,7 @@ def cmd_fit(args) -> int:
         args.lam,
         FitOptions(method=args.method, max_iters=args.max_iters),
     )
-    doc = model_to_dict(model, seed=seed, dataset_hash=dataset_sha256(dataset))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    save_model(model, args.out, seed=seed, dataset_hash=dataset_sha256(dataset))
     print(json.dumps(report.to_dict(), indent=2))
     if not report.converged:
         print(f"fit did not converge (grad_norm={report.grad_norm})", file=sys.stderr)
@@ -126,6 +125,10 @@ def cmd_select(args) -> int:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     print(repr(float(report.chosen_lambda)))
+    unconverged = [repr(e["lambda"]) for e in report.per_lambda if not e["fit"]["converged"]]
+    if unconverged:
+        # Still exit 0: a lambda was chosen, and --out records each fit's state.
+        print(f"warning: fit did not converge at lambda {', '.join(unconverged)}", file=sys.stderr)
     return 0
 
 
@@ -133,7 +136,7 @@ def cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     report = run_experiment(config)
     report_path, csv_path = write_experiment_outputs(report, config.output_dir)
-    print(json.dumps({"report": report_path, "csv": csv_path}))
+    print(json.dumps({"report": report_path, "csv": csv_path, **report_summary(report)}))
     return 0
 
 

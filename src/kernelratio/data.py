@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +54,8 @@ class LabeledDataset:
         object.__setattr__(self, "ys", ys)
         if xs.shape[0] != ys.shape[0]:
             raise InputError(f"xs/ys length mismatch: {xs.shape[0]} vs {ys.shape[0]}")
+        if not np.all(np.isfinite(xs)):
+            raise InputError("sample points must be finite")
         if not np.all(np.isin(ys, (-1, 1))):
             raise InputError("labels must take values -1 or +1 only")
         if self.m < 0 or self.n < 1:
@@ -97,30 +101,37 @@ def sample_pair(spec: GaussianPairSpec, m: int, n: int, seed: int) -> LabeledDat
 
 def _read_csv(path: str) -> np.ndarray:
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}: line {lineno}: not valid UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = [h.strip() for h in next(reader, [])]
+    if not header:
+        raise InputError(f"{path}: line 1: expected header x_1,...,x_d")
+    expected = [f"x_{i + 1}" for i in range(len(header))]
+    if header != expected:
+        raise InputError(f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
+    d = len(header)
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        lineno = reader.line_num  # the record's last physical line
+        if len(row) != d:
+            raise InputError(f"{path}: line {lineno}: expected {d} columns, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: file is empty, expected header x_1,...,x_d") from None
-        header = [h.strip() for h in header]
-        expected = [f"x_{i + 1}" for i in range(len(header))]
-        if header != expected:
-            raise InputError(f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
-        d = len(header)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d:
-                raise InputError(f"{path}: line {lineno}: expected {d} columns, got {len(row)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: non-numeric cell in {row}") from None
+            values = [float(cell) for cell in row]
+        except ValueError:
+            raise InputError(f"{path}: line {lineno}: non-numeric cell in {row}") from None
+        if not all(map(math.isfinite, values)):
+            raise InputError(f"{path}: line {lineno}: non-finite cell in {row}")
+        rows.append(values)
     return np.asarray(rows, dtype=np.float64).reshape(-1, d)
 
 

@@ -164,6 +164,26 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return {"config": config.to_dict(), "cells": cells}
 
 
+def report_summary(report: dict) -> dict:
+    """How often the choice is a top-2 grid value by MSE, and unconverged fits.
+
+    `top2_rate` has one entry per (loss, m, n), in report order.
+    """
+    groups: dict[tuple, list[bool]] = {}
+    for cell in report["cells"]:
+        key = (cell["loss"], cell["m"], cell["n"])
+        groups.setdefault(key, []).append(cell["chosen_rank_by_mse"] <= 2)
+    return {
+        "top2_rate": [
+            {"loss": loss, "m": m, "n": n, "rate": sum(hits) / len(hits)}
+            for (loss, m, n), hits in groups.items()
+        ],
+        "unconverged_fits": sum(
+            not fit["converged"] for cell in report["cells"] for fit in cell["fit_reports"]
+        ),
+    }
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 

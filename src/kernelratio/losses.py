@@ -58,6 +58,9 @@ class LossFamily(enum.Enum):
 
 QUADRATIC_FAMILIES = (LossFamily.KULSIF, LossFamily.SQ)
 
+# Families whose generator derivative has a pole at ratio zero.
+POLE_AT_ZERO_FAMILIES = (LossFamily.EXP,)
+
 
 @dataclass(frozen=True)
 class MarginDerivatives:
@@ -173,18 +176,21 @@ def loss_derivs(family: LossFamily, y: int, v: float) -> MarginDerivatives:
     )
 
 
-def link(family: LossFamily, u: float) -> float:
-    """Map a posterior probability u in (0, 1) to the optimal margin."""
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise InputError(f"link argument must lie in (0, 1), got {u}")
+def link(family: LossFamily, u):
+    """Map posterior probabilities u in (0, 1) to optimal margins, elementwise."""
+    u = np.asarray(u, dtype=np.float64)
+    inside = (u > 0.0) & (u < 1.0)
+    if not np.all(inside):
+        raise InputError(f"link argument must lie in (0, 1), got {u[~inside].flat[0]}")
     if family is LossFamily.KULSIF:
-        return u / (1.0 - u)
-    if family is LossFamily.LR:
-        return float(np.log(u / (1.0 - u)))
-    if family is LossFamily.EXP:
-        return float(0.5 * np.log(u / (1.0 - u)))
-    return 2.0 * u - 1.0
+        values = u / (1.0 - u)
+    elif family is LossFamily.LR:
+        values = np.log(u) - np.log1p(-u)
+    elif family is LossFamily.EXP:
+        values = 0.5 * (np.log(u) - np.log1p(-u))
+    else:
+        values = 2.0 * u - 1.0
+    return float(values) if values.ndim == 0 else values
 
 
 def link_inv(family: LossFamily, v: float) -> float:
@@ -256,9 +262,9 @@ def phi_prime(family: LossFamily, t):
 def bregman_generator(family: LossFamily, t: float) -> tuple[float, float]:
     """Generator value and derivative (phi(t), phi'(t)) at a single ratio t."""
     t = float(t)
-    if family is LossFamily.EXP:
+    if family in POLE_AT_ZERO_FAMILIES:
         if t <= 0.0:
-            raise InputError(f"exp generator requires t > 0 (derivative pole at 0), got {t}")
+            raise InputError(f"{family.value} generator requires t > 0 (derivative pole at 0), got {t}")
     elif t < 0.0:
         raise InputError(f"generator argument must be nonnegative, got {t}")
     with np.errstate(divide="ignore"):

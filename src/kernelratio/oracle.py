@@ -23,9 +23,11 @@ from .data import GaussianPairSpec, LabeledDataset, sample_pair
 from .errors import InputError, NumericalError
 from .kernel import KernelSpec, cross_matrix, gram_matrix
 from .losses import (
+    POLE_AT_ZERO_FAMILIES,
     RATIO_FLOOR,
     LossFamily,
     QUADRATIC_FAMILIES,
+    link,
     loss_d2,
     loss_value,
     phi,
@@ -147,16 +149,7 @@ def bayes_margin(ctx: OracleContext, family: LossFamily, x):
     """
     log_beta = log_true_ratio(ctx.pair, np.asarray(x, dtype=np.float64))
     eta = 1.0 / (1.0 + np.exp(-np.clip(log_beta, -709.0, 709.0)))
-    eta = np.clip(eta, _ETA_FLOOR, _ETA_CEIL)
-    if family is LossFamily.KULSIF:
-        values = eta / (1.0 - eta)
-    elif family is LossFamily.LR:
-        values = np.log(eta) - np.log1p(-eta)
-    elif family is LossFamily.EXP:
-        values = 0.5 * (np.log(eta) - np.log1p(-eta))
-    else:
-        values = 2.0 * eta - 1.0
-    return float(values) if np.ndim(x) == 0 else values
+    return link(family, np.clip(eta, _ETA_FLOOR, _ETA_CEIL))
 
 
 def _risk_from_margins(ctx, family, margins, nodes, weights) -> float:
@@ -204,7 +197,7 @@ def bregman_error_direct(
     _, q = densities(ctx.pair, nodes)
 
     keep = np.ones(nodes.shape[0], dtype=bool)
-    if family is LossFamily.EXP:
+    if family in POLE_AT_ZERO_FAMILIES:
         keep = beta_hat >= RATIO_FLOOR
     excluded_mass = float(weights[~keep] @ q[~keep]) if np.any(~keep) else 0.0
 

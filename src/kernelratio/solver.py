@@ -106,23 +106,22 @@ def objective_and_gradient(family: LossFamily, gram, ys, alpha, lam: float):
 def closed_form_fit(family: LossFamily, gram, ys, lam: float) -> np.ndarray:
     """Direct linear solve for the margin-quadratic families.
 
-    kulsif: ((1/N) D K + lambda I) alpha = b / N with D = diag((1-y)/2)
-    and b = (1+y)/2; the system is non-symmetric, solved by LU.
-    sq: ((2/N) K + lambda I) alpha = (2/N) y.
+    A loss quadratic in the margin has ell'(y, v) = ell'(y, 0) + ell''(y) v,
+    so the stationarity condition d/N + lambda alpha = 0 at margins K alpha
+    is the linear system ((1/N) E K + lambda I) alpha = -d0 / N, with E the
+    curvatures and d0 the slopes at margin zero.  For kulsif E K is
+    non-symmetric; LU solves either family.
     """
     if family not in QUADRATIC_FAMILIES:
         raise InputError(f"no closed form for {family.value}; use the CG path")
     K = _gram_values(gram)
     ys = np.asarray(ys, dtype=np.float64)
     n_total = ys.shape[0]
-    eye = np.eye(n_total)
-    if family is LossFamily.KULSIF:
-        d_weights = 0.5 * (1.0 - ys)
-        system = d_weights[:, None] * K / n_total + lam * eye
-        rhs = 0.5 * (1.0 + ys) / n_total
-    else:
-        system = (2.0 / n_total) * K + lam * eye
-        rhs = (2.0 / n_total) * ys
+    zero = np.zeros(n_total)
+    e = loss_d2(family, ys, zero)
+    system = e[:, None] * K / n_total + lam * np.eye(n_total)
+    # 0.0 - x, not -x: a zero slope must give +0.0, not -0.0, in the model.
+    rhs = 0.0 - loss_d1(family, ys, zero) / n_total
     try:
         return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
@@ -321,12 +320,18 @@ def save_model(model: RatioModel, path: str, *, seed=None, dataset_hash=None) ->
 
 
 def load_model(path: str) -> tuple[RatioModel, dict]:
-    """Load a model JSON; returns the model and the raw document."""
+    """Load a model JSON; returns the model and the raw document.
+
+    Anything but an object with finite points and coefficients raises
+    InputError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise InputError(f"cannot read model file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"malformed model file {path}: expected a JSON object")
     try:
         model = RatioModel(
             kernel=KernelSpec(KernelFamily(doc["kernel_family"]), float(doc["bandwidth"])),
@@ -335,6 +340,8 @@ def load_model(path: str) -> tuple[RatioModel, dict]:
             lam=float(doc["lambda"]),
             family=LossFamily(doc["loss"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed model file {path}: {exc}") from exc
+    if not (np.all(np.isfinite(model.points)) and np.all(np.isfinite(model.alpha))):
+        raise InputError(f"malformed model file {path}: non-finite points or alpha")
     return model, doc

@@ -128,6 +128,21 @@ class TestFit:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "bad_line", [b"nan", b"inf", b"-Infinity", b"\xff\xfe"], ids=["nan", "inf", "-inf", "non-utf8"]
+    )
+    def test_bad_csv_cell_exits_two_naming_file_and_line(self, tmp_path, capsys, bad_line):
+        p = tmp_path / "p.csv"
+        p.write_bytes(b"x_1\n3.9\n" + bad_line + b"\n4.2\n")
+        q = tmp_path / "q.csv"
+        q.write_text("x_1\n1.0\n2.0\n", encoding="utf-8")
+        code = run_cli(
+            ["fit", "--p-csv", str(p), "--q-csv", str(q), "--loss", "lr", "--lambda", "0.5", "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and "line 3" in err
+
 
 class TestSelect:
     def test_prints_chosen_and_writes_report(self, tmp_path, capsys):
@@ -202,6 +217,20 @@ class TestSelect:
         assert code == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.1, rel=1e-12)
 
+    def test_unconverged_fits_are_named_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "selection.json"
+        code = run_cli(
+            ["select", "--loss", "exp", "--synthetic", "--m", "10", "--n", "10", "--seed", "0"]
+            + ["--grid", "1e-12:10:3", "--out", str(out)]
+        )
+        assert code == 0  # a lambda is still chosen
+        err = capsys.readouterr().err.splitlines()
+        report = json.loads(out.read_text())
+        unconverged = [e["lambda"] for e in report["per_lambda"] if not e["fit"]["converged"]]
+        assert len(unconverged) == 3
+        assert len(err) == 1 and "did not converge" in err[0]
+        assert all(repr(lam) in err[0] for lam in unconverged)
+
     def test_malformed_grid(self, capsys):
         code = run_cli(
             ["select", "--synthetic", "--loss", "exp", "--grid", "nope"]
@@ -238,6 +267,21 @@ class TestExperiment:
         assert len(csv_lines) == 1 + 2 * 3  # header + cells * grid points
         chosen_flags = [line.rsplit(",", 1)[1] for line in csv_lines[1:]]
         assert set(chosen_flags) <= {"0", "1"}
+
+    def test_stdout_summarizes_top2_rate_and_unconverged_fits(self, tmp_path, capsys):
+        config = self._config(tmp_path)
+        config.update(
+            losses=["exp"], grid={"lambda0": 1e-13, "xi": 10.0, "l": 3}, sample_sizes=[[10, 10]], seeds=[0]
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli(["experiment", str(config_path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        (cell,) = json.loads(open(summary["report"]).read())["cells"]
+        assert summary["unconverged_fits"] == 3
+        assert not any(report["converged"] for report in cell["fit_reports"])
+        rate = 1.0 if cell["chosen_rank_by_mse"] <= 2 else 0.0
+        assert summary["top2_rate"] == [{"loss": "exp", "m": 10, "n": 10, "rate": rate}]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kernelratio import GaussianPairSpec, InputError, LabeledDataset, load_two_csv, sample_pair
 from kernelratio.data import dataset_sha256
@@ -61,6 +66,11 @@ class TestDatasetInvariants:
         with pytest.raises(InputError):
             LabeledDataset(xs=np.zeros((2, 1)), ys=np.array([1, 0]), m=1, n=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_points_must_be_finite(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            LabeledDataset(xs=np.array([[0.0], [bad]]), ys=np.array([1, -1]), m=1, n=1)
+
     def test_total_and_dim(self, pair):
         ds = sample_pair(pair, 2, 3, seed=1)
         assert ds.total == 5
@@ -97,6 +107,14 @@ class TestCsvLoading:
         with pytest.raises(InputError, match=r"line 4"):
             load_two_csv(str(p), str(q))
 
+    def test_line_numbers_count_physical_lines(self, tmp_path):
+        p = tmp_path / "p.csv"
+        q = tmp_path / "q.csv"
+        self._write(p, ["x_1", '"1', '"', "nan"])  # a quoted cell spans lines 2-3
+        self._write(q, ["x_1", "0.1"])
+        with pytest.raises(InputError, match=r"line 4"):
+            load_two_csv(str(p), str(q))
+
     def test_missing_file(self, tmp_path):
         p = tmp_path / "p.csv"
         self._write(p, ["x_1", "1.0"])
@@ -126,3 +144,39 @@ class TestCsvLoading:
         self._write(q, ["x_1,x_2", "1,2"])
         with pytest.raises(InputError, match="line 3"):
             load_two_csv(str(p), str(q))
+
+
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "-inf", "Infinity", "1e999", "abc", " 1", '"2"', '"3']),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """Raw bytes, or a valid d-column file with maybe one line replaced."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=40))
+    d = draw(st.integers(1, 2))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    lines = [",".join(f"x_{i + 1}" for i in range(d))]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.append(",".join(draw(st.lists(finite, min_size=d, max_size=d))))
+    if draw(st.booleans()):
+        lines[draw(st.integers(0, len(lines) - 1))] = ",".join(draw(st.lists(_CELLS, max_size=3)))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode("utf-8")
+
+
+@given(p_bytes=_csv_files(), q_bytes=_csv_files())
+def test_fuzzed_csv_files_load_finite_or_raise_input_error(p_bytes, q_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "p.csv"), os.path.join(tmp, "q.csv")]
+        for path, content in zip(paths, (p_bytes, q_bytes)):
+            with open(path, "wb") as fh:
+                fh.write(content)
+        try:
+            dataset = load_two_csv(*paths)
+        except InputError:
+            return
+    assert np.all(np.isfinite(dataset.xs))

@@ -118,13 +118,18 @@ class TestLinks:
 
     @pytest.mark.parametrize("family", ALL)
     def test_round_trip(self, family):
-        for u in np.arange(0.01, 1.0, 0.01):
-            assert abs(link_inv(family, link(family, u)) - u) <= 1e-12
+        us = np.arange(0.01, 1.0, 0.01)
+        margins = link(family, us)
+        for u, v in zip(us, margins):
+            assert v == link(family, float(u))  # array and scalar agree exactly
+            assert abs(link_inv(family, v) - u) <= 1e-12
 
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.3, 1.7])
     def test_link_domain_validation(self, u):
         with pytest.raises(InputError):
             link(LossFamily.LR, u)
+        with pytest.raises(InputError):
+            link(LossFamily.LR, np.array([0.2, u, 0.7]))
 
 
 class TestRatioMap:

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kernelratio import (
     FitOptions,
@@ -21,6 +25,17 @@ from kernelratio import (
 from kernelratio.data import LabeledDataset, dataset_sha256
 
 ALL = list(LossFamily)
+
+VALID_MODEL_DOC = {
+    "kernel_family": "gaussian",
+    "bandwidth": 1.0,
+    "loss": "lr",
+    "lambda": 0.1,
+    "points": [[0.0], [1.0]],
+    "alpha": [0.5, -0.5],
+    "seed": None,
+    "dataset_hash": None,
+}
 
 
 def two_point_dataset():
@@ -239,6 +254,55 @@ class TestPersistence:
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"loss": "kulsif"}), encoding="utf-8")
-        with pytest.raises(InputError):
-            load_model(str(path))
+        for doc in [
+            {"loss": "kulsif"},
+            [1, 2],
+            {**VALID_MODEL_DOC, "points": [[0.0]], "alpha": None},
+            {**VALID_MODEL_DOC, "alpha": [0.5, float("nan")]},
+            {**VALID_MODEL_DOC, "points": [[0.0], [float("inf")]]},
+        ]:
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(InputError):
+                load_model(str(path))
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.integers()
+    | st.sampled_from([10**400, "gaussian", "lr"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _model_files(draw):
+    kind = draw(st.sampled_from(["replace", "delete", "whole", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    if kind == "whole":
+        doc = draw(_JSON_VALUES)
+    else:
+        doc = dict(VALID_MODEL_DOC)
+        key = draw(st.sampled_from(sorted(doc)))
+        if kind == "delete":
+            del doc[key]
+        else:
+            doc[key] = draw(_JSON_VALUES)
+    return json.dumps(doc).encode("utf-8")
+
+
+@given(content=_model_files())
+def test_fuzzed_model_files_load_finite_or_raise_input_error(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        try:
+            model, _ = load_model(path)
+        except InputError:
+            return
+    assert np.all(np.isfinite(model.points)) and np.all(np.isfinite(model.alpha))
