@@ -57,6 +57,7 @@ from .solver import (
     closed_form_fit,
     fit,
     load_model,
+    margins_at,
     objective_and_gradient,
     predict_margin,
     predict_ratio,
@@ -109,6 +110,7 @@ __all__ = [
     "load_model",
     "load_two_csv",
     "loss_derivs",
+    "margins_at",
     "objective_and_gradient",
     "population_h_form",
     "population_risk",

@@ -90,13 +90,24 @@ class HessianWeights:
             raise InputError("curvature weights must be nonnegative")
 
 
-def hessian_weights(family: LossFamily, model: RatioModel, dataset: LabeledDataset) -> HessianWeights:
+def _matrix(gram) -> np.ndarray:
+    return gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
+
+
+def hessian_weights(
+    family: LossFamily, model: RatioModel, dataset: LabeledDataset, gram: GramMatrix | None = None
+) -> HessianWeights:
     """e_i = ell''(y_i, f(x_i)) at the model's training margins.
 
     kulsif: (1 - y_i)/2 exactly (label-only); exp: e^{-y_i f(x_i)};
     lr: s(1-s) at s = logistic(y_i f(x_i)); sq: the constant 2.
+    With the Gram matrix of the training points at hand, the margins are
+    read off as K alpha instead of evaluating the kernel again.
     """
-    margins = predict_margin(model, dataset.xs)
+    if gram is None:
+        margins = predict_margin(model, dataset.xs)
+    else:
+        margins = _matrix(gram) @ model.alpha
     e = loss_d2(family, dataset.ys.astype(np.float64), margins)
     return HessianWeights(e=e)
 
@@ -105,7 +116,7 @@ def empirical_h_norm(gram, weights: HessianWeights, alpha, beta, lambda_t: float
     """(1/N)(a-b)^T K E K (a-b) + lambda_t (a-b)^T K (a-b), computed exactly."""
     if not (lambda_t > 0.0 and np.isfinite(lambda_t)):
         raise InputError(f"lambda_t must be positive, got {lambda_t}")
-    K = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
+    K = _matrix(gram)
     delta = np.asarray(alpha, dtype=np.float64) - np.asarray(beta, dtype=np.float64)
     if delta.shape[0] != K.shape[0] or weights.e.shape[0] != K.shape[0]:
         raise InputError("coefficient/weight length does not match the kernel matrix")
@@ -122,17 +133,22 @@ def hessian_trace(gram, weights: HessianWeights, lam: float = 0.0) -> float:
     Basis-independent: equals the trace of the coefficient map
     (1/N) E K + lam I.
     """
-    K = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
+    K = _matrix(gram)
     n_total = K.shape[0]
     return float(np.mean(weights.e * np.diag(K)) + n_total * lam)
 
 
 def curvature_operator_norm(gram, weights: HessianWeights) -> float:
-    """Spectral norm of (1/N) E K, reported as a per-lambda diagnostic."""
-    K = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
-    root = np.sqrt(weights.e)
-    sym = root[:, None] * K * root[None, :] / K.shape[0]
-    return float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+    """Spectral norm of (1/N) E K, reported as a per-lambda diagnostic.
+
+    Rows and columns with e_i = 0 add only zero eigenvalues, so only the
+    rest is decomposed (for kulsif, the Q block).
+    """
+    K = _matrix(gram)
+    keep = np.flatnonzero(weights.e)
+    root = np.sqrt(weights.e[keep])
+    sym = root[:, None] * K[np.ix_(keep, keep)] * root[None, :] / K.shape[0]
+    return float(np.max(np.abs(np.linalg.eigvalsh(sym)), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -382,7 +398,7 @@ def select_from_fits(
     n_total = dataset.total
     consts = consts or BoundConstants()
 
-    weights = [hessian_weights(family, model, dataset) for model, _ in fits]
+    weights = [hessian_weights(family, model, dataset, gram) for model, _ in fits]
     traces = [hessian_trace(gram, w, float(lam)) for w, lam in zip(weights, values)]
     curvature_norms = [curvature_operator_norm(gram, w) for w in weights]
 

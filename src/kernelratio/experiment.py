@@ -10,6 +10,7 @@ order so reruns are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -27,7 +28,7 @@ from .errors import InputError
 from .kernel import KernelFamily, KernelSpec, gram_matrix
 from .losses import LossFamily
 from .oracle import OracleContext, bayes_risk, grid_mse, population_risk
-from .solver import FitOptions
+from .solver import FitOptions, margins_at
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,13 @@ class ExperimentConfig:
 
 
 def _mse_rank(mses: list[float], chosen_index: int) -> int:
-    """1-based rank of the chosen lambda by oracle MSE (1 = best)."""
+    """1-based rank of the chosen lambda by oracle MSE (1 = best).
+
+    A chosen fit whose MSE is not finite ranks last.
+    """
     chosen_mse = mses[chosen_index - 1]
+    if not math.isfinite(chosen_mse):
+        return len(mses)
     return 1 + sum(1 for value in mses if value < chosen_mse)
 
 
@@ -130,10 +136,15 @@ def run_cell(
     fits = fit_grid(family, config.kernel, dataset, config.grid, FitOptions(), gram=gram)
     selection = select_from_fits(family, gram, dataset, config.grid, fits, config.rule, config.consts)
 
-    mses, bregman = [], []
-    for model, _ in fits:
-        mses.append(grid_mse(ctx, model))
-        bregman.append(2.0 * (population_risk(ctx, family, model) - bayes_risk_value))
+    # One kernel pass per point set scores the whole grid of fits.
+    alphas = [model.alpha for model, _ in fits]
+    nodes, _ = ctx.quad.nodes_weights()
+    node_margins = margins_at(config.kernel, dataset.xs, alphas, nodes)
+    grid_margins = margins_at(config.kernel, dataset.xs, alphas, ctx.eval_grid)
+    mses = [grid_mse(ctx, model, margins) for (model, _), margins in zip(fits, grid_margins)]
+    bregman = [
+        2.0 * (population_risk(ctx, family, margins) - bayes_risk_value) for margins in node_margins
+    ]
 
     rank = _mse_rank(mses, selection.chosen_index)
     return {
@@ -204,12 +215,23 @@ def report_to_csv_rows(report: dict) -> list[str]:
     return lines
 
 
+def _finite_or_null(doc):
+    """The document with every non-finite float replaced by None (JSON null)."""
+    if isinstance(doc, dict):
+        return {key: _finite_or_null(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite_or_null(value) for value in doc]
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return None
+    return doc
+
+
 def write_experiment_outputs(report: dict, output_dir: str) -> tuple[str, str]:
     os.makedirs(output_dir, exist_ok=True)
     report_path = os.path.join(output_dir, "report.json")
     csv_path = os.path.join(output_dir, "results.csv")
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(_finite_or_null(report), fh, indent=2, allow_nan=False)
         fh.write("\n")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(report_to_csv_rows(report)) + "\n")

@@ -77,15 +77,29 @@ def kernel_eval(spec: KernelSpec, x, x_prime) -> float:
 
 
 def cross_matrix(spec: KernelSpec, left, right) -> np.ndarray:
-    """Rectangular kernel matrix k(left_i, right_j), shape (N, M)."""
+    """Rectangular kernel matrix k(left_i, right_j), shape (N, M).
+
+    Built in one (N, M) buffer: squared coordinate differences are summed
+    in place, one coordinate at a time, then mapped through the kernel.
+    The sequential sum makes entry (i, j) of cross_matrix(x, x) bitwise
+    equal to entry (j, i), with the diagonal exactly k(x, x).
+    """
     a = as_points(left)
     b = as_points(right)
     if a.shape[1] != b.shape[1]:
         raise InputError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-    values = np.exp(-sq / (2.0 * spec.bandwidth**2))
+    values = np.subtract.outer(a[:, 0], b[:, 0])
+    np.square(values, out=values)
+    if a.shape[1] > 1:
+        scratch = np.empty_like(values)
+        for k in range(1, a.shape[1]):
+            np.subtract.outer(a[:, k], b[:, k], out=scratch)
+            values += np.square(scratch, out=scratch)
+    np.negative(values, out=values)
+    np.divide(values, 2.0 * spec.bandwidth**2, out=values)
+    np.exp(values, out=values)
     if spec.family is KernelFamily.ONE_PLUS_GAUSSIAN:
-        values = 1.0 + values
+        np.add(values, 1.0, out=values)
     return values
 
 
@@ -102,11 +116,9 @@ class GramMatrix:
 
 
 def gram_matrix(spec: KernelSpec, points) -> GramMatrix:
-    """Build the N x N kernel matrix; symmetric by mirroring the upper triangle."""
+    """Build the N x N kernel matrix, exactly symmetric (see cross_matrix)."""
     pts = as_points(points)
     if pts.shape[0] < 1:
         raise InputError("gram_matrix needs at least one point")
     values = cross_matrix(spec, pts, pts)
-    values = np.triu(values) + np.triu(values, 1).T
-    np.fill_diagonal(values, spec.diagonal_value)
     return GramMatrix(values=values, points=pts)

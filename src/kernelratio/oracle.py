@@ -32,9 +32,10 @@ from .losses import (
     loss_value,
     phi,
     phi_prime,
+    ratio_map,
     ratio_map_raw,
 )
-from .solver import FitOptions, RatioModel, fit, predict_margin, predict_ratio
+from .solver import FitOptions, RatioModel, fit, predict_margin
 
 _ETA_FLOOR = 1e-300
 _ETA_CEIL = 1.0 - 1e-16
@@ -135,10 +136,16 @@ def true_ratio(pair: GaussianPairSpec, x):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _margins_of(model_or_fn, xs: np.ndarray) -> np.ndarray:
-    if isinstance(model_or_fn, RatioModel):
-        return np.asarray(predict_margin(model_or_fn, xs), dtype=np.float64)
-    return np.asarray(model_or_fn(xs), dtype=np.float64)
+def _margins_of(f, xs: np.ndarray) -> np.ndarray:
+    """Margins at xs of a model or a margin function; an array is taken as them."""
+    if isinstance(f, RatioModel):
+        return np.asarray(predict_margin(f, xs), dtype=np.float64)
+    if callable(f):
+        return np.asarray(f(xs), dtype=np.float64)
+    margins = np.asarray(f, dtype=np.float64)
+    if margins.shape != xs.shape:
+        raise InputError(f"got {margins.shape} margins for points of shape {xs.shape}")
+    return margins
 
 
 def bayes_margin(ctx: OracleContext, family: LossFamily, x):
@@ -163,7 +170,10 @@ def _risk_from_margins(ctx, family, margins, nodes, weights) -> float:
 
 
 def population_risk(ctx: OracleContext, family: LossFamily, f) -> float:
-    """Expected loss of a margin function under the half/half label model."""
+    """Expected loss of a margin function under the half/half label model.
+
+    `f` is a model, a margin function, or its margins at the quadrature nodes.
+    """
     nodes, weights = ctx.quad.nodes_weights()
     return _risk_from_margins(ctx, family, _margins_of(f, nodes), nodes, weights)
 
@@ -247,9 +257,13 @@ def population_h_form(
     return float(pop_weights @ (h_values**2) + lam * rkhs_sq)
 
 
-def grid_mse(ctx: OracleContext, model: RatioModel) -> float:
-    """Mean squared error of the (floored) ratio estimate on the eval grid."""
-    estimates = predict_ratio(model, ctx.eval_grid)
+def grid_mse(ctx: OracleContext, model: RatioModel, margins=None) -> float:
+    """Mean squared error of the (floored) ratio estimate on the eval grid.
+
+    `margins`, the model's margins on the eval grid, skips predicting them.
+    """
+    margins = _margins_of(model if margins is None else margins, ctx.eval_grid)
+    estimates = ratio_map(model.family, margins)
     return float(np.mean((estimates - true_ratio(ctx.pair, ctx.eval_grid)) ** 2))
 
 
@@ -308,7 +322,7 @@ def hessian_sandwich_test(
     kernel = kernel or KernelSpec()
     gram = gram_matrix(kernel, dataset.xs)
     model, _ = fit(family, kernel, dataset, lam, gram=gram)
-    margins = predict_margin(model, dataset.xs)
+    margins = gram.values @ model.alpha
     e = loss_d2(family, dataset.ys.astype(np.float64), margins)
     n_total = dataset.total
 

@@ -35,7 +35,7 @@ from .losses import (
     ratio_map,
 )
 
-# Cap on broadcast buffer entries when evaluating margins on large grids.
+# Cap on kernel block entries when evaluating margins on large grids.
 _CHUNK_ENTRIES = 4_000_000
 
 
@@ -54,6 +54,8 @@ class RatioModel:
         alpha = np.asarray(self.alpha, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "alpha", alpha)
+        if pts.shape[0] < 1:
+            raise InputError("a model needs at least one point")
         if alpha.shape[0] != pts.shape[0]:
             raise InputError(f"alpha length {alpha.shape[0]} != {pts.shape[0]} points")
         if not (self.lam > 0.0 and np.isfinite(self.lam)):
@@ -265,16 +267,25 @@ def fit(
     return model, report
 
 
-def _margins(model: RatioModel, xs: np.ndarray) -> np.ndarray:
-    n_train = model.points.shape[0]
+def margins_at(kernel: KernelSpec, points, alphas, xs) -> np.ndarray:
+    """Margins at xs of several expansions over the same kernel and points.
+
+    Row k holds f_k(x) = sum_j alphas[k][j] k(points_j, x).  The kernel
+    matrix is built in row blocks of about _CHUNK_ENTRIES entries, each
+    once, and every coefficient vector multiplies each block in turn, so
+    row k is bitwise what the model with coefficients alphas[k] predicts
+    on its own.
+    """
+    points = as_points(points)
+    xs = as_points(xs)
     n_eval = xs.shape[0]
-    if n_train * n_eval <= _CHUNK_ENTRIES:
-        return cross_matrix(model.kernel, xs, model.points) @ model.alpha
-    out = np.empty(n_eval)
-    chunk = max(1, _CHUNK_ENTRIES // n_train)
+    out = np.empty((len(alphas), n_eval))
+    whole = points.shape[0] * n_eval <= _CHUNK_ENTRIES
+    chunk = max(1, n_eval if whole else _CHUNK_ENTRIES // points.shape[0])
     for start in range(0, n_eval, chunk):
-        block = xs[start : start + chunk]
-        out[start : start + chunk] = cross_matrix(model.kernel, block, model.points) @ model.alpha
+        block = cross_matrix(kernel, xs[start : start + chunk], points)
+        for row, alpha in zip(out, alphas):
+            row[start : start + chunk] = block @ alpha
     return out
 
 
@@ -287,7 +298,7 @@ def predict_margin(model: RatioModel, x):
     pts = as_points(arr if not scalar else arr.reshape(1, -1))
     if pts.shape[1] != model.points.shape[1]:
         raise InputError(f"points have dimension {pts.shape[1]}, model expects {model.points.shape[1]}")
-    values = _margins(model, pts)
+    values = margins_at(model.kernel, model.points, [model.alpha], pts)[0]
     return float(values[0]) if scalar else values
 
 

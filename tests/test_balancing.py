@@ -26,6 +26,7 @@ from kernelratio import (
     select_lambda,
 )
 from kernelratio.balancing import (
+    HessianWeights,
     balance_eta,
     choose_max_qualifying,
     curvature_operator_norm,
@@ -83,6 +84,15 @@ class TestHessianWeights:
         model, _ = fit(LossFamily.LR, kspec, ds, 1e9)
         w = hessian_weights(LossFamily.LR, model, ds)
         np.testing.assert_allclose(w.e, 0.25, atol=1e-6)
+
+    @pytest.mark.parametrize("family", list(LossFamily))
+    def test_gram_margins_equal_predicted_margins_bitwise(self, family, pair, kspec):
+        ds = sample_pair(pair, 7, 9, seed=4)
+        gram = gram_matrix(kspec, ds.xs)
+        model, _ = fit(family, kspec, ds, 0.01, gram=gram)
+        with_gram = hessian_weights(family, model, ds, gram)
+        assert np.array_equal(with_gram.e, hessian_weights(family, model, ds).e)
+        assert np.array_equal(hessian_weights(family, model, ds, gram.values).e, with_gram.e)
 
     def test_sq_weights_are_two(self, pair, kspec):
         ds = sample_pair(pair, 3, 3, seed=1)
@@ -196,6 +206,20 @@ class TestTrace:
         model, _ = fit(LossFamily.KULSIF, kspec, ds, 0.1)
         w = hessian_weights(LossFamily.KULSIF, model, ds)
         assert curvature_operator_norm(gram, w) > 0.0
+
+
+    def test_curvature_operator_norm_matches_the_full_decomposition(self, pair, kspec):
+        # Only rows with e_i != 0 are decomposed; the zero rows add only
+        # zero eigenvalues to the full matrix.
+        ds = sample_pair(pair, 20, 20, seed=1)
+        gram = gram_matrix(kspec, ds.xs)
+        for family in (LossFamily.KULSIF, LossFamily.EXP):
+            model, _ = fit(family, kspec, ds, 0.1)
+            w = hessian_weights(family, model, ds)
+            root = np.sqrt(w.e)
+            full = np.linalg.eigvalsh(root[:, None] * gram.values * root[None, :] / ds.total)
+            assert curvature_operator_norm(gram, w) == pytest.approx(np.max(np.abs(full)), rel=1e-13)
+        assert curvature_operator_norm(gram, HessianWeights(e=np.zeros(ds.total))) == 0.0
 
 
 class TestBoundCalculators:
@@ -316,15 +340,17 @@ class TestSelection:
         again = select_lambda(ds, LossFamily.KULSIF, kspec, truncated, SelectionRule.PRACTICAL_MJ)
         assert again.chosen_lambda == full.chosen_lambda
 
-    @given(seed=st.integers(0, 100_000), scale=st.floats(1.0, 100.0))
+    @given(seed=st.integers(0, 100_000), raises=st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6))
     @settings(max_examples=100, deadline=None)
-    def test_choice_monotone_in_thresholds(self, seed, scale):
+    def test_choice_monotone_in_thresholds(self, seed, raises):
+        # Raising any subset of the thresholds, each by its own amount,
+        # can only move the choice up.
         rng = np.random.default_rng(seed)
         l = int(rng.integers(2, 7))
         norms = {(i, j): float(rng.uniform(0, 2)) for i in range(2, l + 1) for j in range(1, i)}
         thresholds = [float(rng.uniform(0, 2)) for _ in range(l)]
         base = choose_max_qualifying(l, norms, thresholds)
-        bigger = choose_max_qualifying(l, norms, [scale * t for t in thresholds])
+        bigger = choose_max_qualifying(l, norms, [t + r for t, r in zip(thresholds, raises)])
         assert bigger >= base
 
     def test_eta_s_threshold_formula(self, pair, kspec):

@@ -277,11 +277,20 @@ class TestExperiment:
         config_path.write_text(json.dumps(config), encoding="utf-8")
         assert run_cli(["experiment", str(config_path)]) == 0
         summary = json.loads(capsys.readouterr().out)
-        (cell,) = json.loads(open(summary["report"]).read())["cells"]
+
+        def reject(constant):
+            raise ValueError(f"report.json holds {constant}, which strict JSON rejects")
+
+        (cell,) = json.loads(open(summary["report"]).read(), parse_constant=reject)["cells"]
         assert summary["unconverged_fits"] == 3
         assert not any(report["converged"] for report in cell["fit_reports"])
-        rate = 1.0 if cell["chosen_rank_by_mse"] <= 2 else 0.0
-        assert summary["top2_rate"] == [{"loss": "exp", "m": 10, "n": 10, "rate": rate}]
+        # Every fit diverged to an infinite MSE: null in the report, inf in
+        # the CSV, and the choice ranks last, so it is no top-2 hit.
+        assert cell["mse"] == [None, None, None]
+        assert cell["chosen_rank_by_mse"] == 3
+        assert summary["top2_rate"] == [{"loss": "exp", "m": 10, "n": 10, "rate": 0.0}]
+        csv_mses = [line.split(",")[5] for line in open(summary["csv"]).read().splitlines()[1:]]
+        assert csv_mses == ["inf", "inf", "inf"]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

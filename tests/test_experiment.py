@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from kernelratio import InputError, LossFamily
-from kernelratio.balancing import LambdaGrid, SelectionRule
+from kernelratio import InputError, LossFamily, OracleContext, gram_matrix, sample_pair
+from kernelratio.balancing import LambdaGrid, SelectionRule, fit_grid
 from kernelratio.experiment import (
     ExperimentConfig,
+    _mse_rank,
     report_to_csv_rows,
     run_experiment,
     run_rate_sweep,
 )
+from kernelratio.oracle import bayes_risk, grid_mse, population_risk
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +33,25 @@ def test_report_covers_all_cells(tiny_report):
         assert len(cell["bregman_error"]) == config.grid.l
         assert cell["chosen_lambda"] in cell["lambdas"]
         assert 1 <= cell["chosen_rank_by_mse"] <= config.grid.l
+
+
+def test_cell_scores_equal_per_model_oracle_calls_bitwise(tiny_report):
+    config, report = tiny_report
+    ctx = OracleContext.default(config.pair)
+    for cell in report["cells"]:
+        family = LossFamily(cell["loss"])
+        dataset = sample_pair(config.pair, cell["m"], cell["n"], cell["seed"])
+        gram = gram_matrix(config.kernel, dataset.xs)
+        fits = fit_grid(family, config.kernel, dataset, config.grid, gram=gram)
+        bayes = bayes_risk(ctx, family)
+        assert cell["mse"] == [grid_mse(ctx, model) for model, _ in fits]
+        assert cell["bregman_error"] == [2.0 * (population_risk(ctx, family, model) - bayes) for model, _ in fits]
+
+
+def test_non_finite_chosen_mse_ranks_last():
+    assert _mse_rank([float("inf")] * 3, 3) == 3
+    assert _mse_rank([1.0, float("nan"), 0.5], 2) == 3
+    assert _mse_rank([2.0, float("inf"), 0.5], 1) == 2
 
 
 def test_cells_are_sorted(tiny_report):

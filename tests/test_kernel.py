@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kernelratio import InputError, KernelFamily, KernelSpec, gram_matrix, kernel_eval
+from kernelratio.kernel import cross_matrix
 
 GAUSS = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
 OFFSET = KernelSpec(KernelFamily.ONE_PLUS_GAUSSIAN, 1.0)
@@ -105,3 +107,36 @@ def test_gram_is_positive_semidefinite_on_small_sets(seed):
 def test_gram_rejects_empty_point_list():
     with pytest.raises(InputError):
         gram_matrix(OFFSET, np.empty((0, 1)))
+
+
+def _broadcast_cross(spec, a, b):
+    """The dense (N, M, d) broadcast formula, as a reference."""
+    sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    values = np.exp(-sq / (2.0 * spec.bandwidth**2))
+    return 1.0 + values if spec.family is KernelFamily.ONE_PLUS_GAUSSIAN else values
+
+
+@st.composite
+def _point_sets(draw):
+    d = draw(st.integers(1, 12))
+    coords = st.floats(-1.0, 1.0, allow_nan=False)
+    a = draw(arrays(np.float64, (draw(st.integers(1, 6)), d), elements=coords))
+    b = draw(arrays(np.float64, (draw(st.integers(1, 6)), d), elements=coords))
+    return a, b
+
+
+@given(points=_point_sets(), family=st.sampled_from(list(KernelFamily)))
+@settings(max_examples=200, deadline=None)
+def test_cross_matrix_matches_the_broadcast_formula(points, family):
+    a, b = points
+    d = a.shape[1]
+    # Bandwidth sqrt(d) keeps the exponent below 2, so a rounding-level
+    # change in the squared distance stays rounding-level after exp.
+    spec = KernelSpec(family, math.sqrt(d))
+    values = cross_matrix(spec, a, b)
+    expected = _broadcast_cross(spec, a, b)
+    if d <= 7:  # numpy sums fewer than 8 terms in order, as cross_matrix does
+        assert np.array_equal(values, expected)
+    else:
+        np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0)
+    assert np.array_equal(gram_matrix(spec, a).values, cross_matrix(spec, a, a))

@@ -170,6 +170,14 @@ class TestRatioMap:
             assert ratio_map_raw(family, float(v)) == pytest.approx(expected, rel=1e-10)
 
 
+    @pytest.mark.parametrize("family", ALL)
+    @given(u=st.floats(1e-3, 1.0 - 1e-3))
+    def test_ratio_map_inverts_link_to_posterior_odds(self, family, u):
+        # g(Psi(u)) = u / (1 - u); the sq link 2u - 1 loses up to eps / (2u)
+        # and eps / (2(1 - u)) relative, hence u stays 1e-3 away from 0 and 1.
+        assert ratio_map(family, link(family, u)) == pytest.approx(u / (1.0 - u), rel=1e-12)
+
+
 class TestGenerator:
     def test_kulsif_vanishes_at_reference(self):
         assert bregman_generator(LossFamily.KULSIF, 1.0) == (0.0, 0.0)

@@ -267,6 +267,18 @@ class TestGridMse:
         assert grid_mse(ctx, model) == pytest.approx(float(shuffled.mean()), rel=1e-12)
 
 
+    def test_precomputed_margins_score_bitwise_like_the_model(self, ctx, pair, kspec):
+        for family in ALL:
+            model = fitted_model(pair, kspec, family)
+            nodes, _ = ctx.quad.nodes_weights()
+            node_margins = predict_margin(model, nodes)
+            grid_margins = predict_margin(model, ctx.eval_grid)
+            assert grid_mse(ctx, model, grid_margins) == grid_mse(ctx, model)
+            assert population_risk(ctx, family, node_margins) == population_risk(ctx, family, model)
+            with pytest.raises(InputError):
+                population_risk(ctx, family, grid_margins)
+
+
 class TestSandwich:
     def test_tiny_dataset_is_diagnostic_only(self, ctx, pair, kspec):
         ds = sample_pair(pair, 1, 1, seed=0)

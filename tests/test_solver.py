@@ -16,13 +16,16 @@ from kernelratio import (
     fit,
     gram_matrix,
     load_model,
+    margins_at,
     objective_and_gradient,
     predict_margin,
     predict_ratio,
     sample_pair,
     save_model,
 )
+from kernelratio import solver
 from kernelratio.data import LabeledDataset, dataset_sha256
+from kernelratio.kernel import KernelSpec, cross_matrix
 
 ALL = list(LossFamily)
 
@@ -226,6 +229,24 @@ class TestPredict:
         assert np.all(batch >= 0.0)
 
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("chunk_entries", [None, 40])
+    def test_margins_at_equals_each_model_bitwise(self, dim, chunk_entries, monkeypatch):
+        rng = np.random.default_rng(dim)
+        ds = LabeledDataset.from_blocks(rng.normal(0.5, size=(6, dim)), rng.normal(size=(7, dim)))
+        spec = KernelSpec(bandwidth=math.sqrt(dim))
+        models = [fit(family, spec, ds, lam)[0] for family in ALL for lam in (1e-2, 1.0)]
+        xs = rng.normal(size=(23, dim))
+        whole = [cross_matrix(spec, xs, ds.xs) @ model.alpha for model in models]
+        if chunk_entries is not None:  # 40 // 13 points: blocks of 3 rows, a short last one
+            monkeypatch.setattr(solver, "_CHUNK_ENTRIES", chunk_entries)
+        rows = margins_at(spec, ds.xs, [model.alpha for model in models], xs)
+        assert rows.shape == (len(models), xs.shape[0])
+        for row, model, reference in zip(rows, models, whole):
+            assert np.array_equal(row, predict_margin(model, xs))
+            np.testing.assert_allclose(row, reference, rtol=1e-12, atol=1e-12)
+
+
 class TestPersistence:
     def test_round_trip(self, pair, kspec, tmp_path):
         ds = sample_pair(pair, 4, 4, seed=3)
@@ -260,6 +281,7 @@ class TestPersistence:
             {**VALID_MODEL_DOC, "points": [[0.0]], "alpha": None},
             {**VALID_MODEL_DOC, "alpha": [0.5, float("nan")]},
             {**VALID_MODEL_DOC, "points": [[0.0], [float("inf")]]},
+            {**VALID_MODEL_DOC, "points": [], "alpha": []},
         ]:
             path.write_text(json.dumps(doc), encoding="utf-8")
             with pytest.raises(InputError):
@@ -305,4 +327,5 @@ def test_fuzzed_model_files_load_finite_or_raise_input_error(content):
             model, _ = load_model(path)
         except InputError:
             return
+    assert model.points.shape[0] >= 1
     assert np.all(np.isfinite(model.points)) and np.all(np.isfinite(model.alpha))
