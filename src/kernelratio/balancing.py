@@ -400,7 +400,12 @@ def select_from_fits(
 
     weights = [hessian_weights(family, model, dataset, gram) for model, _ in fits]
     traces = [hessian_trace(gram, w, float(lam)) for w, lam in zip(weights, values)]
-    curvature_norms = [curvature_operator_norm(gram, w) for w in weights]
+    # Equal weights give the same LAPACK result, so each distinct run of
+    # them (kulsif's label-only weights, sq's constant ones) is decomposed once.
+    curvature_norms = []
+    for k, w in enumerate(weights):
+        same = k > 0 and np.array_equal(w.e, weights[k - 1].e)
+        curvature_norms.append(curvature_norms[-1] if same else curvature_operator_norm(gram, w))
 
     thresholds = []
     per_lambda = []

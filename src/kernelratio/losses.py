@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -82,11 +83,15 @@ def _safe_exp(t):
     return np.exp(np.minimum(t, _EXP_ARG_MAX))
 
 
+def _sigmoid_parts(t):
+    """p = e^{-|t|} and the logistic function of t, stable for both signs."""
+    p = np.exp(-np.abs(t))
+    return p, np.where(t >= 0.0, 1.0 / (1.0 + p), p / (1.0 + p))
+
+
 def sigmoid(t):
     """Numerically stable logistic function, exact for both signs."""
-    t = np.asarray(t, dtype=np.float64)
-    p = np.exp(-np.abs(t))
-    return np.where(t >= 0.0, 1.0 / (1.0 + p), p / (1.0 + p))
+    return _sigmoid_parts(np.asarray(t, dtype=np.float64))[1]
 
 
 def _check_labels(y) -> np.ndarray:
@@ -108,29 +113,61 @@ def loss_value(family: LossFamily, y, v):
     return (1.0 - y * v) ** 2
 
 
-def loss_d1(family: LossFamily, y, v):
+class MarginTerms(NamedTuple):
+    """ell' and ell'' at margins v, and the loss change delta(dv)."""
+
+    d1: np.ndarray
+    d2: np.ndarray
+    delta: Callable  # dv -> ell(y, v + dv) - ell(y, v)
+
+
+def margin_terms(family: LossFamily, y, v, neg_y=None) -> MarginTerms:
+    """The margin derivatives and loss change at (y, v), from one family branch.
+
+    The one home of the margin formulas.  The shared exponential is
+    evaluated once: w = e^{-yv} (exponent capped) for exp, and
+    p = e^{-|yv|} with s = logistic(-yv) for lr.  delta(dv) is
+    ell(y, v + dv) - ell(y, v) in a cancellation-free form (exact
+    expansions for the quadratic families, expm1/log1p identities for exp
+    and lr), which lets a line search resolve decreases far below the
+    absolute objective's float resolution.  `neg_y`, the negated labels,
+    spares callers that evaluate many margins against the same labels.
+    """
     y = np.asarray(y, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if family is LossFamily.KULSIF:
-        return np.where(y > 0, -1.0, v)
+        pos = y > 0
+        shape = np.broadcast(y, v).shape
+        return MarginTerms(
+            np.where(pos, -1.0, v),
+            np.where(np.broadcast_to(pos, shape), 0.0, 1.0),
+            lambda dv: np.where(pos, -dv, v * dv + 0.5 * dv * dv),
+        )
+    if family is LossFamily.SQ:
+        residual = v - y
+        return MarginTerms(
+            2.0 * residual,
+            np.full(np.broadcast(y, v).shape, 2.0),
+            lambda dv: 2.0 * dv * residual + dv * dv,
+        )
+    ny = -y if neg_y is None else neg_y
     if family is LossFamily.LR:
-        return -y * sigmoid(-y * v)
-    if family is LossFamily.EXP:
-        return -y * _safe_exp(-y * v)
-    return 2.0 * (v - y)
+        p, s = _sigmoid_parts(ny * v)
+        return MarginTerms(
+            ny * s,
+            p / (1.0 + p) ** 2,
+            lambda dv: np.log1p(s * np.expm1(np.minimum(ny * dv, _EXP_ARG_MAX))),
+        )
+    w = _safe_exp(ny * v)
+    return MarginTerms(ny * w, w, lambda dv: w * np.expm1(np.minimum(ny * dv, _EXP_ARG_MAX)))
+
+
+def loss_d1(family: LossFamily, y, v):
+    return margin_terms(family, y, v).d1
 
 
 def loss_d2(family: LossFamily, y, v):
-    y = np.asarray(y, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if family is LossFamily.KULSIF:
-        return np.where(y > 0, 0.0, 1.0)
-    if family is LossFamily.LR:
-        p = np.exp(-np.abs(y * v))
-        return p / (1.0 + p) ** 2
-    if family is LossFamily.EXP:
-        return _safe_exp(-y * v)
-    return np.full(np.broadcast(y, v).shape, 2.0)
+    return margin_terms(family, y, v).d2
 
 
 def loss_d3(family: LossFamily, y, v):
@@ -142,27 +179,12 @@ def loss_d3(family: LossFamily, y, v):
         # Factored as d2 * (1 - 2s) so |d3| <= d2 holds exactly in floats.
         s = sigmoid(-y * v)
         return -y * loss_d2(family, y, v) * (1.0 - 2.0 * s)
-    return -y * _safe_exp(-y * v)
+    return loss_d1(family, y, v)  # exp: the third derivative equals the first
 
 
 def loss_value_delta(family: LossFamily, y, v, dv):
-    """ell(y, v + dv) - ell(y, v) in a cancellation-free form.
-
-    Exact expansions for the quadratic families; expm1/log1p identities
-    for exp and lr.  Lets a line search resolve decreases far below the
-    absolute objective's float resolution.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    dv = np.asarray(dv, dtype=np.float64)
-    if family is LossFamily.KULSIF:
-        return np.where(y > 0, -dv, v * dv + 0.5 * dv * dv)
-    if family is LossFamily.LR:
-        s = sigmoid(-y * v)
-        return np.log1p(s * np.expm1(np.minimum(-y * dv, _EXP_ARG_MAX)))
-    if family is LossFamily.EXP:
-        return _safe_exp(-y * v) * np.expm1(np.minimum(-y * dv, _EXP_ARG_MAX))
-    return 2.0 * dv * (v - y) + dv * dv
+    """ell(y, v + dv) - ell(y, v) in a cancellation-free form; see margin_terms."""
+    return margin_terms(family, y, v).delta(np.asarray(dv, dtype=np.float64))
 
 
 def loss_derivs(family: LossFamily, y: int, v: float) -> MarginDerivatives:

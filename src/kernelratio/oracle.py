@@ -264,7 +264,10 @@ def grid_mse(ctx: OracleContext, model: RatioModel, margins=None) -> float:
     """
     margins = _margins_of(model if margins is None else margins, ctx.eval_grid)
     estimates = ratio_map(model.family, margins)
-    return float(np.mean((estimates - true_ratio(ctx.pair, ctx.eval_grid)) ** 2))
+    # A diverged fit's ratios may square past the float range: the MSE is
+    # then inf, as it should be, without numpy's overflow warning.
+    with np.errstate(over="ignore"):
+        return float(np.mean((estimates - true_ratio(ctx.pair, ctx.eval_grid)) ** 2))
 
 
 def reference_margin(

@@ -18,6 +18,7 @@ Two solve paths:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .losses import (
     loss_d1,
     loss_d2,
     loss_value,
-    loss_value_delta,
+    margin_terms,
     ratio_map,
 )
 
@@ -133,18 +134,22 @@ def closed_form_fit(family: LossFamily, gram, ys, lam: float) -> np.ndarray:
 def _fit_cg(family, K, ys, lam, opts, callback=None):
     n_total = ys.shape[0]
     tol = opts.tol_grad if opts.tol_grad is not None else 1e-8 * n_total
+    neg_ys = -ys
     alpha = np.zeros(n_total)
     margins = np.zeros(n_total)
     value = float(np.mean(loss_value(family, ys, margins)))
-    grad = K @ (loss_d1(family, ys, margins) / n_total)
+    # The loss terms at the current margins serve the gradient, the next
+    # directional curvature and the next line search.
+    terms = margin_terms(family, ys, margins, neg_ys)
+    grad = K.dot(terms.d1 / n_total)
     direction = -grad
-    gg = float(grad @ grad)
+    gg = float(grad.dot(grad))
     step = 1.0
     iterations = 0
     converged = False
 
     for iteration in range(1, opts.max_iters + 1):
-        grad_norm = float(np.sqrt(gg))
+        grad_norm = math.sqrt(gg)
         if callback is not None:
             callback(iteration - 1, alpha, value, grad_norm)
         if grad_norm <= tol:
@@ -152,31 +157,30 @@ def _fit_cg(family, K, ys, lam, opts, callback=None):
             break
         iterations = iteration
 
-        slope = float(grad @ direction)
+        slope = float(grad.dot(direction))
         if slope >= 0.0:  # non-descent: restart on steepest descent
             direction = -grad
             slope = -gg
-        kd = K @ direction
-        reg1 = float(direction @ margins)
-        reg2 = float(direction @ kd)
-
-        def line_delta(t: float) -> float:
-            """Objective change from stepping t along the direction."""
-            loss_part = float(np.mean(loss_value_delta(family, ys, margins, t * kd)))
-            return loss_part + lam * (t * reg1 + 0.5 * t * t * reg2)
+        kd = K.dot(direction)
+        reg1 = float(direction.dot(margins))
+        reg2 = float(direction.dot(kd))
 
         # Trial step from the analytic directional curvature at t = 0:
         # exact line minimizer for quadratic losses, Newton guess otherwise.
-        curv = float(np.mean(loss_d2(family, ys, margins) * kd * kd) + lam * reg2)
-        if np.isfinite(curv) and curv > 0.0:
+        # np.add.reduce(x) / N is what np.mean(x) computes.
+        curv = float(np.add.reduce(terms.d2 * kd * kd) / n_total + lam * reg2)
+        if math.isfinite(curv) and curv > 0.0:
             t = -slope / curv
         else:
             t = 2.0 * step
-        t = float(min(max(t, 1e-16), 1e12))
+        t = min(max(t, 1e-16), 1e12)
 
         accepted = False
         for _ in range(opts.max_halvings + 1):
-            delta = line_delta(t)
+            # Objective change from stepping t along the direction.
+            t_kd = t * kd
+            loss_part = float(np.add.reduce(terms.delta(t_kd)) / n_total)
+            delta = loss_part + lam * (t * reg1 + 0.5 * t * t * reg2)
             if delta <= opts.armijo_c * t * slope:
                 accepted = True
                 break
@@ -187,27 +191,28 @@ def _fit_cg(family, K, ys, lam, opts, callback=None):
             )
 
         alpha = alpha + t * direction
-        margins = margins + t * kd
+        margins = margins + t_kd
         value = value + delta
         step = t
 
-        grad_new = K @ (loss_d1(family, ys, margins) / n_total + lam * alpha)
-        gg_new = float(grad_new @ grad_new)
-        beta = max(0.0, float(grad_new @ (grad_new - grad)) / gg)
+        terms = margin_terms(family, ys, margins, neg_ys)
+        grad_new = K.dot(terms.d1 / n_total + lam * alpha)
+        gg_new = float(grad_new.dot(grad_new))
+        beta = max(0.0, float(grad_new.dot(grad_new - grad)) / gg)
         # Quadratic losses with exact line steps are plain CG: restarting
         # on a schedule throws away the Krylov progress ill-conditioned
         # kernel spectra need, so only non-descent restarts apply.  The
         # curved losses get Powell's orthogonality-loss restart plus a
         # long periodic backstop.
         if family not in QUADRATIC_FAMILIES and (
-            abs(float(grad_new @ grad)) >= 0.2 * gg_new or iteration % (10 * n_total) == 0
+            abs(float(grad_new.dot(grad))) >= 0.2 * gg_new or iteration % (10 * n_total) == 0
         ):
             beta = 0.0
-        direction = -grad_new + beta * direction
+        direction = beta * direction - grad_new  # equals -grad_new + beta * direction bit for bit
         grad = grad_new
         gg = gg_new
 
-    grad_norm = float(np.sqrt(gg))
+    grad_norm = math.sqrt(gg)
     # Recompute the regularized objective from scratch to avoid drift.
     value = float(np.mean(loss_value(family, ys, margins)) + 0.5 * lam * (alpha @ margins))
     return alpha, FitReport(

@@ -25,6 +25,7 @@ from kernelratio import (
     sample_pair,
     select_lambda,
 )
+from kernelratio import balancing
 from kernelratio.balancing import (
     HessianWeights,
     balance_eta,
@@ -220,6 +221,23 @@ class TestTrace:
             full = np.linalg.eigvalsh(root[:, None] * gram.values * root[None, :] / ds.total)
             assert curvature_operator_norm(gram, w) == pytest.approx(np.max(np.abs(full)), rel=1e-13)
         assert curvature_operator_norm(gram, HessianWeights(e=np.zeros(ds.total))) == 0.0
+
+    @pytest.mark.parametrize("family, decompositions", [(LossFamily.KULSIF, 1), (LossFamily.EXP, 4)])
+    def test_selection_decomposes_each_distinct_weight_once(self, family, decompositions, pair, kspec, monkeypatch):
+        # kulsif's weights depend only on the labels; exp's move with the fit.
+        ds = sample_pair(pair, 8, 8, seed=2)
+        gram = gram_matrix(kspec, ds.xs)
+        grid = LambdaGrid(lambda0=1e-2, xi=10.0, l=4)
+        fits = fit_grid(family, kspec, ds, grid, gram=gram)
+        calls = []
+        monkeypatch.setattr(
+            balancing, "curvature_operator_norm", lambda g, w: calls.append(w) or curvature_operator_norm(g, w)
+        )
+        report = select_from_fits(family, gram, ds, grid, fits, SelectionRule.PRACTICAL_MJ)
+        assert len(calls) == decompositions
+        for (model, _), entry in zip(fits, report.per_lambda):
+            w = hessian_weights(family, model, ds, gram)
+            assert entry["curvature_norm"] == curvature_operator_norm(gram, w)
 
 
 class TestBoundCalculators:

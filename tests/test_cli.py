@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -275,8 +276,14 @@ class TestExperiment:
         )
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
-        assert run_cli(["experiment", str(config_path)]) == 0
-        summary = json.loads(capsys.readouterr().out)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run_cli(["experiment", str(config_path)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        # The overflowing squared errors warn neither on stderr nor at all.
+        assert "RuntimeWarning" not in captured.err
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
         def reject(constant):
             raise ValueError(f"report.json holds {constant}, which strict JSON rejects")

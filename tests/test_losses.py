@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from kernelratio import InputError, LossFamily, bregman_generator, link, link_inv, loss_derivs
 from kernelratio.losses import (
+    loss_d1,
     loss_d2,
     loss_d3,
     loss_value,
     loss_value_delta,
+    margin_terms,
     phi,
     phi_prime,
     ratio_map,
@@ -98,6 +100,29 @@ class TestMarginDerivatives:
         delta = float(loss_value_delta(family, y, v, dv))
         scale = max(1.0, abs(float(loss_value(family, y, v))), abs(direct))
         assert abs(delta - direct) <= 1e-9 * scale
+
+
+class TestMarginTerms:
+    @given(family=st.sampled_from(ALL), scalar_label=st.booleans(), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_views_equal_margin_terms_bitwise(self, family, scalar_label, data):
+        n = data.draw(st.integers(1, 8))
+        # Past +-700 the exponent cap acts; -0.0 and 0.0 both occur.
+        margins = st.lists(st.floats(-800.0, 800.0, allow_nan=False), min_size=n, max_size=n)
+        v, dv = np.array(data.draw(margins)), np.array(data.draw(margins))
+        labels = st.sampled_from([-1.0, 1.0])
+        y = data.draw(labels) if scalar_label else np.array(data.draw(st.lists(labels, min_size=n, max_size=n)))
+        with np.errstate(all="ignore"):  # huge steps overflow to inf in both
+            # The solver passes the negated labels precomputed.
+            terms = margin_terms(family, y, v, -np.asarray(y))
+            pairs = [
+                (loss_d1(family, y, v), terms.d1),
+                (loss_d2(family, y, v), terms.d2),
+                (loss_value_delta(family, y, v, dv), terms.delta(dv)),
+            ]
+        for view, term in pairs:
+            assert np.shape(view) == np.broadcast(y, v).shape
+            assert np.asarray(view).tobytes() == np.asarray(term).tobytes()
 
 
 class TestLinks:

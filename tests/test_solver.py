@@ -24,7 +24,9 @@ from kernelratio import (
     save_model,
 )
 from kernelratio import solver
+from kernelratio.balancing import fit_grid
 from kernelratio.data import LabeledDataset, dataset_sha256
+from kernelratio.experiment import ExperimentConfig
 from kernelratio.kernel import KernelSpec, cross_matrix
 
 ALL = list(LossFamily)
@@ -160,6 +162,31 @@ class TestFit:
         )
         diffs = np.diff(values)
         assert np.all(diffs <= 0.0)
+
+    def test_callback_gets_a_fresh_alpha_that_later_steps_leave_alone(self, pair, kspec):
+        ds = sample_pair(pair, 8, 8, seed=5)
+        seen = []
+        fit(
+            LossFamily.EXP,
+            kspec,
+            ds,
+            0.01,
+            FitOptions(method="cg"),
+            callback=lambda it, alpha, value, grad: seen.append((alpha, alpha.copy())),
+        )
+        assert len(seen) > 2
+        assert len({id(alpha) for alpha, _ in seen}) == len(seen)
+        for alpha, snapshot in seen:
+            assert alpha.tobytes() == snapshot.tobytes()
+
+    def test_exp_trajectory_on_a_default_experiment_cell(self):
+        # Pins the CG iterate sequence: reassociating its float operations
+        # (say, d/N + lambda*alpha as (d + N*lambda*alpha)/N) moves these counts.
+        config = ExperimentConfig()
+        ds = sample_pair(config.pair, 10, 10, seed=3)
+        reports = [report for _, report in fit_grid(LossFamily.EXP, config.kernel, ds, config.grid)]
+        assert [r.iterations for r in reports] == [5000, 1030, 289, 148, 64]
+        assert [r.converged for r in reports] == [False, True, True, True, True]
 
     @pytest.mark.parametrize("family", ALL)
     def test_converged_means_gradient_below_tolerance(self, family, pair, kspec):
