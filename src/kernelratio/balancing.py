@@ -122,7 +122,10 @@ def empirical_h_norm(gram, weights: HessianWeights, alpha, beta, lambda_t: float
         raise InputError("coefficient/weight length does not match the kernel matrix")
     kd = K @ delta
     n_total = K.shape[0]
-    return float((kd @ (weights.e * kd)) / n_total + lambda_t * (delta @ kd))
+    # A diverged fit overflows the form to inf or nan, which the caller gets;
+    # numpy's overflow warning would only be noise on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float((kd @ (weights.e * kd)) / n_total + lambda_t * (delta @ kd))
 
 
 def hessian_trace(gram, weights: HessianWeights, lam: float = 0.0) -> float:

@@ -17,7 +17,7 @@ from .balancing import (
     SelectionRule,
     select_lambda,
 )
-from .data import GaussianPairSpec, dataset_sha256, load_two_csv, sample_pair
+from .data import GaussianPairSpec, dataset_sha256, finite_or_null, load_two_csv, sample_pair
 from .errors import InputError, NumericalError
 from .experiment import (
     ExperimentConfig,
@@ -97,7 +97,7 @@ def cmd_fit(args) -> int:
         FitOptions(method=args.method, max_iters=args.max_iters),
     )
     save_model(model, args.out, seed=seed, dataset_hash=dataset_sha256(dataset))
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(finite_or_null(report.to_dict()), indent=2, allow_nan=False))
     if not report.converged:
         print(f"fit did not converge (grad_norm={report.grad_norm})", file=sys.stderr)
         return 3
@@ -122,7 +122,7 @@ def cmd_select(args) -> int:
         }
         doc.update(report.to_dict())
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(finite_or_null(doc), fh, indent=2, allow_nan=False)
             fh.write("\n")
     print(repr(float(report.chosen_lambda)))
     unconverged = [repr(e["lambda"]) for e in report.per_lambda if not e["fit"]["converged"]]

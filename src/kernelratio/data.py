@@ -1,4 +1,4 @@
-"""Synthetic two-sample generators and CSV ingestion.
+"""Synthetic two-sample generators, CSV ingestion and strict JSON output.
 
 All estimators in this package consume a pooled two-sample dataset: draws
 from the numerator distribution P labeled +1 and draws from the
@@ -155,3 +155,14 @@ def dataset_sha256(dataset: LabeledDataset) -> str:
     digest.update(np.ascontiguousarray(dataset.xs).tobytes())
     digest.update(np.ascontiguousarray(dataset.ys).tobytes())
     return digest.hexdigest()
+
+
+def finite_or_null(doc):
+    """The document with every non-finite float replaced by None (JSON null)."""
+    if isinstance(doc, dict):
+        return {key: finite_or_null(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [finite_or_null(value) for value in doc]
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return None
+    return doc

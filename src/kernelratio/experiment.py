@@ -23,7 +23,7 @@ from .balancing import (
     fit_grid,
     select_from_fits,
 )
-from .data import GaussianPairSpec, sample_pair
+from .data import GaussianPairSpec, finite_or_null, sample_pair
 from .errors import InputError
 from .kernel import KernelFamily, KernelSpec, gram_matrix
 from .losses import LossFamily
@@ -215,23 +215,12 @@ def report_to_csv_rows(report: dict) -> list[str]:
     return lines
 
 
-def _finite_or_null(doc):
-    """The document with every non-finite float replaced by None (JSON null)."""
-    if isinstance(doc, dict):
-        return {key: _finite_or_null(value) for key, value in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_finite_or_null(value) for value in doc]
-    if isinstance(doc, float) and not math.isfinite(doc):
-        return None
-    return doc
-
-
 def write_experiment_outputs(report: dict, output_dir: str) -> tuple[str, str]:
     os.makedirs(output_dir, exist_ok=True)
     report_path = os.path.join(output_dir, "report.json")
     csv_path = os.path.join(output_dir, "results.csv")
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(_finite_or_null(report), fh, indent=2, allow_nan=False)
+        json.dump(finite_or_null(report), fh, indent=2, allow_nan=False)
         fh.write("\n")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(report_to_csv_rows(report)) + "\n")

@@ -110,7 +110,8 @@ def loss_value(family: LossFamily, y, v):
         return np.logaddexp(0.0, -y * v)
     if family is LossFamily.EXP:
         return _safe_exp(-y * v)
-    return (1.0 - y * v) ** 2
+    residual = 1.0 - y * v
+    return residual * residual
 
 
 class MarginTerms(NamedTuple):
@@ -153,9 +154,10 @@ def margin_terms(family: LossFamily, y, v, neg_y=None) -> MarginTerms:
     ny = -y if neg_y is None else neg_y
     if family is LossFamily.LR:
         p, s = _sigmoid_parts(ny * v)
+        one_p = 1.0 + p
         return MarginTerms(
             ny * s,
-            p / (1.0 + p) ** 2,
+            p / (one_p * one_p),
             lambda dv: np.log1p(s * np.expm1(np.minimum(ny * dv, _EXP_ARG_MAX))),
         )
     w = _safe_exp(ny * v)
@@ -260,7 +262,8 @@ def phi(family: LossFamily, t):
     """
     t = np.asarray(t, dtype=np.float64)
     if family is LossFamily.KULSIF:
-        return 0.5 * (t - 1.0) ** 2
+        r = t - 1.0
+        return 0.5 * (r * r)
     if family is LossFamily.LR:
         safe = np.maximum(t, np.finfo(float).tiny)
         return np.where(t > 0.0, t * np.log(safe), 0.0) - (1.0 + t) * np.log1p(t)
@@ -278,7 +281,8 @@ def phi_prime(family: LossFamily, t):
             return np.log(t) - np.log1p(t)
     if family is LossFamily.EXP:
         return -1.0 / np.sqrt(t)
-    return -4.0 / (1.0 + t) ** 2
+    r = 1.0 + t
+    return -4.0 / (r * r)
 
 
 def bregman_generator(family: LossFamily, t: float) -> tuple[float, float]:

@@ -35,7 +35,7 @@ from .losses import (
     ratio_map,
     ratio_map_raw,
 )
-from .solver import FitOptions, RatioModel, fit, predict_margin
+from .solver import FitOptions, RatioModel, fit, margins_at, predict_margin
 
 _ETA_FLOOR = 1e-300
 _ETA_CEIL = 1.0 - 1e-16
@@ -161,7 +161,9 @@ def bayes_margin(ctx: OracleContext, family: LossFamily, x):
 
 def _risk_from_margins(ctx, family, margins, nodes, weights) -> float:
     p, q = densities(ctx.pair, nodes)
-    integrand = 0.5 * loss_value(family, 1.0, margins) * p + 0.5 * loss_value(family, -1.0, margins) * q
+    # A diverged fit's losses overflow; the check below reports that, not numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = 0.5 * loss_value(family, 1.0, margins) * p + 0.5 * loss_value(family, -1.0, margins) * q
     bad = ~np.isfinite(integrand)
     if np.any(bad):
         where = nodes[bad][0]
@@ -252,7 +254,7 @@ def population_h_form(
     coeffs = np.asarray(coeffs, dtype=np.float64).reshape(-1)
     nodes, weights = ctx.quad.nodes_weights()
     pop_weights = _h_form_weights(ctx, family, center, nodes, weights)
-    h_values = cross_matrix(kernel, nodes.reshape(-1, 1), points) @ coeffs
+    h_values = margins_at(kernel, points, [coeffs], nodes)[0]
     rkhs_sq = float(coeffs @ (gram_matrix(kernel, points).values @ coeffs))
     return float(pop_weights @ (h_values**2) + lam * rkhs_sq)
 

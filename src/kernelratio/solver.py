@@ -36,8 +36,9 @@ from .losses import (
     ratio_map,
 )
 
-# Cap on kernel block entries when evaluating margins on large grids.
-_CHUNK_ENTRIES = 4_000_000
+# Kernel block entries per margin tile: 512 KiB of float64, so a tile
+# stays in a core's L2 cache while every coefficient vector multiplies it.
+_CHUNK_ENTRIES = 65_536
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,11 @@ def closed_form_fit(family: LossFamily, gram, ys, lam: float) -> np.ndarray:
     A loss quadratic in the margin has ell'(y, v) = ell'(y, 0) + ell''(y) v,
     so the stationarity condition d/N + lambda alpha = 0 at margins K alpha
     is the linear system ((1/N) E K + lambda I) alpha = -d0 / N, with E the
-    curvatures and d0 the slopes at margin zero.  For kulsif E K is
-    non-symmetric; LU solves either family.
+    curvatures and d0 the slopes at margin zero.  A row with zero curvature
+    (kulsif's P block) reads lambda alpha_i = -d0_i / N, so those rows are
+    set directly; the curved rows S then solve the smaller system
+    ((1/N) E_S K_SS + lambda I) alpha_S = -(d0_S + E_S K_SZ alpha_Z) / N
+    over the flat rows Z.  With no flat rows (sq) this is the full system.
     """
     if family not in QUADRATIC_FAMILIES:
         raise InputError(f"no closed form for {family.value}; use the CG path")
@@ -122,13 +126,22 @@ def closed_form_fit(family: LossFamily, gram, ys, lam: float) -> np.ndarray:
     n_total = ys.shape[0]
     zero = np.zeros(n_total)
     e = loss_d2(family, ys, zero)
-    system = e[:, None] * K / n_total + lam * np.eye(n_total)
+    d0 = loss_d1(family, ys, zero)
+    flat = np.flatnonzero(e == 0.0)
+    curved = np.flatnonzero(e != 0.0)
+    alpha = np.empty(n_total)
     # 0.0 - x, not -x: a zero slope must give +0.0, not -0.0, in the model.
-    rhs = 0.0 - loss_d1(family, ys, zero) / n_total
+    alpha[flat] = 0.0 - d0[flat] / (n_total * lam)
+    e_s = e[curved]
+    system = e_s[:, None] * K[np.ix_(curved, curved)] / n_total + lam * np.eye(curved.size)
+    rhs = 0.0 - (d0[curved] + e_s * (K[np.ix_(curved, flat)] @ alpha[flat])) / n_total
     try:
-        return np.linalg.solve(system, rhs)
+        # + 0.0 turns the -0.0 that a negative LU pivot makes of a zero
+        # right-hand side (kulsif with no P points) into +0.0.
+        alpha[curved] = np.linalg.solve(system, rhs) + 0.0
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"closed-form system is singular: {exc}") from exc
+    return alpha
 
 
 def _fit_cg(family, K, ys, lam, opts, callback=None):
@@ -256,9 +269,12 @@ def fit(
     )
     if use_closed:
         alpha = closed_form_fit(family, K, ys, lam)
-        value, grad = objective_and_gradient(family, K, ys, alpha, lam)
+        # At extreme lambda the coefficients are huge: the objective and the
+        # gradient norm then overflow to inf or nan, which the report shows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, grad = objective_and_gradient(family, K, ys, alpha, lam)
+            grad_norm = float(np.linalg.norm(grad))
         tol = opts.tol_grad if opts.tol_grad is not None else 1e-8 * dataset.total
-        grad_norm = float(np.linalg.norm(grad))
         report = FitReport(
             iterations=0,
             grad_norm=grad_norm,
@@ -276,21 +292,23 @@ def margins_at(kernel: KernelSpec, points, alphas, xs) -> np.ndarray:
     """Margins at xs of several expansions over the same kernel and points.
 
     Row k holds f_k(x) = sum_j alphas[k][j] k(points_j, x).  The kernel
-    matrix is built in row blocks of about _CHUNK_ENTRIES entries, each
-    once, and every coefficient vector multiplies each block in turn, so
-    row k is bitwise what the model with coefficients alphas[k] predicts
-    on its own.
+    matrix is built in row tiles of _CHUNK_ENTRIES entries or 8 rows,
+    whichever is more, each once, and every coefficient vector multiplies
+    each tile in turn, so row k is bitwise what the model with
+    coefficients alphas[k] predicts on its own.
     """
     points = as_points(points)
     xs = as_points(xs)
-    n_eval = xs.shape[0]
-    out = np.empty((len(alphas), n_eval))
-    whole = points.shape[0] * n_eval <= _CHUNK_ENTRIES
-    chunk = max(1, n_eval if whole else _CHUNK_ENTRIES // points.shape[0])
-    for start in range(0, n_eval, chunk):
-        block = cross_matrix(kernel, xs[start : start + chunk], points)
+    out = np.empty((len(alphas), xs.shape[0]))
+    # A multiple of 8 rows keeps tiled margins bitwise equal to one
+    # whole-block matvec (checked for N <= 1000 with BLAS on one thread):
+    # dgemv may round a row differently when the block's row count leaves
+    # a remainder mod 4.
+    tile = max(8, _CHUNK_ENTRIES // points.shape[0] // 8 * 8)
+    for start in range(0, xs.shape[0], tile):
+        block = cross_matrix(kernel, xs[start : start + tile], points)
         for row, alpha in zip(out, alphas):
-            row[start : start + chunk] = block @ alpha
+            row[start : start + tile] = block @ alpha
     return out
 
 

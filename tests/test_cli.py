@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from kernelratio.cli import main
@@ -8,6 +9,26 @@ from kernelratio.cli import main
 
 def run_cli(args):
     return main(args)
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def csv_pair(tmp_path, dim=3, rows=40, seed=7):
+    """P = N(0.5, I) and Q = N(0, I) samples written as two CSV files."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for name, loc in (("p", 0.5), ("q", 0.0)):
+        lines = [",".join(f"x_{j + 1}" for j in range(dim))]
+        lines += [",".join(repr(float(v)) for v in row) for row in rng.normal(loc, 1.0, (rows, dim))]
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        paths.append(str(path))
+    return paths
 
 
 class TestFit:
@@ -144,6 +165,21 @@ class TestFit:
         err = capsys.readouterr().err
         assert str(p) in err and "line 3" in err
 
+    def test_extreme_lambda_exits_three_with_strict_json_and_no_numpy_noise(self, tmp_path, capsys):
+        p, q = csv_pair(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+            code = run_cli(
+                ["fit", "--p-csv", p, "--q-csv", q, "--loss", "kulsif", "--lambda", "1e-300"]
+                + ["--out", str(tmp_path / "m.json")]
+            )
+        assert code == 3
+        captured = capsys.readouterr()
+        report = strict_json(captured.out)
+        assert report["converged"] is False
+        assert report["grad_norm"] is None and report["objective"] is None
+        assert captured.err.splitlines() == ["fit did not converge (grad_norm=inf)"]
+
 
 class TestSelect:
     def test_prints_chosen_and_writes_report(self, tmp_path, capsys):
@@ -231,6 +267,21 @@ class TestSelect:
         assert len(unconverged) == 3
         assert len(err) == 1 and "did not converge" in err[0]
         assert all(repr(lam) in err[0] for lam in unconverged)
+
+    def test_extreme_lambda_report_is_strict_json(self, tmp_path, capsys):
+        p, q = csv_pair(tmp_path)
+        out = tmp_path / "selection.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+            code = run_cli(
+                ["select", "--p-csv", p, "--q-csv", q, "--loss", "kulsif", "--grid", "1e-300:10:2"]
+                + ["--out", str(out)]
+            )
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "did not converge" in err[0]
+        report = strict_json(out.read_text())
+        assert all(e["fit"]["objective"] is None for e in report["per_lambda"])
 
     def test_malformed_grid(self, capsys):
         code = run_cli(
@@ -341,6 +392,14 @@ class TestRateSweep:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "N,median_error"
         assert len(lines) == 2
+
+    def test_extreme_lambda_exits_three_without_numpy_noise(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+            code = run_cli(["rate-sweep", "--loss", "kulsif", "--sizes", "8", "--seeds", "1", "--grid", "1e-300:10:2"])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical error: non-finite risk integrand")
 
     def test_reports_theoretical_exponent(self, capsys):
         code = run_cli(

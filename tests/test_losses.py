@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelratio import InputError, LossFamily, bregman_generator, link, link_inv, loss_derivs
@@ -18,6 +18,7 @@ from kernelratio.losses import (
     ratio_map,
     ratio_map_raw,
     self_concordance_check,
+    sigmoid,
 )
 
 ALL = list(LossFamily)
@@ -123,6 +124,54 @@ class TestMarginTerms:
         for view, term in pairs:
             assert np.shape(view) == np.broadcast(y, v).shape
             assert np.asarray(view).tobytes() == np.asarray(term).tobytes()
+
+    # Points where x ** 2 on a numpy scalar (C pow) and on an array
+    # (np.square) once rounded apart: lr's ell'', kulsif's phi, sq's phi'
+    # and sq's loss.
+    ROUNDING_POINTS = [
+        (1.0, -0.21591175839341303, 0.0, 0.514173422030197, 0.5),
+        (1.0, 0.0049480085219265856, 0.0, 2.3345436177190515, 0.5),
+    ]
+
+    @given(
+        family=st.sampled_from(ALL),
+        points=st.lists(
+            st.tuples(
+                st.sampled_from([-1.0, 1.0]),  # label
+                st.floats(-800.0, 800.0, allow_nan=False),  # margin
+                st.floats(-800.0, 800.0, allow_nan=False),  # margin step
+                st.floats(0.0, 1e6, allow_nan=False),  # ratio
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),  # posterior
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @example(family=LossFamily.LR, points=ROUNDING_POINTS)
+    @example(family=LossFamily.KULSIF, points=ROUNDING_POINTS)
+    @example(family=LossFamily.SQ, points=ROUNDING_POINTS)
+    @settings(max_examples=400, deadline=None)
+    def test_scalar_call_equals_its_element_of_the_array_call(self, family, points):
+        y, v, dv, t, u = (np.array(column) for column in zip(*points))
+        per_point = [
+            (lambda *a: loss_value(family, *a), (y, v)),
+            (lambda *a: loss_d1(family, *a), (y, v)),
+            (lambda *a: loss_d2(family, *a), (y, v)),
+            (lambda *a: loss_d3(family, *a), (y, v)),
+            (lambda *a: loss_value_delta(family, *a), (y, v, dv)),
+            (lambda *a: ratio_map_raw(family, *a), (v,)),
+            (lambda *a: ratio_map(family, *a), (v,)),
+            (lambda *a: phi(family, *a), (t,)),
+            (lambda *a: phi_prime(family, *a), (t,)),
+            (lambda *a: link(family, *a), (u,)),
+            (sigmoid, (v,)),
+        ]
+        with np.errstate(all="ignore"):  # huge steps and t = 0 poles give inf in both
+            for func, args in per_point:
+                whole = np.asarray(func(*args))
+                for i in range(len(points)):
+                    one = np.asarray(func(*(float(arg[i]) for arg in args)))
+                    assert one.tobytes() == whole[i].tobytes(), (func, args, i)
 
 
 class TestLinks:

@@ -5,7 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kernelratio import (
@@ -27,7 +27,7 @@ from kernelratio import solver
 from kernelratio.balancing import fit_grid
 from kernelratio.data import LabeledDataset, dataset_sha256
 from kernelratio.experiment import ExperimentConfig
-from kernelratio.kernel import KernelSpec, cross_matrix
+from kernelratio.kernel import KernelFamily, KernelSpec, cross_matrix
 
 ALL = list(LossFamily)
 
@@ -41,6 +41,27 @@ VALID_MODEL_DOC = {
     "seed": None,
     "dataset_hash": None,
 }
+
+
+def dense_lu_closed_form(family, K, ys, lam):
+    """Reference: one LU solve of the full system ((1/N) E K + lam I) alpha = -d0 / N."""
+    ys = np.asarray(ys, dtype=np.float64)
+    n_total = ys.shape[0]
+    if family is LossFamily.KULSIF:
+        e, d0 = np.where(ys > 0, 0.0, 1.0), np.where(ys > 0, -1.0, 0.0)
+    else:
+        e, d0 = np.full(n_total, 2.0), 2.0 * (0.0 - ys)
+    return np.linalg.solve(e[:, None] * K / n_total + lam * np.eye(n_total), 0.0 - d0 / n_total)
+
+
+@st.composite
+def block_datasets(draw, p_counts=st.integers(1, 40)):
+    """(dataset, kernel) with m from p_counts P points and n in [1, 40] Q points."""
+    m, n, dim = draw(p_counts), draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ds = LabeledDataset.from_blocks(rng.normal(0.5, size=(m, dim)), rng.normal(size=(n, dim)))
+    family = draw(st.sampled_from(list(KernelFamily)))
+    return ds, KernelSpec(family, draw(st.floats(0.5, 2.0)) * math.sqrt(dim))
 
 
 def two_point_dataset():
@@ -109,6 +130,45 @@ class TestClosedForm:
     def test_no_closed_form_for_curved_losses(self):
         with pytest.raises(InputError):
             closed_form_fit(LossFamily.LR, np.eye(2), np.array([1, -1]), 0.1)
+
+    @given(
+        case=block_datasets(),
+        family=st.sampled_from([LossFamily.KULSIF, LossFamily.SQ]),
+        lam=st.floats(1e-3, 10.0),
+    )
+    def test_matches_a_dense_lu_solve_of_the_full_system(self, case, family, lam):
+        ds, spec = case
+        K = gram_matrix(spec, ds.xs).values
+        alpha = closed_form_fit(family, K, ds.ys, lam)
+        reference = dense_lu_closed_form(family, K, ds.ys, lam)
+        if family is LossFamily.SQ:  # no flat rows: the very same system
+            assert alpha.tobytes() == reference.tobytes()
+        else:
+            assert np.max(np.abs(alpha - reference)) <= 1e-9 * np.max(np.abs(reference))
+
+    @given(
+        case=block_datasets(),
+        family=st.sampled_from([LossFamily.KULSIF, LossFamily.SQ]),
+        lam=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permuting_within_blocks_permutes_alpha(self, case, family, lam, seed):
+        ds, spec = case
+        rng = np.random.default_rng(seed)
+        order = np.concatenate([rng.permutation(ds.m), ds.m + rng.permutation(ds.n)])
+        alpha = closed_form_fit(family, gram_matrix(spec, ds.xs).values, ds.ys, lam)
+        permuted = closed_form_fit(family, gram_matrix(spec, ds.xs[order]).values, ds.ys[order], lam)
+        assert np.max(np.abs(permuted - alpha[order])) <= 1e-9 * np.max(np.abs(alpha))
+
+    @given(case=block_datasets(p_counts=st.just(0)), lam=st.floats(1e-3, 10.0))
+    @example(  # the LU of its system has a negative pivot
+        case=(LabeledDataset.from_blocks([], np.random.default_rng(0).normal(size=(3, 1))), KernelSpec()),
+        lam=1e-3,
+    )
+    def test_kulsif_with_only_q_points_is_positive_zero(self, case, lam):
+        ds, spec = case
+        alpha = closed_form_fit(LossFamily.KULSIF, gram_matrix(spec, ds.xs).values, ds.ys, lam)
+        assert np.all(alpha == 0.0) and not np.any(np.signbit(alpha))
 
 
 class TestFit:
@@ -265,13 +325,34 @@ class TestPredict:
         models = [fit(family, spec, ds, lam)[0] for family in ALL for lam in (1e-2, 1.0)]
         xs = rng.normal(size=(23, dim))
         whole = [cross_matrix(spec, xs, ds.xs) @ model.alpha for model in models]
-        if chunk_entries is not None:  # 40 // 13 points: blocks of 3 rows, a short last one
+        if chunk_entries is not None:  # 40 // 13 points: tiles of 8 rows, a short last one
             monkeypatch.setattr(solver, "_CHUNK_ENTRIES", chunk_entries)
         rows = margins_at(spec, ds.xs, [model.alpha for model in models], xs)
         assert rows.shape == (len(models), xs.shape[0])
         for row, model, reference in zip(rows, models, whole):
             assert np.array_equal(row, predict_margin(model, xs))
             np.testing.assert_allclose(row, reference, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n_points", [1, 13, 1000, 9000])
+    def test_margins_at_builds_cache_sized_tiles_of_eight_rows(self, n_points, monkeypatch):
+        rng = np.random.default_rng(n_points)
+        points, xs = rng.normal(size=(n_points, 1)), rng.normal(size=(1001, 1))
+        spec = KernelSpec()
+        tiles = []
+
+        def recording_cross_matrix(kernel, a, b):
+            block = cross_matrix(kernel, a, b)
+            tiles.append(block.shape)
+            return block
+
+        monkeypatch.setattr(solver, "cross_matrix", recording_cross_matrix)
+        alpha = rng.normal(size=n_points)
+        rows = margins_at(spec, points, [alpha], xs)
+        assert sum(n_rows for n_rows, _ in tiles) == xs.shape[0]
+        assert all(n_rows * n_cols <= max(solver._CHUNK_ENTRIES, 8 * n_points) for n_rows, n_cols in tiles)
+        assert all(n_rows % 8 == 0 for n_rows, _ in tiles[:-1])
+        whole = cross_matrix(spec, xs, points) @ alpha
+        np.testing.assert_allclose(rows[0], whole, rtol=1e-12, atol=1e-12 * np.max(np.abs(whole)))
 
 
 class TestPersistence:
