@@ -19,7 +19,6 @@ from .balancing import (
     empirical_h_norm,
     hessian_trace,
     hessian_weights,
-    known_norm_select,
     rate_exponent,
     s_term,
     select_lambda,
@@ -40,7 +39,6 @@ from .losses import (
 from .oracle import (
     OracleContext,
     QuadratureSpec,
-    QuadScheme,
     bayes_margin,
     bregman_error_direct,
     bregman_error_via_risk,
@@ -84,7 +82,6 @@ __all__ = [
     "MarginDerivatives",
     "NumericalError",
     "OracleContext",
-    "QuadScheme",
     "QuadratureSpec",
     "RatioModel",
     "SelectionReport",
@@ -104,7 +101,6 @@ __all__ = [
     "hessian_trace",
     "hessian_weights",
     "kernel_eval",
-    "known_norm_select",
     "link",
     "link_inv",
     "load_model",

@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import InputError, NumericalError
-from .kernel import GramMatrix, KernelSpec, gram_matrix
+from .kernel import GramMatrix, KernelSpec, gram_matrix, gram_values
 from .losses import LossFamily, loss_d2
 from .solver import FitOptions, FitReport, RatioModel, fit, predict_margin
 
@@ -90,10 +90,6 @@ class HessianWeights:
             raise InputError("curvature weights must be nonnegative")
 
 
-def _matrix(gram) -> np.ndarray:
-    return gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
-
-
 def hessian_weights(
     family: LossFamily, model: RatioModel, dataset: LabeledDataset, gram: GramMatrix | None = None
 ) -> HessianWeights:
@@ -107,7 +103,7 @@ def hessian_weights(
     if gram is None:
         margins = predict_margin(model, dataset.xs)
     else:
-        margins = _matrix(gram) @ model.alpha
+        margins = gram_values(gram) @ model.alpha
     e = loss_d2(family, dataset.ys.astype(np.float64), margins)
     return HessianWeights(e=e)
 
@@ -116,7 +112,7 @@ def empirical_h_norm(gram, weights: HessianWeights, alpha, beta, lambda_t: float
     """(1/N)(a-b)^T K E K (a-b) + lambda_t (a-b)^T K (a-b), computed exactly."""
     if not (lambda_t > 0.0 and np.isfinite(lambda_t)):
         raise InputError(f"lambda_t must be positive, got {lambda_t}")
-    K = _matrix(gram)
+    K = gram_values(gram)
     delta = np.asarray(alpha, dtype=np.float64) - np.asarray(beta, dtype=np.float64)
     if delta.shape[0] != K.shape[0] or weights.e.shape[0] != K.shape[0]:
         raise InputError("coefficient/weight length does not match the kernel matrix")
@@ -136,18 +132,18 @@ def hessian_trace(gram, weights: HessianWeights, lam: float = 0.0) -> float:
     Basis-independent: equals the trace of the coefficient map
     (1/N) E K + lam I.
     """
-    K = _matrix(gram)
+    K = gram_values(gram)
     n_total = K.shape[0]
     return float(np.mean(weights.e * np.diag(K)) + n_total * lam)
 
 
 def curvature_operator_norm(gram, weights: HessianWeights) -> float:
-    """Spectral norm of (1/N) E K, reported as a per-lambda diagnostic.
+    """Spectral norm of (1/N) E K; no selection rule reads it.
 
     Rows and columns with e_i = 0 add only zero eigenvalues, so only the
     rest is decomposed (for kulsif, the Q block).
     """
-    K = _matrix(gram)
+    K = gram_values(gram)
     keep = np.flatnonzero(weights.e)
     root = np.sqrt(weights.e[keep])
     sym = root[:, None] * K[np.ix_(keep, keep)] * root[None, :] / K.shape[0]
@@ -403,12 +399,6 @@ def select_from_fits(
 
     weights = [hessian_weights(family, model, dataset, gram) for model, _ in fits]
     traces = [hessian_trace(gram, w, float(lam)) for w, lam in zip(weights, values)]
-    # Equal weights give the same LAPACK result, so each distinct run of
-    # them (kulsif's label-only weights, sq's constant ones) is decomposed once.
-    curvature_norms = []
-    for k, w in enumerate(weights):
-        same = k > 0 and np.array_equal(w.e, weights[k - 1].e)
-        curvature_norms.append(curvature_norms[-1] if same else curvature_operator_norm(gram, w))
 
     thresholds = []
     per_lambda = []
@@ -417,7 +407,6 @@ def select_from_fits(
         entry = {
             "lambda": lam,
             "trace": traces[idx],
-            "curvature_norm": curvature_norms[idx],
             "fit": fits[idx][1].to_dict(),
         }
         if rule is SelectionRule.PRACTICAL_MJ:

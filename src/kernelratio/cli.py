@@ -71,6 +71,13 @@ def _parse_grid(text: str) -> LambdaGrid:
     return LambdaGrid.from_first(first, ratio, count)
 
 
+def _parse_sizes(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError as exc:
+        raise InputError(f"--sizes expects comma-separated integers, got {text!r}") from exc
+
+
 def _data_config(args, seed) -> dict:
     if args.synthetic:
         return {
@@ -142,7 +149,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_rate_sweep(args) -> int:
     family = LossFamily(args.loss)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    sizes = _parse_sizes(args.sizes)
     result = run_rate_sweep(
         family,
         sizes,

@@ -74,6 +74,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise InputError("malformed experiment config: expected a JSON object")
+        for key in ("pair", "grid", "kernel", "consts"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise InputError(f"malformed experiment config: {key!r} must be a JSON object")
         try:
             pair = GaussianPairSpec(**doc.get("pair", {}))
             grid_doc = doc.get("grid", {"lambda0": 1e-4, "xi": 10.0, "l": 5})
@@ -98,7 +103,7 @@ class ExperimentConfig:
                     capacity_alpha=float(consts_doc.get("capacity_alpha", 1.0)),
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed experiment config: {exc}") from exc
 
     @classmethod
@@ -106,9 +111,12 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
             raise InputError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        try:
+            return cls.from_dict(doc)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
 
 
 def _mse_rank(mses: list[float], chosen_index: int) -> int:
@@ -248,6 +256,8 @@ def run_rate_sweep(
     grid = grid or LambdaGrid(lambda0=1e-4, xi=10.0, l=5)
     consts = consts or BoundConstants()
     sizes = sorted(int(s) for s in sizes)
+    if not sizes:
+        raise InputError("need at least one size")
     if any(s < 2 for s in sizes):
         raise InputError("each size must be at least 2 (one sample per class)")
     if n_seeds < 1:

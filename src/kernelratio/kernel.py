@@ -13,7 +13,7 @@ not vanish at infinity.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,11 +108,15 @@ class GramMatrix:
     """Dense symmetric kernel matrix over a fixed point set."""
 
     values: np.ndarray
-    points: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+
+def gram_values(gram) -> np.ndarray:
+    """The kernel matrix of a GramMatrix, or any array-like taken as one."""
+    return gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
 
 
 def gram_matrix(spec: KernelSpec, points) -> GramMatrix:
@@ -121,4 +125,4 @@ def gram_matrix(spec: KernelSpec, points) -> GramMatrix:
     if pts.shape[0] < 1:
         raise InputError("gram_matrix needs at least one point")
     values = cross_matrix(spec, pts, pts)
-    return GramMatrix(values=values, points=pts)
+    return GramMatrix(values=values)

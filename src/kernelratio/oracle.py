@@ -13,12 +13,12 @@ generic O(h^2) because the boundary corrections vanish.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .balancing import hessian_weights
 from .data import GaussianPairSpec, LabeledDataset, sample_pair
 from .errors import InputError, NumericalError
 from .kernel import KernelSpec, cross_matrix, gram_matrix
@@ -41,41 +41,26 @@ _ETA_FLOOR = 1e-300
 _ETA_CEIL = 1.0 - 1e-16
 
 
-class QuadScheme(enum.Enum):
-    TRAPEZOID = "trapezoid"
-    GAUSS_LEGENDRE_COMPOSITE = "gauss_legendre_composite"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     lo: float
     hi: float
     n_nodes: int = 20001
-    scheme: QuadScheme = QuadScheme.TRAPEZOID
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise InputError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.n_nodes < 3:
             raise InputError(f"need at least 3 nodes, got {self.n_nodes}")
-        if self.scheme is QuadScheme.TRAPEZOID and self.n_nodes % 2 == 0:
+        if self.n_nodes % 2 == 0:
             raise InputError("trapezoid node count must be odd so refinements nest")
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.scheme is QuadScheme.TRAPEZOID:
-            nodes = np.linspace(self.lo, self.hi, self.n_nodes)
-            h = (self.hi - self.lo) / (self.n_nodes - 1)
-            weights = np.full(self.n_nodes, h)
-            weights[0] = weights[-1] = 0.5 * h
-            return nodes, weights
-        # Composite 10-point Gauss-Legendre panels totalling ~n_nodes nodes.
-        panels = max(1, round(self.n_nodes / 10))
-        base_x, base_w = np.polynomial.legendre.leggauss(10)
-        edges = np.linspace(self.lo, self.hi, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-        weights = (half[:, None] * base_w[None, :]).ravel()
+        """Composite trapezoid nodes and weights on [lo, hi]."""
+        nodes = np.linspace(self.lo, self.hi, self.n_nodes)
+        h = (self.hi - self.lo) / (self.n_nodes - 1)
+        weights = np.full(self.n_nodes, h)
+        weights[0] = weights[-1] = 0.5 * h
         return nodes, weights
 
 
@@ -327,8 +312,7 @@ def hessian_sandwich_test(
     kernel = kernel or KernelSpec()
     gram = gram_matrix(kernel, dataset.xs)
     model, _ = fit(family, kernel, dataset, lam, gram=gram)
-    margins = gram.values @ model.alpha
-    e = loss_d2(family, dataset.ys.astype(np.float64), margins)
+    e = hessian_weights(family, model, dataset, gram).e
     n_total = dataset.total
 
     rng = np.random.default_rng(seed)

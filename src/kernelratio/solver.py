@@ -25,7 +25,15 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import InputError, NumericalError
-from .kernel import GramMatrix, KernelFamily, KernelSpec, as_points, cross_matrix, gram_matrix
+from .kernel import (
+    GramMatrix,
+    KernelFamily,
+    KernelSpec,
+    as_points,
+    cross_matrix,
+    gram_matrix,
+    gram_values,
+)
 from .losses import (
     LossFamily,
     QUADRATIC_FAMILIES,
@@ -39,6 +47,10 @@ from .losses import (
 # Kernel block entries per margin tile: 512 KiB of float64, so a tile
 # stays in a core's L2 cache while every coefficient vector multiplies it.
 _CHUNK_ENTRIES = 65_536
+
+# Armijo sufficient-decrease constant and the line search's halving budget.
+_ARMIJO_C = 1e-4
+_MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -87,17 +99,11 @@ class FitOptions:
     method: str = "auto"  # "auto" | "cg" | "closed_form"
     tol_grad: float | None = None  # default 1e-8 * N
     max_iters: int = 5000
-    armijo_c: float = 1e-4
-    max_halvings: int = 60
-
-
-def _gram_values(gram) -> np.ndarray:
-    return gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
 
 
 def objective_and_gradient(family: LossFamily, gram, ys, alpha, lam: float):
     """Objective value and gradient at alpha; margins are K alpha."""
-    K = _gram_values(gram)
+    K = gram_values(gram)
     ys = np.asarray(ys, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     n_total = ys.shape[0]
@@ -121,7 +127,7 @@ def closed_form_fit(family: LossFamily, gram, ys, lam: float) -> np.ndarray:
     """
     if family not in QUADRATIC_FAMILIES:
         raise InputError(f"no closed form for {family.value}; use the CG path")
-    K = _gram_values(gram)
+    K = gram_values(gram)
     ys = np.asarray(ys, dtype=np.float64)
     n_total = ys.shape[0]
     zero = np.zeros(n_total)
@@ -189,18 +195,18 @@ def _fit_cg(family, K, ys, lam, opts, callback=None):
         t = min(max(t, 1e-16), 1e12)
 
         accepted = False
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             # Objective change from stepping t along the direction.
             t_kd = t * kd
             loss_part = float(np.add.reduce(terms.delta(t_kd)) / n_total)
             delta = loss_part + lam * (t * reg1 + 0.5 * t * t * reg2)
-            if delta <= opts.armijo_c * t * slope:
+            if delta <= _ARMIJO_C * t * slope:
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             raise NumericalError(
-                f"line search failed after {opts.max_halvings} halvings at iteration {iteration}"
+                f"line search failed after {_MAX_HALVINGS} halvings at iteration {iteration}"
             )
 
         alpha = alpha + t * direction

@@ -19,19 +19,18 @@ from kernelratio import (
     gram_matrix,
     hessian_trace,
     hessian_weights,
-    known_norm_select,
     rate_exponent,
     s_term,
     sample_pair,
     select_lambda,
 )
-from kernelratio import balancing
 from kernelratio.balancing import (
     HessianWeights,
     balance_eta,
     choose_max_qualifying,
     curvature_operator_norm,
     fit_grid,
+    known_norm_select,
     select_from_fits,
 )
 from kernelratio.oracle import OracleContext, bayes_margin, population_h_form
@@ -222,22 +221,21 @@ class TestTrace:
             assert curvature_operator_norm(gram, w) == pytest.approx(np.max(np.abs(full)), rel=1e-13)
         assert curvature_operator_norm(gram, HessianWeights(e=np.zeros(ds.total))) == 0.0
 
-    @pytest.mark.parametrize("family, decompositions", [(LossFamily.KULSIF, 1), (LossFamily.EXP, 4)])
-    def test_selection_decomposes_each_distinct_weight_once(self, family, decompositions, pair, kspec, monkeypatch):
-        # kulsif's weights depend only on the labels; exp's move with the fit.
+    @pytest.mark.parametrize("rule", [SelectionRule.PRACTICAL_MJ, SelectionRule.THEORETICAL_ETA_S])
+    @pytest.mark.parametrize("family", [LossFamily.KULSIF, LossFamily.EXP])
+    def test_selection_decomposes_nothing(self, family, rule, pair, kspec, monkeypatch):
+        # No rule reads a spectral norm, so selection must not pay for one.
         ds = sample_pair(pair, 8, 8, seed=2)
         gram = gram_matrix(kspec, ds.xs)
         grid = LambdaGrid(lambda0=1e-2, xi=10.0, l=4)
         fits = fit_grid(family, kspec, ds, grid, gram=gram)
-        calls = []
-        monkeypatch.setattr(
-            balancing, "curvature_operator_norm", lambda g, w: calls.append(w) or curvature_operator_norm(g, w)
-        )
-        report = select_from_fits(family, gram, ds, grid, fits, SelectionRule.PRACTICAL_MJ)
-        assert len(calls) == decompositions
-        for (model, _), entry in zip(fits, report.per_lambda):
-            w = hessian_weights(family, model, ds, gram)
-            assert entry["curvature_norm"] == curvature_operator_norm(gram, w)
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("selection called np.linalg.eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        report = select_from_fits(family, gram, ds, grid, fits, rule)
+        assert all("curvature_norm" not in entry for entry in report.per_lambda)
 
 
 class TestBoundCalculators:

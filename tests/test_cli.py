@@ -367,6 +367,24 @@ class TestExperiment:
         assert run_cli(["experiment", str(config_path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[]",
+            b'{"kernel": []}',
+            b'{"consts": 5}',
+            b'{"pair": null}',
+            b'{"grid": {"lambda0": 1e-3, "xi": 10.0, "l": 1e400}}',
+            b"\xff\xfe{}",
+        ],
+    )
+    def test_malformed_config_exits_two_naming_the_file(self, tmp_path, capsys, content):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(content)
+        assert run_cli(["experiment", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(config_path) in err
+
 
 class TestRateSweep:
     def test_single_size_has_null_slope(self, tmp_path, capsys):
@@ -392,6 +410,13 @@ class TestRateSweep:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "N,median_error"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("sizes", ["10,abc", "", ","])
+    def test_bad_sizes_exit_two(self, sizes, capsys):
+        code = run_cli(["rate-sweep", "--loss", "kulsif", "--sizes", sizes, "--seeds", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_extreme_lambda_exits_three_without_numpy_noise(self, capsys):
         with warnings.catch_warnings():
