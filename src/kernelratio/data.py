@@ -29,8 +29,32 @@ class GaussianPairSpec:
     sigma_q: float = 5.0**0.5
 
     def __post_init__(self) -> None:
+        for name in ("mu_p", "sigma_p", "mu_q", "sigma_q"):
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except (TypeError, OverflowError):
+                finite = False
+            if not finite:
+                raise InputError(f"{name} must be a finite number, got {value!r}")
         if not (self.sigma_p > 0.0 and self.sigma_q > 0.0):
             raise InputError("standard deviations must be positive")
+        # The oracle integrates over span(8.0); its log ratio must be finite there.
+        for x in self.span(8.0):
+            z_p = (x - self.mu_p) / self.sigma_p
+            z_q = (x - self.mu_q) / self.sigma_q
+            if not math.isfinite(math.log(self.sigma_q) - math.log(self.sigma_p) - 0.5 * z_p * z_p + 0.5 * z_q * z_q):
+                raise InputError(
+                    f"the log ratio of P to Q is not finite at x={x!r}, an end of the 8-sigma interval; "
+                    f"mu_p={self.mu_p!r}, sigma_p={self.sigma_p!r}, mu_q={self.mu_q!r} "
+                    f"and sigma_q={self.sigma_q!r} are too far apart"
+                )
+
+    def span(self, n_sigma: float) -> tuple[float, float]:
+        """Smallest interval holding both components to n_sigma standard deviations."""
+        lo = min(self.mu_p - n_sigma * self.sigma_p, self.mu_q - n_sigma * self.sigma_q)
+        hi = max(self.mu_p + n_sigma * self.sigma_p, self.mu_q + n_sigma * self.sigma_q)
+        return lo, hi
 
 
 #: Well-separated narrow P over a wide Q; a standard covariate-shift

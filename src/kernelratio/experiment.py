@@ -27,7 +27,7 @@ from .data import GaussianPairSpec, finite_or_null, sample_pair
 from .errors import InputError
 from .kernel import KernelFamily, KernelSpec, gram_matrix
 from .losses import LossFamily
-from .oracle import OracleContext, bayes_risk, grid_mse, population_risk
+from .oracle import OracleContext, bayes_risk, grid_mse, population_risk, population_risks
 from .solver import FitOptions, margins_at
 
 
@@ -81,7 +81,13 @@ class ExperimentConfig:
                 raise InputError(f"malformed experiment config: {key!r} must be a JSON object")
         try:
             pair = GaussianPairSpec(**doc.get("pair", {}))
-            grid_doc = doc.get("grid", {"lambda0": 1e-4, "xi": 10.0, "l": 5})
+        except (TypeError, ValueError) as exc:  # ValueError covers InputError
+            raise InputError(f"malformed experiment config: pair: {exc}") from exc
+        grid_doc = doc.get("grid", {"lambda0": 1e-4, "xi": 10.0, "l": 5})
+        missing = [key for key in ("lambda0", "xi", "l") if key not in grid_doc]
+        if missing:
+            raise InputError(f"malformed experiment config: grid lacks {', '.join(map(repr, missing))}")
+        try:
             consts_doc = doc.get("consts", {})
             return cls(
                 pair=pair,
@@ -144,15 +150,13 @@ def run_cell(
     fits = fit_grid(family, config.kernel, dataset, config.grid, FitOptions(), gram=gram)
     selection = select_from_fits(family, gram, dataset, config.grid, fits, config.rule, config.consts)
 
-    # One kernel pass per point set scores the whole grid of fits.
+    # One kernel pass per point set scores the whole grid of fits: one per
+    # quadrature level, and one over the eval grid.
     alphas = [model.alpha for model, _ in fits]
-    nodes, _ = ctx.quad.nodes_weights()
-    node_margins = margins_at(config.kernel, dataset.xs, alphas, nodes)
+    risks = population_risks(ctx, family, lambda nodes: margins_at(config.kernel, dataset.xs, alphas, nodes))
     grid_margins = margins_at(config.kernel, dataset.xs, alphas, ctx.eval_grid)
     mses = [grid_mse(ctx, model, margins) for (model, _), margins in zip(fits, grid_margins)]
-    bregman = [
-        2.0 * (population_risk(ctx, family, margins) - bayes_risk_value) for margins in node_margins
-    ]
+    bregman = [2.0 * (float(risk) - bayes_risk_value) for risk in risks]
 
     rank = _mse_rank(mses, selection.chosen_index)
     return {
@@ -180,7 +184,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         for m, n in sorted(config.sample_sizes):
             for seed in sorted(config.seeds):
                 cells.append(run_cell(config, family, m, n, seed, ctx, bayes[family]))
-    return {"config": config.to_dict(), "cells": cells}
+    unconverged = sum(not fit["converged"] for cell in cells for fit in cell["fit_reports"])
+    return {"config": config.to_dict(), "unconverged_fits": unconverged, "cells": cells}
 
 
 def report_summary(report: dict) -> dict:
@@ -197,9 +202,7 @@ def report_summary(report: dict) -> dict:
             {"loss": loss, "m": m, "n": n, "rate": sum(hits) / len(hits)}
             for (loss, m, n), hits in groups.items()
         ],
-        "unconverged_fits": sum(
-            not fit["converged"] for cell in report["cells"] for fit in cell["fit_reports"]
-        ),
+        "unconverged_fits": report["unconverged_fits"],
     }
 
 

@@ -339,8 +339,10 @@ class TestExperiment:
         def reject(constant):
             raise ValueError(f"report.json holds {constant}, which strict JSON rejects")
 
-        (cell,) = json.loads(open(summary["report"]).read(), parse_constant=reject)["cells"]
+        report = json.loads(open(summary["report"]).read(), parse_constant=reject)
+        (cell,) = report["cells"]
         assert summary["unconverged_fits"] == 3
+        assert report["unconverged_fits"] == 3
         assert not any(report["converged"] for report in cell["fit_reports"])
         # Every fit diverged to an infinite MSE: null in the report, inf in
         # the CSV, and the choice ranks last, so it is no top-2 hit.
@@ -384,6 +386,26 @@ class TestExperiment:
         assert run_cli(["experiment", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(config_path) in err
+
+    @pytest.mark.parametrize(
+        "content, names",
+        [
+            ('{"pair": {"mu_p": 1e200}}', "mu_p=1e+200"),
+            ('{"pair": {"sigma_q": 1e400}}', "sigma_q must be a finite number"),
+            ('{"pair": {"mu_q": -Infinity}}', "mu_q must be a finite number"),
+            ('{"pair": {"mu_p": NaN}}', "mu_p must be a finite number"),
+            ('{"pair": {"sigma_p": 1e-300}}', "sigma_p=1e-300"),
+            ('{"grid": {"lambda0": 1e-3, "l": 3}}', "grid lacks 'xi'"),
+        ],
+    )
+    def test_bad_pair_or_grid_exits_two_naming_file_and_field(self, tmp_path, capsys, content, names):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(content, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+            assert run_cli(["experiment", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: malformed experiment config: ") and names in err
 
 
 class TestRateSweep:

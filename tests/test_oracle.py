@@ -1,13 +1,15 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from kernelratio import (
     GaussianPairSpec,
     InputError,
+    KernelSpec,
     LossFamily,
     NumericalError,
     OracleContext,
@@ -24,12 +26,15 @@ from kernelratio import (
     sample_pair,
     true_ratio,
 )
-from kernelratio.losses import ratio_map
+from kernelratio import solver
+from kernelratio.losses import loss_value, ratio_map
 from kernelratio.oracle import (
+    _integrate,
     bayes_risk,
     default_eval_grid,
     default_quadrature,
     densities,
+    population_risks,
     reference_margin,
 )
 from kernelratio.solver import RatioModel, predict_margin
@@ -50,6 +55,25 @@ def gauss_legendre(lo, hi, n_nodes):
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     weights = (half[:, None] * base_w[None, :]).ravel()
     return nodes, weights
+
+
+def risk_by_rule(ctx, family, model, nodes, weights):
+    """The population risk of a model by a given fixed quadrature rule."""
+    margins = predict_margin(model, nodes)
+    p, q = densities(ctx.pair, nodes)
+    integrand = 0.5 * loss_value(family, 1.0, margins) * p + 0.5 * loss_value(family, -1.0, margins) * q
+    return float(weights @ integrand)
+
+
+def noise_rows(seen, rows=1):
+    """An integrand of seeded noise, which no level converges on; records its nodes."""
+    rng = np.random.default_rng(0)
+
+    def integrand(nodes):
+        seen.append(nodes.copy())
+        return rng.random((rows, nodes.shape[0]))
+
+    return integrand
 
 
 @pytest.fixture(scope="module")
@@ -113,13 +137,94 @@ class TestQuadrature:
 
     def test_trapezoid_agrees_with_gauss_legendre(self, pair, kspec):
         model = fitted_model(pair, kspec, LossFamily.KULSIF)
-        quad = default_quadrature(pair)
-        quad_gl = SimpleNamespace(nodes_weights=lambda: gauss_legendre(quad.lo, quad.hi, 4000))
         trap = OracleContext.default(pair)
-        gl = OracleContext(pair, quad_gl, default_eval_grid(pair))
+        nodes, weights = gauss_legendre(trap.quad.lo, trap.quad.hi, 4000)
         assert population_risk(trap, LossFamily.KULSIF, model) == pytest.approx(
-            population_risk(gl, LossFamily.KULSIF, model), abs=1e-9
+            risk_by_rule(trap, LossFamily.KULSIF, model, nodes, weights), abs=1e-9
         )
+
+
+class TestNestedQuadrature:
+    def test_rows_together_equal_rows_alone_bitwise(self, ctx, pair):
+        # The narrow-bandwidth fit refines past the first level; the others stop there.
+        models = [
+            fitted_model(pair, KernelSpec(bandwidth=bandwidth), LossFamily.EXP, lam=lam)
+            for bandwidth, lam in ((1.0, 0.05), (0.01, 0.05), (1.0, 0.5))
+        ]
+        together = population_risks(
+            ctx, LossFamily.EXP, lambda nodes: np.stack([predict_margin(model, nodes) for model in models])
+        )
+        alone = [population_risk(ctx, LossFamily.EXP, model) for model in models]
+        assert together.tolist() == alone
+
+    def test_rows_stopping_at_different_levels_keep_their_values(self):
+        quad = QuadratureSpec(-10.0, 10.0, 20001)
+        rows = [lambda x: np.exp(-0.5 * x * x), lambda x: np.exp(-0.5 * (x / 0.01) ** 2)]
+        together = _integrate(lambda x: np.stack([row(x) for row in rows]), quad)
+        alone = [_integrate(lambda x, row=row: row(x)[None, :], quad)[0] for row in rows]
+        assert together.tolist() == alone
+        assert together == pytest.approx([math.sqrt(2.0 * math.pi), 0.01 * math.sqrt(2.0 * math.pi)], rel=1e-12)
+
+    @pytest.mark.parametrize("family", ALL)
+    def test_matches_the_finest_rule_at_the_default_pair(self, family, ctx, pair, kspec):
+        model = fitted_model(pair, kspec, family)
+        nodes, weights = ctx.quad.nodes_weights()
+        fixed = risk_by_rule(ctx, family, model, nodes, weights)
+        assert population_risk(ctx, family, model) == pytest.approx(fixed, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("family", [LossFamily.KULSIF, LossFamily.LR, LossFamily.EXP])
+    @pytest.mark.parametrize(
+        "sigma_p, bandwidth",
+        [(0.05, 1.0), (0.01, 1.0), (0.003, 1.0), (2.0**-0.5, 0.1), (2.0**-0.5, 0.03), (2.0**-0.5, 0.01)],
+    )
+    def test_matches_the_finest_rule_on_narrow_cases(self, family, sigma_p, bandwidth):
+        narrow = GaussianPairSpec(mu_p=4.0, sigma_p=sigma_p, mu_q=2.0, sigma_q=5.0**0.5)
+        narrow_ctx = OracleContext.default(narrow)
+        model = fitted_model(narrow, KernelSpec(bandwidth=bandwidth), family)
+        nodes, weights = narrow_ctx.quad.nodes_weights()
+        fixed = risk_by_rule(narrow_ctx, family, model, nodes, weights)
+        assert population_risk(narrow_ctx, family, model) == pytest.approx(fixed, rel=1e-10, abs=0.0)
+
+    def test_node_count_adapts_up_to_the_finest_rule(self, ctx, pair, monkeypatch):
+        entries = []
+
+        def counted(*args):
+            block = kernel_cross_matrix(*args)
+            entries.append(block.size)
+            return block
+
+        kernel_cross_matrix = solver.cross_matrix
+        monkeypatch.setattr(solver, "cross_matrix", counted)
+
+        def nodes_evaluated(bandwidth):
+            ds = sample_pair(pair, 100, 100, seed=0)
+            model, _ = fit(LossFamily.KULSIF, KernelSpec(bandwidth=bandwidth), ds, 0.01)
+            entries.clear()
+            population_risk(ctx, LossFamily.KULSIF, model)
+            return sum(entries) // ds.total
+
+        assert nodes_evaluated(1.0) == 1251
+        assert 1251 < nodes_evaluated(0.01) <= ctx.quad.n_nodes
+
+    def test_never_evaluates_more_than_the_finest_rule(self, ctx):
+        seen = []
+        _integrate(noise_rows(seen, rows=3), ctx.quad)
+        assert [level.size for level in seen] == [1251, 1250, 2500, 5000, 10000]
+        assert sum(level.size for level in seen) == ctx.quad.n_nodes
+
+    @given(
+        lo=st.floats(-1e3, 1e3),
+        width=st.floats(1e-3, 1e3),
+        n_nodes=st.integers(1, 5000).map(lambda k: 2 * k + 1),
+    )
+    def test_levels_partition_the_finest_nodes(self, lo, width, n_nodes):
+        quad = QuadratureSpec(lo, lo + width, n_nodes)
+        seen = []
+        _integrate(noise_rows(seen), quad)
+        union = np.sort(np.concatenate(seen))
+        finest, _ = quad.nodes_weights()
+        assert union.shape == finest.shape
+        assert np.all(np.abs(union - finest) <= np.spacing(np.abs(finest)))
 
 
 class TestTrueRatio:
@@ -280,12 +385,11 @@ class TestGridMse:
     def test_precomputed_margins_score_bitwise_like_the_model(self, ctx, pair, kspec):
         for family in ALL:
             model = fitted_model(pair, kspec, family)
-            nodes, _ = ctx.quad.nodes_weights()
-            node_margins = predict_margin(model, nodes)
             grid_margins = predict_margin(model, ctx.eval_grid)
             assert grid_mse(ctx, model, grid_margins) == grid_mse(ctx, model)
-            assert population_risk(ctx, family, node_margins) == population_risk(ctx, family, model)
             with pytest.raises(InputError):
+                grid_mse(ctx, model, grid_margins[:-1])
+            with pytest.raises(InputError):  # the risk takes a model, not margins
                 population_risk(ctx, family, grid_margins)
 
 
