@@ -436,6 +436,14 @@ def select_from_fits(
     return _balance(grid, rule, norm_sq, thresholds, per_lambda, params)
 
 
+def fit_and_select(dataset, family, kernel, grid, rule, consts=None, opts=None, *, gram=None):
+    """Fit the whole grid and pick lambda by the balancing rule; returns (fits, report)."""
+    if gram is None:
+        gram = gram_matrix(kernel, dataset.xs)
+    fits = fit_grid(family, kernel, dataset, grid, opts, gram=gram)
+    return fits, select_from_fits(family, gram, dataset, grid, fits, rule, consts)
+
+
 def select_lambda(
     dataset: LabeledDataset,
     family: LossFamily,
@@ -448,10 +456,7 @@ def select_lambda(
     gram: GramMatrix | None = None,
 ) -> SelectionReport:
     """Fit the whole grid and pick lambda by the balancing rule."""
-    if gram is None:
-        gram = gram_matrix(kernel, dataset.xs)
-    fits = fit_grid(family, kernel, dataset, grid, opts, gram=gram)
-    return select_from_fits(family, gram, dataset, grid, fits, rule, consts)
+    return fit_and_select(dataset, family, kernel, grid, rule, consts, opts, gram=gram)[1]
 
 
 def known_norm_select(

@@ -17,7 +17,15 @@ from .balancing import (
     SelectionRule,
     select_lambda,
 )
-from .data import GaussianPairSpec, dataset_sha256, finite_or_null, load_two_csv, sample_pair
+from .data import (
+    DEFAULT_PAIR,
+    GaussianPairSpec,
+    dataset_sha256,
+    finite_or_null,
+    load_two_csv,
+    sample_pair,
+    write_json,
+)
 from .errors import InputError, NumericalError
 from .experiment import (
     ExperimentConfig,
@@ -38,10 +46,10 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p-csv", help="CSV of numerator samples (header x_1,...,x_d)")
     parser.add_argument("--q-csv", help="CSV of denominator samples")
     parser.add_argument("--synthetic", action="store_true", help="sample a synthetic Gaussian pair")
-    parser.add_argument("--mu-p", type=float, default=4.0)
-    parser.add_argument("--sigma-p", type=float, default=2.0**-0.5)
-    parser.add_argument("--mu-q", type=float, default=2.0)
-    parser.add_argument("--sigma-q", type=float, default=5.0**0.5)
+    parser.add_argument("--mu-p", type=float, default=DEFAULT_PAIR.mu_p)
+    parser.add_argument("--sigma-p", type=float, default=DEFAULT_PAIR.sigma_p)
+    parser.add_argument("--mu-q", type=float, default=DEFAULT_PAIR.mu_q)
+    parser.add_argument("--sigma-q", type=float, default=DEFAULT_PAIR.sigma_q)
     parser.add_argument("--m", type=int, default=100, help="numerator sample count")
     parser.add_argument("--n", type=int, default=100, help="denominator sample count")
     parser.add_argument("--seed", type=int, default=0)
@@ -128,9 +136,7 @@ def cmd_select(args) -> int:
             }
         }
         doc.update(report.to_dict())
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(finite_or_null(doc), fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        write_json(args.out, doc)
     print(repr(float(report.chosen_lambda)))
     unconverged = [repr(e["lambda"]) for e in report.per_lambda if not e["fit"]["converged"]]
     if unconverged:
@@ -190,10 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p_fit)
     p_fit.add_argument("--loss", required=True, choices=[f.value for f in LossFamily])
     p_fit.add_argument("--kernel", choices=sorted(_KERNELS), default="one-plus-gaussian")
-    p_fit.add_argument("--bandwidth", type=float, default=1.0)
+    p_fit.add_argument("--bandwidth", type=float, default=KernelSpec().bandwidth)
     p_fit.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_fit.add_argument("--method", choices=["auto", "cg", "closed_form"], default="auto")
-    p_fit.add_argument("--max-iters", type=int, default=5000)
+    p_fit.add_argument("--method", choices=["auto", "cg"], default=FitOptions().method)
+    p_fit.add_argument("--max-iters", type=int, default=FitOptions().max_iters)
     p_fit.add_argument("--out", required=True, help="model JSON output path")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -201,14 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p_sel)
     p_sel.add_argument("--loss", required=True, choices=[f.value for f in LossFamily])
     p_sel.add_argument("--kernel", choices=sorted(_KERNELS), default="one-plus-gaussian")
-    p_sel.add_argument("--bandwidth", type=float, default=1.0)
+    p_sel.add_argument("--bandwidth", type=float, default=KernelSpec().bandwidth)
     p_sel.add_argument(
         "--grid", required=True, help="lo:ratio:count; geometric grid whose smallest value is lo"
     )
     p_sel.add_argument("--rule", choices=["mj", "eta-s"], default="mj")
-    p_sel.add_argument("--delta", type=float, default=0.05)
-    p_sel.add_argument("--q0", type=float, default=1.0)
-    p_sel.add_argument("--capacity-alpha", type=float, default=1.0)
+    p_sel.add_argument("--delta", type=float, default=BoundConstants().delta)
+    p_sel.add_argument("--q0", type=float, default=BoundConstants().q0)
+    p_sel.add_argument("--capacity-alpha", type=float, default=BoundConstants().capacity_alpha)
     p_sel.add_argument("--out", help="selection report JSON output path")
     p_sel.set_defaults(func=cmd_select)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -117,6 +118,8 @@ def sample_pair(spec: GaussianPairSpec, m: int, n: int, seed: int) -> LabeledDat
     """
     if m < 0 or n < 1:
         raise InputError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(int(seed))
     xp = rng.normal(spec.mu_p, spec.sigma_p, size=m)
     xq = rng.normal(spec.mu_q, spec.sigma_q, size=n)
@@ -190,3 +193,10 @@ def finite_or_null(doc):
     if isinstance(doc, float) and not math.isfinite(doc):
         return None
     return doc
+
+
+def write_json(path: str, doc) -> None:
+    """Write doc to path as strict JSON: non-finite floats as null, indented, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(finite_or_null(doc), fh, indent=2, allow_nan=False)
+        fh.write("\n")

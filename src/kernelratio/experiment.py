@@ -16,19 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balancing import (
-    BoundConstants,
-    LambdaGrid,
-    SelectionRule,
-    fit_grid,
-    select_from_fits,
-)
-from .data import GaussianPairSpec, finite_or_null, sample_pair
+from .balancing import BoundConstants, LambdaGrid, SelectionRule, fit_and_select
+from .data import DEFAULT_PAIR, GaussianPairSpec, sample_pair, write_json
 from .errors import InputError
-from .kernel import KernelFamily, KernelSpec, gram_matrix
+from .kernel import KernelFamily, KernelSpec
 from .losses import LossFamily
 from .oracle import OracleContext, bayes_risk, grid_mse, population_risk, population_risks
-from .solver import FitOptions, margins_at
+from .solver import margins_at
 
 
 @dataclass(frozen=True)
@@ -53,6 +47,8 @@ class ExperimentConfig:
         for m, n in self.sample_sizes:
             if m < 0 or n < 1:
                 raise InputError(f"invalid sample size (m={m}, n={n})")
+        if any(seed < 0 for seed in self.seeds):
+            raise InputError(f"seeds must be nonnegative, got {min(self.seeds)}")
 
     def to_dict(self) -> dict:
         return {
@@ -73,43 +69,35 @@ class ExperimentConfig:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise InputError("malformed experiment config: expected a JSON object")
-        for key in ("pair", "grid", "kernel", "consts"):
-            if not isinstance(doc.get(key, {}), dict):
-                raise InputError(f"malformed experiment config: {key!r} must be a JSON object")
+    def from_dict(cls, doc) -> "ExperimentConfig":
+        """The config that `to_dict` wrote; an absent key takes ExperimentConfig()'s value.
+
+        Unknown keys are rejected, at the top level and in each section, and
+        grid.l, seeds and sample sizes must be JSON integers.
+        """
+        default = cls().to_dict()
         try:
-            pair = GaussianPairSpec(**doc.get("pair", {}))
-        except (TypeError, ValueError) as exc:  # ValueError covers InputError
-            raise InputError(f"malformed experiment config: pair: {exc}") from exc
-        grid_doc = doc.get("grid", {"lambda0": 1e-4, "xi": 10.0, "l": 5})
-        missing = [key for key in ("lambda0", "xi", "l") if key not in grid_doc]
-        if missing:
-            raise InputError(f"malformed experiment config: grid lacks {', '.join(map(repr, missing))}")
-        try:
-            consts_doc = doc.get("consts", {})
+            doc = {**default, **_known_keys(doc, default, "the config")}
+            for key in ("pair", "kernel", "consts"):
+                doc[key] = {**default[key], **_known_keys(doc[key], default[key], key)}
+            grid = _known_keys(doc["grid"], default["grid"], "grid")
+            missing = [key for key in default["grid"] if key not in grid]
+            if missing:
+                raise InputError(f"grid lacks {', '.join(map(repr, missing))}")
             return cls(
-                pair=pair,
-                losses=tuple(LossFamily(v) for v in doc.get("losses", ["kulsif", "exp"])),
-                grid=LambdaGrid(
-                    lambda0=float(grid_doc["lambda0"]), xi=float(grid_doc["xi"]), l=int(grid_doc["l"])
+                pair=GaussianPairSpec(**doc["pair"]),
+                losses=tuple(LossFamily(v) for v in doc["losses"]),
+                grid=LambdaGrid(float(grid["lambda0"]), float(grid["xi"]), _integer(grid["l"], "grid.l")),
+                sample_sizes=tuple(
+                    (_integer(m, "sample_sizes"), _integer(n, "sample_sizes")) for m, n in doc["sample_sizes"]
                 ),
-                sample_sizes=tuple((int(m), int(n)) for m, n in doc.get("sample_sizes", [[3, 3], [10, 10], [100, 100]])),
-                seeds=tuple(int(s) for s in doc.get("seeds", range(50))),
-                rule=SelectionRule(doc.get("rule", "mj")),
-                kernel=KernelSpec(
-                    KernelFamily(doc.get("kernel", {}).get("family", "one_plus_gaussian")),
-                    float(doc.get("kernel", {}).get("bandwidth", 1.0)),
-                ),
-                output_dir=str(doc.get("output_dir", "experiment_out")),
-                consts=BoundConstants(
-                    delta=float(consts_doc.get("delta", 0.05)),
-                    q0=float(consts_doc.get("q0", 1.0)),
-                    capacity_alpha=float(consts_doc.get("capacity_alpha", 1.0)),
-                ),
+                seeds=tuple(_integer(s, "seeds") for s in doc["seeds"]),
+                rule=SelectionRule(doc["rule"]),
+                kernel=KernelSpec(KernelFamily(doc["kernel"]["family"]), float(doc["kernel"]["bandwidth"])),
+                output_dir=str(doc["output_dir"]),
+                consts=BoundConstants(**{key: float(value) for key, value in doc["consts"].items()}),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # ValueError covers InputError
             raise InputError(f"malformed experiment config: {exc}") from exc
 
     @classmethod
@@ -123,6 +111,22 @@ class ExperimentConfig:
             return cls.from_dict(doc)
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc
+
+
+def _known_keys(doc, default: dict, name: str) -> dict:
+    """doc, checked to be a JSON object with no key that `default` lacks."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{name} must be a JSON object")
+    unknown = [key for key in doc if key not in default]
+    if unknown:
+        raise InputError(f"unknown key {unknown[0]!r} in {name}")
+    return doc
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must hold JSON integers, got {value!r}")
+    return value
 
 
 def _mse_rank(mses: list[float], chosen_index: int) -> int:
@@ -146,9 +150,7 @@ def run_cell(
     bayes_risk_value: float,
 ) -> dict:
     dataset = sample_pair(config.pair, m, n, seed)
-    gram = gram_matrix(config.kernel, dataset.xs)
-    fits = fit_grid(family, config.kernel, dataset, config.grid, FitOptions(), gram=gram)
-    selection = select_from_fits(family, gram, dataset, config.grid, fits, config.rule, config.consts)
+    fits, selection = fit_and_select(dataset, family, config.kernel, config.grid, config.rule, config.consts)
 
     # One kernel pass per point set scores the whole grid of fits: one per
     # quadrature level, and one over the eval grid.
@@ -230,9 +232,7 @@ def write_experiment_outputs(report: dict, output_dir: str) -> tuple[str, str]:
     os.makedirs(output_dir, exist_ok=True)
     report_path = os.path.join(output_dir, "report.json")
     csv_path = os.path.join(output_dir, "results.csv")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(finite_or_null(report), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(report_path, report)
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(report_to_csv_rows(report)) + "\n")
     return report_path, csv_path
@@ -244,20 +244,15 @@ def run_rate_sweep(
     n_seeds: int,
     rule: SelectionRule,
     *,
-    pair: GaussianPairSpec | None = None,
-    kernel: KernelSpec | None = None,
     grid: LambdaGrid | None = None,
-    consts: BoundConstants | None = None,
 ) -> dict:
     """Median divergence at the selected lambda, per pooled sample size N.
 
+    Data come from DEFAULT_PAIR and are fitted with the default kernel.
     Sizes are total counts m + n, split evenly; the fitted log-log slope
     of the medians is reported (None for a single size).
     """
-    pair = pair or GaussianPairSpec()
-    kernel = kernel or KernelSpec()
     grid = grid or LambdaGrid(lambda0=1e-4, xi=10.0, l=5)
-    consts = consts or BoundConstants()
     sizes = sorted(int(s) for s in sizes)
     if not sizes:
         raise InputError("need at least one size")
@@ -266,7 +261,7 @@ def run_rate_sweep(
     if n_seeds < 1:
         raise InputError("need at least one seed")
 
-    ctx = OracleContext.default(pair)
+    ctx = OracleContext.default(DEFAULT_PAIR)
     bayes_value = bayes_risk(ctx, family)
 
     medians = []
@@ -275,10 +270,8 @@ def run_rate_sweep(
         n = size - m
         errors = []
         for seed in range(n_seeds):
-            dataset = sample_pair(pair, m, n, seed)
-            gram = gram_matrix(kernel, dataset.xs)
-            fits = fit_grid(family, kernel, dataset, grid, FitOptions(), gram=gram)
-            selection = select_from_fits(family, gram, dataset, grid, fits, rule, consts)
+            dataset = sample_pair(DEFAULT_PAIR, m, n, seed)
+            fits, selection = fit_and_select(dataset, family, KernelSpec(), grid, rule)
             model = fits[selection.chosen_index - 1][0]
             errors.append(2.0 * (population_risk(ctx, family, model) - bayes_value))
         medians.append(float(np.median(errors)))

@@ -13,6 +13,7 @@ not vanish at infinity.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,15 @@ class KernelSpec:
     bandwidth: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.bandwidth > 0.0 and np.isfinite(self.bandwidth)):
-            raise InputError(f"bandwidth must be a positive real, got {self.bandwidth}")
+        # The kernel divides by 2 sigma^2, which must be neither 0 nor inf.
+        try:
+            scale = 2.0 * float(self.bandwidth) ** 2
+        except OverflowError:
+            scale = math.inf
+        if not (self.bandwidth > 0.0 and 0.0 < scale < math.inf):
+            raise InputError(
+                f"bandwidth must be a positive real with 2 * bandwidth**2 in the float range, got {self.bandwidth}"
+            )
 
     @property
     def diagonal_value(self) -> float:
@@ -96,7 +104,9 @@ def cross_matrix(spec: KernelSpec, left, right) -> np.ndarray:
             np.subtract.outer(a[:, k], b[:, k], out=scratch)
             values += np.square(scratch, out=scratch)
     np.negative(values, out=values)
-    np.divide(values, 2.0 * spec.bandwidth**2, out=values)
+    # A tiny bandwidth sends far pairs to -inf, and exp(-inf) = 0 is their kernel value.
+    with np.errstate(over="ignore"):
+        np.divide(values, 2.0 * spec.bandwidth**2, out=values)
     np.exp(values, out=values)
     if spec.family is KernelFamily.ONE_PLUS_GAUSSIAN:
         np.add(values, 1.0, out=values)

@@ -28,7 +28,7 @@ import numpy as np
 from .balancing import hessian_weights
 from .data import GaussianPairSpec, LabeledDataset, sample_pair
 from .errors import InputError, NumericalError
-from .kernel import KernelSpec, cross_matrix, gram_matrix
+from .kernel import KernelSpec, gram_matrix
 from .losses import (
     POLE_AT_ZERO_FAMILIES,
     RATIO_FLOOR,
@@ -125,10 +125,10 @@ def default_quadrature(pair: GaussianPairSpec, n_nodes: int = 20001) -> Quadratu
     return QuadratureSpec(lo=lo, hi=hi, n_nodes=n_nodes)
 
 
-def default_eval_grid(pair: GaussianPairSpec, n_points: int = 500) -> np.ndarray:
-    """Equispaced scoring grid from 3 sigma below Q's mean to 3 sigma above P's."""
+def default_eval_grid(pair: GaussianPairSpec) -> np.ndarray:
+    """500 equispaced scoring points from 3 sigma below Q's mean to 3 sigma above P's."""
     lo, hi = sorted((pair.mu_q - 3.0 * pair.sigma_q, pair.mu_p + 3.0 * pair.sigma_p))
-    return np.linspace(lo, hi, n_points)
+    return np.linspace(lo, hi, 500)
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,8 @@ class OracleContext:
             raise InputError("eval_grid must be sorted ascending")
 
     @classmethod
-    def default(cls, pair: GaussianPairSpec, n_nodes: int = 20001) -> "OracleContext":
-        return cls(pair=pair, quad=default_quadrature(pair, n_nodes), eval_grid=default_eval_grid(pair))
+    def default(cls, pair: GaussianPairSpec) -> "OracleContext":
+        return cls(pair=pair, quad=default_quadrature(pair), eval_grid=default_eval_grid(pair))
 
 
 def _normal_pdf(x, mu: float, sigma: float):
@@ -277,6 +277,15 @@ def _h_form_density(ctx, family, center, nodes) -> np.ndarray:
     return 0.5 * loss_d2(family, 1.0, center_margins) * p + 0.5 * loss_d2(family, -1.0, center_margins) * q
 
 
+def _h_form_integrals(ctx, family, center, kernel, points, coeff_rows) -> np.ndarray:
+    """Row k: the curvature-weighted integral of h_k^2, h_k = sum_j coeff_rows[k][j] k(points_j, .)."""
+
+    def integrand(nodes):
+        return _h_form_density(ctx, family, center, nodes) * margins_at(kernel, points, coeff_rows, nodes) ** 2
+
+    return _integrate(integrand, ctx.quad)
+
+
 def population_h_form(
     ctx: OracleContext,
     family: LossFamily,
@@ -294,12 +303,8 @@ def population_h_form(
     if not lam > 0.0:
         raise InputError(f"lambda must be positive, got {lam}")
     coeffs = np.asarray(coeffs, dtype=np.float64).reshape(-1)
-
-    def integrand(nodes):
-        return _h_form_density(ctx, family, center, nodes) * margins_at(kernel, points, [coeffs], nodes) ** 2
-
     rkhs_sq = float(coeffs @ (gram_matrix(kernel, points).values @ coeffs))
-    return float(_integrate(integrand, ctx.quad)[0] + lam * rkhs_sq)
+    return float(_h_form_integrals(ctx, family, center, kernel, points, [coeffs])[0] + lam * rkhs_sq)
 
 
 def grid_mse(ctx: OracleContext, model: RatioModel, margins=None) -> float:
@@ -356,20 +361,18 @@ def hessian_sandwich_test(
     reference_center,
     n_directions: int,
     seed: int,
-    *,
-    kernel: KernelSpec | None = None,
 ) -> SandwichReport:
     """Random-direction check of the empirical/population curvature sandwich.
 
     For random coefficient vectors c (zero is excluded by construction),
     tests   emp(c) <= 6 pop(c)   and   6 pop(c) <= 48 emp(c),
     where emp(c) = (1/N) c^T K E K c + lam c^T K c at the fitted model and
-    pop(c) is the population form at the reference center.  Returns the
-    fraction of directions passing both inequalities.
+    pop(c) is the population form at the reference center, under the
+    default kernel.  Returns the fraction of directions passing both.
     """
     if n_directions < 1:
         raise InputError("need at least one direction")
-    kernel = kernel or KernelSpec()
+    kernel = KernelSpec()
     gram = gram_matrix(kernel, dataset.xs)
     model, _ = fit(family, kernel, dataset, lam, gram=gram)
     e = hessian_weights(family, model, dataset, gram).e
@@ -385,18 +388,7 @@ def hessian_sandwich_test(
     kc = directions @ gram.values  # rows: (K c)^T
     rkhs_sq = np.einsum("ij,ij->i", directions, kc)
     emp = np.einsum("ij,j,ij->i", kc, e, kc) / n_total + lam * rkhs_sq
-
-    chunk = max(1, 4_000_000 // n_total)
-
-    def integrand(nodes):
-        # Rows: h_c(x)^2 for each direction c, one batched GEMM per chunk.
-        h_sq = np.empty((n_directions, nodes.shape[0]))
-        for start in range(0, nodes.shape[0], chunk):
-            block = nodes[start : start + chunk].reshape(-1, 1)
-            h_sq[:, start : start + chunk] = (directions @ cross_matrix(kernel, dataset.xs, block)) ** 2
-        return h_sq * _h_form_density(ctx, family, reference_center, nodes)
-
-    pop = _integrate(integrand, ctx.quad) + lam * rkhs_sq
+    pop = _h_form_integrals(ctx, family, reference_center, kernel, dataset.xs, directions) + lam * rkhs_sq
 
     both = (emp <= 6.0 * pop) & (6.0 * pop <= 48.0 * emp)
     n_pass = int(np.sum(both))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, write_json
 from .errors import InputError, NumericalError
 from .kernel import (
     GramMatrix,
@@ -96,7 +96,7 @@ class FitReport:
 
 @dataclass(frozen=True)
 class FitOptions:
-    method: str = "auto"  # "auto" | "cg" | "closed_form"
+    method: str = "auto"  # "auto" | "cg"
     tol_grad: float | None = None  # default 1e-8 * N
     max_iters: int = 5000
 
@@ -113,6 +113,9 @@ def objective_and_gradient(family: LossFamily, gram, ys, alpha, lam: float):
     return value, grad
 
 
+# A subnormal lambda overflows the coefficients; the finite check reports
+# that, not numpy.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def closed_form_fit(family: LossFamily, gram, ys, lam: float) -> np.ndarray:
     """Direct linear solve for the margin-quadratic families.
 
@@ -147,6 +150,8 @@ def closed_form_fit(family: LossFamily, gram, ys, lam: float) -> np.ndarray:
         alpha[curved] = np.linalg.solve(system, rhs) + 0.0
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"closed-form system is singular: {exc}") from exc
+    if not np.all(np.isfinite(alpha)):
+        raise NumericalError(f"closed-form coefficients are not finite at lambda={lam}")
     return alpha
 
 
@@ -263,17 +268,14 @@ def fit(
     if not (lam > 0.0 and np.isfinite(lam)):
         raise InputError(f"lambda must be positive, got {lam}")
     opts = opts or FitOptions()
-    if opts.method not in ("auto", "cg", "closed_form"):
+    if opts.method not in ("auto", "cg"):
         raise InputError(f"unknown method {opts.method!r}")
     if gram is None:
         gram = gram_matrix(kernel, dataset.xs)
     K = gram.values
     ys = dataset.ys
 
-    use_closed = opts.method == "closed_form" or (
-        opts.method == "auto" and family in QUADRATIC_FAMILIES
-    )
-    if use_closed:
+    if opts.method == "auto" and family in QUADRATIC_FAMILIES:
         alpha = closed_form_fit(family, K, ys, lam)
         # At extreme lambda the coefficients are huge: the objective and the
         # gradient norm then overflow to inf or nan, which the report shows.
@@ -352,11 +354,8 @@ def model_to_dict(model: RatioModel, *, seed=None, dataset_hash=None) -> dict:
 
 
 def save_model(model: RatioModel, path: str, *, seed=None, dataset_hash=None) -> None:
-    """Persist a model as a JSON document with stable key order."""
-    doc = model_to_dict(model, seed=seed, dataset_hash=dataset_hash)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    """Persist a model as a strict JSON document with stable key order."""
+    write_json(path, model_to_dict(model, seed=seed, dataset_hash=dataset_hash))
 
 
 def load_model(path: str) -> tuple[RatioModel, dict]:

@@ -29,6 +29,7 @@ from kernelratio.balancing import (
     balance_eta,
     choose_max_qualifying,
     curvature_operator_norm,
+    fit_and_select,
     fit_grid,
     known_norm_select,
     select_from_fits,
@@ -348,6 +349,17 @@ class TestSelection:
         mses = [grid_mse(ctx, model) for model, _ in fits]
         rank = 1 + sum(1 for v in mses if v < mses[report.chosen_index - 1])
         assert rank <= 2
+
+    @pytest.mark.parametrize("family", [LossFamily.KULSIF, LossFamily.EXP])
+    @pytest.mark.parametrize("rule", [SelectionRule.PRACTICAL_MJ, SelectionRule.THEORETICAL_ETA_S])
+    def test_fit_and_select_returns_select_lambdas_report_and_the_grid_fits(self, pair, kspec, family, rule):
+        ds = sample_pair(pair, 15, 15, seed=4)
+        consts = BoundConstants(delta=0.1, q0=2.0)
+        fits, report = fit_and_select(ds, family, kspec, GRID5, rule, consts)
+        assert report == select_lambda(ds, family, kspec, GRID5, rule, consts)
+        for (model, fit_report), (ref_model, ref_report) in zip(fits, fit_grid(family, kspec, ds, GRID5), strict=True):
+            np.testing.assert_array_equal(model.alpha, ref_model.alpha)
+            assert fit_report == ref_report
 
     def test_grid_monotone_truncation(self, pair, kspec):
         ds = sample_pair(pair, 30, 30, seed=2)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kernelratio import InputError, load_model
 from kernelratio.cli import main
 
 
@@ -469,3 +470,98 @@ class TestRateSweep:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["theoretical_exponent"] == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+def run_quiet(args):
+    """Run the CLI with every warning as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(args)
+
+
+SYNTH = ["--synthetic", "--m", "20", "--n", "20"]
+
+
+class TestOutOfRangeInput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fit", *SYNTH, "--lambda", "1e-320"],
+            ["select", *SYNTH, "--grid", "1e-320:10:2"],
+            ["rate-sweep", "--sizes", "8", "--seeds", "1", "--grid", "1e-320:10:2"],
+        ],
+        ids=["fit", "select", "rate-sweep"],
+    )
+    def test_subnormal_lambda_exits_three_with_one_line(self, tmp_path, capsys, args):
+        out = tmp_path / "m.json"
+        extra = ["--out", str(out)] if args[0] == "fit" else []
+        assert run_quiet(args + ["--loss", "kulsif"] + extra) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical error: ") and "not finite" in err[0]
+        assert not out.exists()
+
+    def test_tiny_normal_lambda_still_writes_the_model(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run_quiet(["fit", *SYNTH, "--loss", "kulsif", "--lambda", "1e-300", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == ["fit did not converge (grad_norm=inf)"]
+        assert all(map(np.isfinite, strict_json(out.read_text())["alpha"]))
+
+    @pytest.mark.parametrize("bandwidth", ["1e200", "1e-170", "1e-162"])
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_bandwidth_out_of_range_exits_two_naming_it(self, tmp_path, capsys, command, bandwidth):
+        extra = ["--lambda", "0.1", "--out", str(tmp_path / "m.json")] if command == "fit" else ["--grid", "1e-2:10:2"]
+        code = run_quiet([command, *SYNTH, "--loss", "lr", "--bandwidth", bandwidth, *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bandwidth must be a positive real with 2 * bandwidth**2 in the float range")
+
+    @pytest.mark.parametrize("loss", ["kulsif", "lr"])
+    def test_tiny_in_range_bandwidth_runs_without_warnings(self, capsys, loss):
+        assert run_quiet(["select", *SYNTH, "--loss", loss, "--grid", "1e-2:10:2", "--bandwidth", "1e-160"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and float(captured.out) in (0.01, 0.1)
+
+    def test_model_file_with_out_of_range_bandwidth_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        assert run_quiet(["fit", *SYNTH, "--loss", "kulsif", "--lambda", "0.1", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["bandwidth"] = 1e-170
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InputError, match="bandwidth"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, command):
+        extra = ["--lambda", "0.1", "--out", str(tmp_path / "m.json")] if command == "fit" else ["--grid", "1e-2:10:2"]
+        assert run_quiet([command, *SYNTH, "--loss", "kulsif", "--seed", "-1", *extra]) == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+
+    def test_closed_form_method_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["fit", *SYNTH, "--loss", "kulsif", "--lambda", "0.1", "--method", "closed_form", "--out", str(tmp_path / "m.json")])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'closed_form'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, names",
+        [
+            ('{"seed": [0]}', "unknown key 'seed' in the config"),
+            ('{"pair": {"mu": 1.0}}', "unknown key 'mu' in pair"),
+            ('{"grid": {"lambda0": 1e-3, "xi": 10.0, "l": 3, "values": [1]}}', "unknown key 'values' in grid"),
+            ('{"kernel": {"sigma": 2.0}}', "unknown key 'sigma' in kernel"),
+            ('{"consts": {"b1": 3}}', "unknown key 'b1' in consts"),
+            ('{"grid": {"lambda0": 1e-3, "xi": 10.0, "l": 2.9}}', "grid.l must hold JSON integers, got 2.9"),
+            ('{"seeds": [1.7]}', "seeds must hold JSON integers, got 1.7"),
+            ('{"seeds": [true]}', "seeds must hold JSON integers, got True"),
+            ('{"sample_sizes": [[3, 3.0]]}', "sample_sizes must hold JSON integers, got 3.0"),
+            ('{"seeds": [0, -1]}', "seeds must be nonnegative, got -1"),
+            ('{"kernel": {"bandwidth": 1e-170}}', "bandwidth must be a positive real with 2 * bandwidth**2"),
+        ],
+    )
+    def test_config_reads_only_what_it_writes(self, tmp_path, capsys, content, names):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(content, encoding="utf-8")
+        assert run_quiet(["experiment", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: malformed experiment config: {names}")
+        assert err.count("malformed experiment config") == 1

@@ -56,6 +56,10 @@ class TestSamplePair:
         with pytest.raises(InputError):
             sample_pair(pair, 3, 0, seed=0)
 
+    def test_negative_seed_is_an_input_error(self, pair):
+        with pytest.raises(InputError, match="seed must be nonnegative"):
+            sample_pair(pair, 3, 3, seed=-1)
+
 
 class TestDatasetInvariants:
     def test_counts_must_match(self):

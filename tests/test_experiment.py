@@ -1,7 +1,21 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernelratio import InputError, LossFamily, OracleContext, gram_matrix, sample_pair
+from kernelratio import (
+    BoundConstants,
+    GaussianPairSpec,
+    InputError,
+    KernelFamily,
+    KernelSpec,
+    LossFamily,
+    OracleContext,
+    gram_matrix,
+    sample_pair,
+)
 from kernelratio.balancing import LambdaGrid, SelectionRule, fit_grid
 from kernelratio.experiment import (
     ExperimentConfig,
@@ -82,6 +96,39 @@ def test_config_round_trip(tiny_report):
     np.testing.assert_allclose(again.grid.values, config.grid.values)
 
 
+def _positive(lo=1e-3, hi=1e3):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+CONFIGS = st.builds(
+    ExperimentConfig,
+    pair=st.builds(GaussianPairSpec, st.floats(-5.0, 5.0), _positive(0.2, 5.0), st.floats(-5.0, 5.0), _positive(0.2, 5.0)),
+    losses=st.lists(st.sampled_from(LossFamily), min_size=1, max_size=4).map(tuple),
+    grid=st.builds(LambdaGrid, _positive(1e-12, 1.0), _positive(1.01, 100.0), st.integers(1, 8)),
+    sample_sizes=st.lists(st.tuples(st.integers(0, 500), st.integers(1, 500)), min_size=1, max_size=3).map(tuple),
+    seeds=st.lists(st.integers(0, 2**63), min_size=1, max_size=5).map(tuple),
+    rule=st.sampled_from([SelectionRule.PRACTICAL_MJ, SelectionRule.THEORETICAL_ETA_S]),
+    kernel=st.builds(KernelSpec, st.sampled_from(KernelFamily), _positive(1e-100, 1e100)),
+    output_dir=st.text(min_size=1, max_size=20),
+    consts=st.builds(
+        BoundConstants, delta=st.floats(1e-9, 0.999), q0=_positive(), capacity_alpha=_positive(1.0, 10.0)
+    ),
+)
+
+
+@given(config=CONFIGS)
+@settings(max_examples=200, deadline=None)
+def test_config_from_dict_inverts_to_dict_through_json(config):
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+def test_absent_config_keys_take_the_defaults():
+    assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+    partial = ExperimentConfig.from_dict({"kernel": {"bandwidth": 2.0}, "consts": {"q0": 3.0}})
+    assert partial.kernel == KernelSpec(bandwidth=2.0)
+    assert partial.consts == BoundConstants(q0=3.0)
+
+
 def test_config_validation():
     with pytest.raises(InputError):
         ExperimentConfig(losses=())
@@ -89,6 +136,8 @@ def test_config_validation():
         ExperimentConfig(sample_sizes=((3, 0),))
     with pytest.raises(InputError):
         ExperimentConfig(seeds=())
+    with pytest.raises(InputError, match="seeds must be nonnegative"):
+        ExperimentConfig(seeds=(0, -1))
 
 
 def test_rate_sweep_shape():

@@ -38,10 +38,15 @@ def test_dimension_mismatch_raises():
         kernel_eval(OFFSET, [0.0, 1.0], [0.0])
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), 1e200, 1e-162, 1e-170])
 def test_bandwidth_must_be_positive(bad):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="bandwidth"):
         KernelSpec(bandwidth=bad)
+
+
+def test_tiny_bandwidth_sends_distinct_points_to_exactly_the_offset():
+    values = cross_matrix(KernelSpec(bandwidth=1e-160), [0.0, 1.0, 3.0], [0.0, 1.0])
+    np.testing.assert_array_equal(values, [[2.0, 1.0], [1.0, 2.0], [1.0, 1.0]])
 
 
 @given(

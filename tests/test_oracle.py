@@ -18,6 +18,7 @@ from kernelratio import (
     bregman_error_direct,
     bregman_error_via_risk,
     fit,
+    gram_matrix,
     grid_mse,
     hessian_sandwich_test,
     population_h_form,
@@ -29,6 +30,7 @@ from kernelratio import (
 from kernelratio import solver
 from kernelratio.losses import loss_value, ratio_map
 from kernelratio.oracle import (
+    _h_form_integrals,
     _integrate,
     bayes_risk,
     default_eval_grid,
@@ -353,7 +355,7 @@ class TestPopulationHForm:
         zero_center = lambda xs: np.zeros(np.shape(np.asarray(xs))[0])
         value = population_h_form(ctx, LossFamily.KULSIF, zero_center, lam, coeffs, kspec, ds.xs)
 
-        from kernelratio.kernel import cross_matrix, gram_matrix
+        from kernelratio.kernel import cross_matrix
 
         nodes, weights = ctx.quad.nodes_weights()
         _, q = densities(pair, nodes)
@@ -361,6 +363,19 @@ class TestPopulationHForm:
         expected = 0.5 * float(weights @ (h_values**2 * q))
         expected += lam * float(coeffs @ (gram_matrix(kspec, ds.xs).values @ coeffs))
         assert value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("family", [LossFamily.KULSIF, LossFamily.EXP])
+    def test_rows_share_one_kernel_pass_yet_equal_one_row_calls(self, ctx, pair, kspec, family):
+        ds = sample_pair(pair, 6, 6, seed=2)
+        center = fitted_model(pair, kspec, family)
+        rows = np.random.default_rng(5).normal(size=(4, ds.total))
+        lam = 0.2
+        joint = _h_form_integrals(ctx, family, center, kspec, ds.xs, rows)
+        rkhs_sq = np.einsum("ij,ij->i", rows, rows @ gram_matrix(kspec, ds.xs).values)
+        for k, row in enumerate(rows):
+            assert joint[k] == _h_form_integrals(ctx, family, center, kspec, ds.xs, [row])[0]
+            value = population_h_form(ctx, family, center, lam, row, kspec, ds.xs)
+            assert value == pytest.approx(joint[k] + lam * rkhs_sq[k], rel=1e-12)
 
 
 class TestGridMse:
