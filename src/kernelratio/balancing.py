@@ -35,7 +35,7 @@ from .data import LabeledDataset
 from .errors import InputError, NumericalError
 from .kernel import GramMatrix, KernelSpec, gram_matrix, gram_values
 from .losses import LossFamily, loss_d2
-from .solver import FitOptions, FitReport, RatioModel, fit, predict_margin
+from .solver import FitReport, RatioModel, fit, predict_margin
 
 
 class BalanceRule(enum.Enum):
@@ -363,7 +363,6 @@ def fit_grid(
     kernel: KernelSpec,
     dataset: LabeledDataset,
     grid: LambdaGrid,
-    opts: FitOptions | None = None,
     *,
     gram: GramMatrix | None = None,
 ) -> list[tuple[RatioModel, FitReport]]:
@@ -373,7 +372,7 @@ def fit_grid(
     fits = []
     for lam in grid.values:
         try:
-            fits.append(fit(family, kernel, dataset, float(lam), opts, gram=gram))
+            fits.append(fit(family, kernel, dataset, float(lam), gram=gram))
         except NumericalError as exc:
             raise NumericalError(f"fit failed at lambda={lam}: {exc}") from exc
     return fits
@@ -436,11 +435,17 @@ def select_from_fits(
     return _balance(grid, rule, norm_sq, thresholds, per_lambda, params)
 
 
-def fit_and_select(dataset, family, kernel, grid, rule, consts=None, opts=None, *, gram=None):
+def fit_and_select(
+    dataset: LabeledDataset,
+    family: LossFamily,
+    kernel: KernelSpec,
+    grid: LambdaGrid,
+    rule: SelectionRule,
+    consts: BoundConstants | None = None,
+) -> tuple[list[tuple[RatioModel, FitReport]], SelectionReport]:
     """Fit the whole grid and pick lambda by the balancing rule; returns (fits, report)."""
-    if gram is None:
-        gram = gram_matrix(kernel, dataset.xs)
-    fits = fit_grid(family, kernel, dataset, grid, opts, gram=gram)
+    gram = gram_matrix(kernel, dataset.xs)
+    fits = fit_grid(family, kernel, dataset, grid, gram=gram)
     return fits, select_from_fits(family, gram, dataset, grid, fits, rule, consts)
 
 
@@ -451,12 +456,9 @@ def select_lambda(
     grid: LambdaGrid,
     rule: SelectionRule,
     consts: BoundConstants | None = None,
-    opts: FitOptions | None = None,
-    *,
-    gram: GramMatrix | None = None,
 ) -> SelectionReport:
     """Fit the whole grid and pick lambda by the balancing rule."""
-    return fit_and_select(dataset, family, kernel, grid, rule, consts, opts, gram=gram)[1]
+    return fit_and_select(dataset, family, kernel, grid, rule, consts)[1]
 
 
 def known_norm_select(

@@ -84,8 +84,12 @@ class ExperimentConfig:
             missing = [key for key in default["grid"] if key not in grid]
             if missing:
                 raise InputError(f"grid lacks {', '.join(map(repr, missing))}")
+            try:
+                pair = GaussianPairSpec(**doc["pair"])
+            except (TypeError, ValueError) as exc:  # ValueError covers InputError
+                raise InputError(f"pair: {exc}") from exc
             return cls(
-                pair=GaussianPairSpec(**doc["pair"]),
+                pair=pair,
                 losses=tuple(LossFamily(v) for v in doc["losses"]),
                 grid=LambdaGrid(float(grid["lambda0"]), float(grid["xi"]), _integer(grid["l"], "grid.l")),
                 sample_sizes=tuple(

@@ -396,6 +396,7 @@ class TestExperiment:
             ('{"pair": {"mu_q": -Infinity}}', "mu_q must be a finite number"),
             ('{"pair": {"mu_p": NaN}}', "mu_p must be a finite number"),
             ('{"pair": {"sigma_p": 1e-300}}', "sigma_p=1e-300"),
+            ('{"pair": {"sigma_p": -1}}', "pair: standard deviations must be positive"),
             ('{"grid": {"lambda0": 1e-3, "l": 3}}', "grid lacks 'xi'"),
         ],
     )
@@ -406,7 +407,8 @@ class TestExperiment:
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
             assert run_cli(["experiment", str(config_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {config_path}: malformed experiment config: ") and names in err
+        section = "pair: " if content.startswith('{"pair"') else ""
+        assert err.startswith(f"error: {config_path}: malformed experiment config: {section}") and names in err
 
 
 class TestRateSweep:
