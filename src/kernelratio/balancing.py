@@ -58,12 +58,19 @@ class LambdaGrid:
     l: int
 
     def __post_init__(self) -> None:
-        if not (self.lambda0 > 0.0 and np.isfinite(self.lambda0)):
-            raise InputError(f"lambda0 must be positive, got {self.lambda0}")
         if not self.xi > 1.0:
             raise InputError(f"xi must exceed 1, got {self.xi}")
         if self.l < 1:
             raise InputError(f"grid length must be >= 1, got {self.l}")
+        # Every value must be a usable lambda; this also rejects a lambda0
+        # that is not positive and finite.
+        try:
+            values = self.values
+        except OverflowError:  # xi**i left the float range
+            values = np.array([math.inf])
+        bad = ~((values > 0.0) & (values < math.inf))
+        if bad.any():
+            raise InputError(f"grid values must be finite and positive, got {float(values[bad][0])!r}")
 
     @property
     def values(self) -> np.ndarray:
@@ -72,8 +79,8 @@ class LambdaGrid:
     @classmethod
     def from_first(cls, first: float, xi: float, l: int) -> "LambdaGrid":
         """Grid whose smallest value is `first` (so lambda0 = first / xi)."""
-        if not first > 0.0:
-            raise InputError(f"first grid value must be positive, got {first}")
+        if not xi > 1.0:  # checked before dividing by it
+            raise InputError(f"xi must exceed 1, got {xi}")
         return cls(lambda0=first / xi, xi=xi, l=l)
 
 
@@ -253,36 +260,12 @@ def rate_exponent(r: float, capacity_alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class PairwiseEntry:
-    """Diagnostics for one (i, j) comparison, 1-based grid indices, j < i."""
-
-    i: int
-    j: int
-    lambda_i: float
-    lambda_j: float
-    norm_sq: float
-    threshold: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "lambda_i": self.lambda_i,
-            "lambda_j": self.lambda_j,
-            "norm_sq": self.norm_sq,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
 class SelectionReport:
     chosen_lambda: float
     chosen_index: int  # 1-based grid index
     rule: SelectionRule
     grid: LambdaGrid
-    pairwise: tuple[PairwiseEntry, ...]
+    pairwise: tuple[dict, ...]  # keys i, j, lambda_i, lambda_j, norm_sq, threshold, pass
     thresholds_used: tuple[float, ...]
     per_lambda: tuple[dict, ...]
     params: dict
@@ -299,7 +282,7 @@ class SelectionReport:
             "chosen_lambda": self.chosen_lambda,
             "chosen_index": self.chosen_index,
             "thresholds_used": list(self.thresholds_used),
-            "pairwise": [entry.to_dict() for entry in self.pairwise],
+            "pairwise": list(self.pairwise),
             "per_lambda": list(self.per_lambda),
             "params": self.params,
         }
@@ -335,15 +318,15 @@ def _balance(
             value = norm_sq(i, j)
             norms[(i, j)] = value
             pairwise.append(
-                PairwiseEntry(
-                    i=i,
-                    j=j,
-                    lambda_i=float(values[i - 1]),
-                    lambda_j=float(values[j - 1]),
-                    norm_sq=value,
-                    threshold=thresholds[j - 1],
-                    passed=value <= thresholds[j - 1],
-                )
+                {
+                    "i": i,
+                    "j": j,
+                    "lambda_i": float(values[i - 1]),
+                    "lambda_j": float(values[j - 1]),
+                    "norm_sq": value,
+                    "threshold": thresholds[j - 1],
+                    "pass": value <= thresholds[j - 1],
+                }
             )
     chosen = choose_max_qualifying(len(values), norms, thresholds)
     return SelectionReport(
@@ -470,6 +453,7 @@ def known_norm_select(
 ) -> SelectionReport:
     """Balancing with the population curvature norm; for tests only.
 
+    `fits` holds (model, report) pairs, as `fit_grid` returns them.
     `oracle_h_quadratic_form(coeffs, lam)` must return the population
     quadratic form of the coefficient vector at regularization lam; the
     threshold is 8 eta S(N, delta, lambda_j).
@@ -477,14 +461,13 @@ def known_norm_select(
     values = grid.values
     if len(fits) != len(values):
         raise InputError(f"got {len(fits)} fits for a grid of length {len(values)}")
-    models = [entry[0] if isinstance(entry, tuple) else entry for entry in fits]
     eta = balance_eta(BalanceRule.FAST_RATE, consts)
     thresholds = [
         8.0 * eta * s_term(BalanceRule.FAST_RATE, consts, n_total, float(lam)) for lam in values
     ]
 
     def norm_sq(i: int, j: int) -> float:
-        delta_coeffs = models[i - 1].alpha - models[j - 1].alpha
+        delta_coeffs = fits[i - 1][0].alpha - fits[j - 1][0].alpha
         return float(oracle_h_quadratic_form(delta_coeffs, float(values[j - 1])))
 
     per_lambda = [{"lambda": float(lam), "threshold": t} for lam, t in zip(values, thresholds)]

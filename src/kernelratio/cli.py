@@ -25,6 +25,7 @@ from .data import (
     load_two_csv,
     sample_pair,
     write_json,
+    write_text,
 )
 from .errors import InputError, NumericalError
 from .experiment import (
@@ -76,7 +77,10 @@ def _parse_grid(text: str) -> LambdaGrid:
         first, ratio, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InputError(f"--grid expects numbers lo:ratio:count, got {text!r}") from exc
-    return LambdaGrid.from_first(first, ratio, count)
+    try:
+        return LambdaGrid.from_first(first, ratio, count)
+    except InputError as exc:
+        raise InputError(f"--grid {text!r}: {exc}") from exc
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -164,8 +168,7 @@ def cmd_rate_sweep(args) -> int:
         grid=_parse_grid(args.grid),
     )
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rate_sweep_csv_rows(result)) + "\n")
+        write_text(args.out_csv, (line + "\n" for line in rate_sweep_csv_rows(result)))
     summary = {
         "config": {
             "loss": args.loss,

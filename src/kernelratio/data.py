@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +42,8 @@ class GaussianPairSpec:
                 raise InputError(f"{name} must be a finite number, got {value!r}")
         if not (self.sigma_p > 0.0 and self.sigma_q > 0.0):
             raise InputError("standard deviations must be positive")
-        # The oracle integrates over span(8.0); its log ratio must be finite there.
-        for x in self.span(8.0):
+        # The oracle integrates over span(); its log ratio must be finite there.
+        for x in self.span():
             z_p = (x - self.mu_p) / self.sigma_p
             z_q = (x - self.mu_q) / self.sigma_q
             if not math.isfinite(math.log(self.sigma_q) - math.log(self.sigma_p) - 0.5 * z_p * z_p + 0.5 * z_q * z_q):
@@ -51,8 +53,9 @@ class GaussianPairSpec:
                     f"and sigma_q={self.sigma_q!r} are too far apart"
                 )
 
-    def span(self, n_sigma: float) -> tuple[float, float]:
-        """Smallest interval holding both components to n_sigma standard deviations."""
+    def span(self) -> tuple[float, float]:
+        """Smallest interval holding both components to n_sigma = 8 standard deviations."""
+        n_sigma = 8.0
         lo = min(self.mu_p - n_sigma * self.sigma_p, self.mu_q - n_sigma * self.sigma_q)
         hi = max(self.mu_p + n_sigma * self.sigma_p, self.mu_q + n_sigma * self.sigma_q)
         return lo, hi
@@ -195,8 +198,24 @@ def finite_or_null(doc):
     return doc
 
 
-def write_json(path: str, doc) -> None:
-    """Write doc to path as strict JSON: non-finite floats as null, indented, newline-terminated."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(finite_or_null(doc), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+def write_text(path: str, chunks, *, make_dirs: bool = False) -> None:
+    """Write the strings in chunks to path as UTF-8, first creating its directory if make_dirs.
+
+    Any OSError, from the directory or the file, becomes an InputError naming the path.
+    """
+    try:
+        if make_dirs:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(path: str, doc, *, make_dirs: bool = False) -> None:
+    """Write doc to path as strict JSON: non-finite floats as null, indented, newline-terminated.
+
+    The text is streamed to the file as it is encoded, as json.dump does.
+    """
+    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(finite_or_null(doc))
+    write_text(path, itertools.chain(chunks, ["\n"]), make_dirs=make_dirs)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balancing import BoundConstants, LambdaGrid, SelectionRule, fit_and_select
-from .data import DEFAULT_PAIR, GaussianPairSpec, sample_pair, write_json
+from .data import DEFAULT_PAIR, GaussianPairSpec, sample_pair, write_json, write_text
 from .errors import InputError
 from .kernel import KernelFamily, KernelSpec
 from .losses import LossFamily
@@ -29,7 +29,7 @@ from .solver import margins_at
 class ExperimentConfig:
     pair: GaussianPairSpec = field(default_factory=GaussianPairSpec)
     losses: tuple[LossFamily, ...] = (LossFamily.KULSIF, LossFamily.EXP)
-    grid: LambdaGrid = field(default_factory=lambda: LambdaGrid(lambda0=1e-4, xi=10.0, l=5))
+    grid: LambdaGrid = LambdaGrid(lambda0=1e-4, xi=10.0, l=5)
     sample_sizes: tuple[tuple[int, int], ...] = ((3, 3), (10, 10), (100, 100))
     seeds: tuple[int, ...] = tuple(range(50))
     rule: SelectionRule = SelectionRule.PRACTICAL_MJ
@@ -72,8 +72,9 @@ class ExperimentConfig:
     def from_dict(cls, doc) -> "ExperimentConfig":
         """The config that `to_dict` wrote; an absent key takes ExperimentConfig()'s value.
 
-        Unknown keys are rejected, at the top level and in each section, and
-        grid.l, seeds and sample sizes must be JSON integers.
+        Unknown keys are rejected, at the top level and in each section;
+        grid.l, seeds and sample sizes must be JSON integers, losses a list,
+        output_dir a string, and rule "mj" or "eta-s".
         """
         default = cls().to_dict()
         try:
@@ -88,6 +89,12 @@ class ExperimentConfig:
                 pair = GaussianPairSpec(**doc["pair"])
             except (TypeError, ValueError) as exc:  # ValueError covers InputError
                 raise InputError(f"pair: {exc}") from exc
+            if not isinstance(doc["losses"], list):
+                raise InputError(f"losses must be a JSON list, got {doc['losses']!r}")
+            if doc["rule"] not in ("mj", "eta-s"):
+                raise InputError(f"rule must be \"mj\" or \"eta-s\", got {doc['rule']!r}")
+            if not isinstance(doc["output_dir"], str):
+                raise InputError(f"output_dir must be a JSON string, got {doc['output_dir']!r}")
             return cls(
                 pair=pair,
                 losses=tuple(LossFamily(v) for v in doc["losses"]),
@@ -98,7 +105,7 @@ class ExperimentConfig:
                 seeds=tuple(_integer(s, "seeds") for s in doc["seeds"]),
                 rule=SelectionRule(doc["rule"]),
                 kernel=KernelSpec(KernelFamily(doc["kernel"]["family"]), float(doc["kernel"]["bandwidth"])),
-                output_dir=str(doc["output_dir"]),
+                output_dir=doc["output_dir"],
                 consts=BoundConstants(**{key: float(value) for key, value in doc["consts"].items()}),
             )
         except (TypeError, ValueError, OverflowError) as exc:  # ValueError covers InputError
@@ -233,12 +240,10 @@ def report_to_csv_rows(report: dict) -> list[str]:
 
 
 def write_experiment_outputs(report: dict, output_dir: str) -> tuple[str, str]:
-    os.makedirs(output_dir, exist_ok=True)
     report_path = os.path.join(output_dir, "report.json")
     csv_path = os.path.join(output_dir, "results.csv")
-    write_json(report_path, report)
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(report_to_csv_rows(report)) + "\n")
+    write_json(report_path, report, make_dirs=True)
+    write_text(csv_path, (line + "\n" for line in report_to_csv_rows(report)))
     return report_path, csv_path
 
 
@@ -248,7 +253,7 @@ def run_rate_sweep(
     n_seeds: int,
     rule: SelectionRule,
     *,
-    grid: LambdaGrid | None = None,
+    grid: LambdaGrid = ExperimentConfig.grid,
 ) -> dict:
     """Median divergence at the selected lambda, per pooled sample size N.
 
@@ -256,10 +261,12 @@ def run_rate_sweep(
     Sizes are total counts m + n, split evenly; the fitted log-log slope
     of the medians is reported (None for a single size).
     """
-    grid = grid or LambdaGrid(lambda0=1e-4, xi=10.0, l=5)
     sizes = sorted(int(s) for s in sizes)
     if not sizes:
         raise InputError("need at least one size")
+    for smaller, larger in zip(sizes, sizes[1:]):
+        if smaller == larger:
+            raise InputError(f"size {smaller} is given more than once")
     if any(s < 2 for s in sizes):
         raise InputError("each size must be at least 2 (one sample per class)")
     if n_seeds < 1:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -85,19 +85,13 @@ class FitReport:
     method: str  # "NonlinearCG" | "ClosedForm"
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "grad_norm": self.grad_norm,
-            "objective": self.objective,
-            "converged": self.converged,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class FitOptions:
     method: str = "auto"  # "auto" | "cg"
-    tol_grad: float | None = None  # default 1e-8 * N
+    tol_grad: float | None = None  # None: scaled by the sample count in fit
     max_iters: int = 5000
 
 
@@ -157,7 +151,6 @@ def closed_form_fit(family: LossFamily, gram, ys, lam: float) -> np.ndarray:
 
 def _fit_cg(family, K, ys, lam, opts, callback=None):
     n_total = ys.shape[0]
-    tol = opts.tol_grad if opts.tol_grad is not None else 1e-8 * n_total
     neg_ys = -ys
     alpha = np.zeros(n_total)
     margins = np.zeros(n_total)
@@ -176,7 +169,7 @@ def _fit_cg(family, K, ys, lam, opts, callback=None):
         grad_norm = math.sqrt(gg)
         if callback is not None:
             callback(iteration - 1, alpha, value, grad_norm)
-        if grad_norm <= tol:
+        if grad_norm <= opts.tol_grad:
             converged = True
             break
         iterations = iteration
@@ -268,6 +261,8 @@ def fit(
     if not (lam > 0.0 and np.isfinite(lam)):
         raise InputError(f"lambda must be positive, got {lam}")
     opts = opts or FitOptions()
+    if opts.tol_grad is None:
+        opts = replace(opts, tol_grad=1e-8 * dataset.total)
     if opts.method not in ("auto", "cg"):
         raise InputError(f"unknown method {opts.method!r}")
     if gram is None:
@@ -282,12 +277,11 @@ def fit(
         with np.errstate(over="ignore", invalid="ignore"):
             value, grad = objective_and_gradient(family, K, ys, alpha, lam)
             grad_norm = float(np.linalg.norm(grad))
-        tol = opts.tol_grad if opts.tol_grad is not None else 1e-8 * dataset.total
         report = FitReport(
             iterations=0,
             grad_norm=grad_norm,
             objective=value,
-            converged=grad_norm <= tol,
+            converged=grad_norm <= opts.tol_grad,
             method="ClosedForm",
         )
     else:

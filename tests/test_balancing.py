@@ -52,6 +52,9 @@ class TestLambdaGrid:
         {"lambda0": 0.0, "xi": 10.0, "l": 5},
         {"lambda0": 1e-4, "xi": 1.0, "l": 5},
         {"lambda0": 1e-4, "xi": 10.0, "l": 0},
+        {"lambda0": 1.0, "xi": 1e300, "l": 3},  # xi**2 overflows
+        {"lambda0": 1e290, "xi": 1e10, "l": 3},  # the last value is inf
+        {"lambda0": float("nan"), "xi": 10.0, "l": 3},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InputError):

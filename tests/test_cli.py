@@ -212,6 +212,19 @@ class TestSelect:
         assert len(report["pairwise"]) == 10
         assert chosen in report["grid"]["values"]
 
+    def test_report_layout(self, tmp_path, capsys):
+        out = tmp_path / "selection.json"
+        args = ["select", "--synthetic", "--m", "10", "--n", "10", "--loss", "lr", "--grid", "1e-2:10:3"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        assert [(e["i"], e["j"]) for e in report["pairwise"]] == [(2, 1), (3, 1), (3, 2)]
+        for entry in report["pairwise"]:
+            assert list(entry) == ["i", "j", "lambda_i", "lambda_j", "norm_sq", "threshold", "pass"]
+            assert entry["pass"] is (entry["norm_sq"] <= entry["threshold"])
+        for entry in report["per_lambda"]:
+            assert list(entry["fit"]) == ["iterations", "grad_norm", "objective", "converged", "method"]
+
     def test_eta_s_records_default_delta(self, tmp_path, capsys):
         out = tmp_path / "selection.json"
         code = run_cli(
@@ -290,6 +303,24 @@ class TestSelect:
         )
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, grid",
+        [
+            ("select", "1e-300:1e15:21"),
+            ("select", "1e300:1e10:3"),
+            ("select", "1e-320:1e10:3"),
+            ("select", "1e-3:0:3"),
+            ("rate-sweep", "1e300:1e10:3"),
+        ],
+    )
+    def test_grid_outside_the_float_range_exits_two_naming_the_flag(self, capsys, command, grid):
+        data = ["--synthetic", "--m", "5", "--n", "5"] if command == "select" else ["--sizes", "8", "--seeds", "1"]
+        assert run_quiet([command, *data, "--loss", "kulsif", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: --grid {grid!r}: ")
 
 
 class TestExperiment:
@@ -398,6 +429,7 @@ class TestExperiment:
             ('{"pair": {"sigma_p": 1e-300}}', "sigma_p=1e-300"),
             ('{"pair": {"sigma_p": -1}}', "pair: standard deviations must be positive"),
             ('{"grid": {"lambda0": 1e-3, "l": 3}}', "grid lacks 'xi'"),
+            ('{"grid": {"lambda0": 1.0, "xi": 1e300, "l": 3}}', "grid values must be finite and positive, got inf"),
         ],
     )
     def test_bad_pair_or_grid_exits_two_naming_file_and_field(self, tmp_path, capsys, content, names):
@@ -436,7 +468,7 @@ class TestRateSweep:
         assert lines[0] == "N,median_error"
         assert len(lines) == 2
 
-    @pytest.mark.parametrize("sizes", ["10,abc", "", ","])
+    @pytest.mark.parametrize("sizes", ["10,abc", "", ",", "8,8"])
     def test_bad_sizes_exit_two(self, sizes, capsys):
         code = run_cli(["rate-sweep", "--loss", "kulsif", "--sizes", sizes, "--seeds", "1"])
         assert code == 2
@@ -558,12 +590,44 @@ class TestOutOfRangeInput:
             ('{"sample_sizes": [[3, 3.0]]}', "sample_sizes must hold JSON integers, got 3.0"),
             ('{"seeds": [0, -1]}', "seeds must be nonnegative, got -1"),
             ('{"kernel": {"bandwidth": 1e-170}}', "bandwidth must be a positive real with 2 * bandwidth**2"),
+            ('{"output_dir": null}', "output_dir must be a JSON string, got None"),
+            ('{"output_dir": 5}', "output_dir must be a JSON string, got 5"),
+            ('{"losses": "kulsif"}', "losses must be a JSON list, got 'kulsif'"),
+            ('{"rule": "known-norm"}', 'rule must be "mj" or "eta-s", got \'known-norm\''),
         ],
     )
-    def test_config_reads_only_what_it_writes(self, tmp_path, capsys, content, names):
+    def test_config_reads_only_what_it_writes(self, tmp_path, capsys, monkeypatch, content, names):
+        monkeypatch.chdir(tmp_path)  # where a relative output_dir would land
         config_path = tmp_path / "config.json"
         config_path.write_text(content, encoding="utf-8")
         assert run_quiet(["experiment", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config_path}: malformed experiment config: {names}")
         assert err.count("malformed experiment config") == 1
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["fit", "select", "rate-sweep", "experiment"])
+    def test_exits_two_naming_the_path(self, tmp_path, capsys, command):
+        (tmp_path / "a_file").write_text("", encoding="utf-8")
+        missing = tmp_path / "missing"
+        if command == "fit":
+            path = missing / "dir" / "m.json"
+            args = ["fit", *SYNTH, "--loss", "kulsif", "--lambda", "0.1", "--out", str(path)]
+        elif command == "select":
+            path = missing / "s.json"
+            args = ["select", *SYNTH, "--loss", "kulsif", "--grid", "1e-2:10:2", "--out", str(path)]
+        elif command == "rate-sweep":
+            path = missing / "r.csv"
+            args = ["rate-sweep", "--loss", "kulsif", "--sizes", "8", "--seeds", "1", "--grid", "1e-2:10:2"]
+            args += ["--out-csv", str(path)]
+        else:
+            path = tmp_path / "a_file" / "out" / "report.json"
+            config = {"losses": ["kulsif"], "sample_sizes": [[3, 3]], "seeds": [0], "output_dir": str(path.parent)}
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            args = ["experiment", str(config_path)]
+        assert run_quiet(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: ")
+        assert not missing.exists()
