@@ -34,8 +34,8 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import InputError, NumericalError
 from .kernel import GramMatrix, KernelSpec, gram_matrix, gram_values
-from .losses import LossFamily, loss_d2
-from .solver import FitReport, RatioModel, fit, predict_margin
+from .losses import QUADRATIC_FAMILIES, LossFamily, loss_d2
+from .solver import ClosedFormSystem, FitReport, RatioModel, fit, predict_margin
 
 
 class BalanceRule(enum.Enum):
@@ -349,16 +349,32 @@ def fit_grid(
     *,
     gram: GramMatrix | None = None,
 ) -> list[tuple[RatioModel, FitReport]]:
-    """Fit the estimator once per grid value, ascending."""
+    """Fit the estimator once per grid value, ascending.
+
+    The margin-quadratic families share one closed-form setup over the grid.
+    """
     if gram is None:
         gram = gram_matrix(kernel, dataset.xs)
+    system = ClosedFormSystem(family, gram, dataset.ys) if family in QUADRATIC_FAMILIES else None
     fits = []
     for lam in grid.values:
         try:
-            fits.append(fit(family, kernel, dataset, float(lam), gram=gram))
+            fits.append(fit(family, kernel, dataset, float(lam), gram=gram, system=system))
         except NumericalError as exc:
             raise NumericalError(f"fit failed at lambda={lam}: {exc}") from exc
     return fits
+
+
+def _selection_weights(family: LossFamily, gram: GramMatrix, dataset: LabeledDataset, fits):
+    """hessian_weights at each fitted model.
+
+    A margin-quadratic family's ell'' does not depend on the margin, so one
+    vector read off the labels serves every fit.
+    """
+    if family in QUADRATIC_FAMILIES:
+        ys = dataset.ys.astype(np.float64)
+        return [HessianWeights(e=loss_d2(family, ys, np.zeros(ys.shape[0])))] * len(fits)
+    return [hessian_weights(family, model, dataset, gram) for model, _ in fits]
 
 
 def select_from_fits(
@@ -379,7 +395,7 @@ def select_from_fits(
     n_total = dataset.total
     consts = consts or BoundConstants()
 
-    weights = [hessian_weights(family, model, dataset, gram) for model, _ in fits]
+    weights = _selection_weights(family, gram, dataset, fits)
     traces = [hessian_trace(gram, w, float(lam)) for w, lam in zip(weights, values)]
 
     thresholds = []

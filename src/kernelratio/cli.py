@@ -30,6 +30,7 @@ from .data import (
 from .errors import InputError, NumericalError
 from .experiment import (
     ExperimentConfig,
+    check_output_dir,
     rate_sweep_csv_rows,
     report_summary,
     run_experiment,
@@ -151,6 +152,7 @@ def cmd_select(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(args.config)
+    check_output_dir(config.output_dir)
     report = run_experiment(config)
     report_path, csv_path = write_experiment_outputs(report, config.output_dir)
     print(json.dumps({"report": report_path, "csv": csv_path, **report_summary(report)}))

@@ -49,6 +49,9 @@ class ExperimentConfig:
                 raise InputError(f"invalid sample size (m={m}, n={n})")
         if any(seed < 0 for seed in self.seeds):
             raise InputError(f"seeds must be nonnegative, got {min(self.seeds)}")
+        if self.rule is SelectionRule.KNOWN_NORM_ORACLE:
+            # Selection by the known-norm rule needs the oracle's population form.
+            raise InputError(f"rule must be \"mj\" or \"eta-s\", got {self.rule.value!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -239,9 +242,25 @@ def report_to_csv_rows(report: dict) -> list[str]:
     return lines
 
 
+def _output_paths(output_dir: str) -> tuple[str, str]:
+    return os.path.join(output_dir, "report.json"), os.path.join(output_dir, "results.csv")
+
+
+def check_output_dir(output_dir: str) -> None:
+    """Raise InputError if output_dir can be neither made nor written.
+
+    Only its nearest existing ancestor is looked at, so nothing is created
+    or truncated: that must be a directory this process may write.
+    """
+    existing = os.path.abspath(output_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
+        raise InputError(f"cannot write {_output_paths(output_dir)[0]}: {existing} is not a writable directory")
+
+
 def write_experiment_outputs(report: dict, output_dir: str) -> tuple[str, str]:
-    report_path = os.path.join(output_dir, "report.json")
-    csv_path = os.path.join(output_dir, "results.csv")
+    report_path, csv_path = _output_paths(output_dir)
     write_json(report_path, report, make_dirs=True)
     write_text(csv_path, (line + "\n" for line in report_to_csv_rows(report)))
     return report_path, csv_path

@@ -13,6 +13,8 @@ Two solve paths:
   backtracking) from alpha = 0, for any loss family;
 * a direct linear solve for the families quadratic in the margin
   (kulsif, sq), which doubles as an oracle for the iterative path.
+  Everything in it but lambda is set up once per dataset
+  (`ClosedFormSystem`), so a whole lambda grid shares one setup.
 """
 
 from __future__ import annotations
@@ -107,11 +109,8 @@ def objective_and_gradient(family: LossFamily, gram, ys, alpha, lam: float):
     return value, grad
 
 
-# A subnormal lambda overflows the coefficients; the finite check reports
-# that, not numpy.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def closed_form_fit(family: LossFamily, gram, ys, lam: float) -> np.ndarray:
-    """Direct linear solve for the margin-quadratic families.
+class ClosedFormSystem:
+    """The lambda-invariant part of the direct solve for the margin-quadratic families.
 
     A loss quadratic in the margin has ell'(y, v) = ell'(y, 0) + ell''(y) v,
     so the stationarity condition d/N + lambda alpha = 0 at margins K alpha
@@ -121,32 +120,58 @@ def closed_form_fit(family: LossFamily, gram, ys, lam: float) -> np.ndarray:
     set directly; the curved rows S then solve the smaller system
     ((1/N) E_S K_SS + lambda I) alpha_S = -(d0_S + E_S K_SZ alpha_Z) / N
     over the flat rows Z.  With no flat rows (sq) this is the full system.
+
+    Everything but lambda is built once, here, so a whole lambda grid shares
+    it: `solve` adds lambda to the diagonal of (1/N) E_S K_SS, solves, and
+    takes it off again, so one system serves one solve at a time.
     """
-    if family not in QUADRATIC_FAMILIES:
-        raise InputError(f"no closed form for {family.value}; use the CG path")
-    K = gram_values(gram)
-    ys = np.asarray(ys, dtype=np.float64)
-    n_total = ys.shape[0]
-    zero = np.zeros(n_total)
-    e = loss_d2(family, ys, zero)
-    d0 = loss_d1(family, ys, zero)
-    flat = np.flatnonzero(e == 0.0)
-    curved = np.flatnonzero(e != 0.0)
-    alpha = np.empty(n_total)
-    # 0.0 - x, not -x: a zero slope must give +0.0, not -0.0, in the model.
-    alpha[flat] = 0.0 - d0[flat] / (n_total * lam)
-    e_s = e[curved]
-    system = e_s[:, None] * K[np.ix_(curved, curved)] / n_total + lam * np.eye(curved.size)
-    rhs = 0.0 - (d0[curved] + e_s * (K[np.ix_(curved, flat)] @ alpha[flat])) / n_total
-    try:
-        # + 0.0 turns the -0.0 that a negative LU pivot makes of a zero
-        # right-hand side (kulsif with no P points) into +0.0.
-        alpha[curved] = np.linalg.solve(system, rhs) + 0.0
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"closed-form system is singular: {exc}") from exc
-    if not np.all(np.isfinite(alpha)):
-        raise NumericalError(f"closed-form coefficients are not finite at lambda={lam}")
-    return alpha
+
+    def __init__(self, family: LossFamily, gram, ys) -> None:
+        if family not in QUADRATIC_FAMILIES:
+            raise InputError(f"no closed form for {family.value}; use the CG path")
+        K = gram_values(gram)
+        ys = np.asarray(ys, dtype=np.float64)
+        zero = np.zeros(ys.shape[0])
+        e = loss_d2(family, ys, zero)
+        self.n_total = ys.shape[0]
+        self.d0 = loss_d1(family, ys, zero)
+        self.flat = np.flatnonzero(e == 0.0)
+        self.curved = np.flatnonzero(e != 0.0)
+        self.e_s = e[self.curved]
+        self.k_sz = K[np.ix_(self.curved, self.flat)]
+        # (1/N) E_S K_SS, built in its one buffer; _diagonal is a view of its diagonal.
+        self.block = K[np.ix_(self.curved, self.curved)]
+        self.block *= self.e_s[:, None]
+        self.block /= self.n_total
+        self._diagonal = self.block.reshape(-1)[:: self.curved.size + 1]
+        self._block_diagonal = self._diagonal.copy()
+
+    # A subnormal lambda overflows the coefficients; the finite check reports
+    # that, not numpy.
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def solve(self, lam: float) -> np.ndarray:
+        n_total, flat, curved, d0 = self.n_total, self.flat, self.curved, self.d0
+        alpha = np.empty(n_total)
+        # 0.0 - x, not -x: a zero slope must give +0.0, not -0.0, in the model.
+        alpha[flat] = 0.0 - d0[flat] / (n_total * lam)
+        rhs = 0.0 - (d0[curved] + self.e_s * (self.k_sz @ alpha[flat])) / n_total
+        self._diagonal[:] = self._block_diagonal + lam
+        try:
+            # + 0.0 turns the -0.0 that a negative LU pivot makes of a zero
+            # right-hand side (kulsif with no P points) into +0.0.
+            alpha[curved] = np.linalg.solve(self.block, rhs) + 0.0
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"closed-form system is singular: {exc}") from exc
+        finally:
+            self._diagonal[:] = self._block_diagonal
+        if not np.all(np.isfinite(alpha)):
+            raise NumericalError(f"closed-form coefficients are not finite at lambda={lam}")
+        return alpha
+
+
+def closed_form_fit(family: LossFamily, gram, ys, lam: float) -> np.ndarray:
+    """Direct linear solve at one lambda; see ClosedFormSystem."""
+    return ClosedFormSystem(family, gram, ys).solve(lam)
 
 
 def _fit_cg(family, K, ys, lam, opts, callback=None):
@@ -249,12 +274,15 @@ def fit(
     opts: FitOptions | None = None,
     *,
     gram: GramMatrix | None = None,
+    system: ClosedFormSystem | None = None,
     callback=None,
 ) -> tuple[RatioModel, FitReport]:
     """Minimize the regularized objective; returns the model and a report.
 
     The closed-form path is the default for the margin-quadratic families,
-    CG for the rest.  Non-convergence is reported, never silent.
+    CG for the rest.  `system`, the closed form set up over this dataset
+    and Gram matrix, lets a grid of fits share that setup.
+    Non-convergence is reported, never silent.
     """
     if dataset.total < 1:
         raise InputError("dataset is empty")
@@ -271,7 +299,7 @@ def fit(
     ys = dataset.ys
 
     if opts.method == "auto" and family in QUADRATIC_FAMILIES:
-        alpha = closed_form_fit(family, K, ys, lam)
+        alpha = (system or ClosedFormSystem(family, K, ys)).solve(lam)
         # At extreme lambda the coefficients are huge: the objective and the
         # gradient norm then overflow to inf or nan, which the report shows.
         with np.errstate(over="ignore", invalid="ignore"):

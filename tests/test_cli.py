@@ -1,11 +1,14 @@
 import json
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from kernelratio import InputError, load_model
-from kernelratio.cli import main
+from kernelratio import cli
+from kernelratio.cli import _parse_grid, build_parser, main
+from kernelratio.experiment import ExperimentConfig
 
 
 def run_cli(args):
@@ -444,6 +447,14 @@ class TestExperiment:
 
 
 class TestRateSweep:
+    def test_default_grid_text_is_the_default_grid(self):
+        # rate-sweep echoes the flag's text, so the default is kept as text;
+        # it must still name ExperimentConfig's grid.
+        args = build_parser().parse_args(["rate-sweep", "--loss", "kulsif", "--sizes", "8"])
+        grid = _parse_grid(args.grid)
+        assert grid == ExperimentConfig.grid
+        assert grid.values.tobytes() == ExperimentConfig.grid.values.tobytes()
+
     def test_single_size_has_null_slope(self, tmp_path, capsys):
         out_csv = tmp_path / "rates.csv"
         code = run_cli(
@@ -631,3 +642,19 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: ")
         assert not missing.exists()
+
+    def test_experiment_under_a_regular_file_exits_two_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # The default config: 1500 fits, had they run before the check.
+        started = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config: started.append(config))
+        (tmp_path / "a_file").write_text("kept", encoding="utf-8")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"output_dir": str(tmp_path / "a_file" / "out")}), encoding="utf-8")
+        before = time.perf_counter()
+        assert run_quiet(["experiment", str(config_path)]) == 2
+        assert time.perf_counter() - before < 1.0
+        assert started == []
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {tmp_path / 'a_file' / 'out' / 'report.json'}: {tmp_path / 'a_file'} is not a writable directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "config.json"]
+        assert (tmp_path / "a_file").read_text(encoding="utf-8") == "kept"

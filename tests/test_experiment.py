@@ -138,6 +138,8 @@ def test_config_validation():
         ExperimentConfig(seeds=())
     with pytest.raises(InputError, match="seeds must be nonnegative"):
         ExperimentConfig(seeds=(0, -1))
+    with pytest.raises(InputError, match="rule must be \"mj\" or \"eta-s\", got 'known-norm'"):
+        ExperimentConfig(rule=SelectionRule.KNOWN_NORM_ORACLE)
 
 
 def test_rate_sweep_shape():

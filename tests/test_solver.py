@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from kernelratio import (
     FitOptions,
     InputError,
+    LambdaGrid,
     LossFamily,
+    NumericalError,
     closed_form_fit,
     fit,
     gram_matrix,
@@ -169,6 +171,65 @@ class TestClosedForm:
         ds, spec = case
         alpha = closed_form_fit(LossFamily.KULSIF, gram_matrix(spec, ds.xs).values, ds.ys, lam)
         assert np.all(alpha == 0.0) and not np.any(np.signbit(alpha))
+
+    @given(
+        case=block_datasets(p_counts=st.integers(0, 40)),
+        family=st.sampled_from([LossFamily.KULSIF, LossFamily.SQ]),
+        first=st.one_of(st.floats(1e-4, 1.0), st.just(1e-320)),
+        xi=st.floats(1.5, 10.0),
+        length=st.integers(1, 5),
+    )
+    @example(  # kulsif with no P points: every coefficient is +0.0
+        case=(LabeledDataset.from_blocks([], np.random.default_rng(0).normal(size=(3, 1))), KernelSpec()),
+        family=LossFamily.KULSIF,
+        first=1e-3,
+        xi=10.0,
+        length=3,
+    )
+    @example(  # a subnormal lambda: the kulsif P rows overflow
+        case=(LabeledDataset.from_blocks([[4.0]], [[2.0], [3.0]]), KernelSpec()),
+        family=LossFamily.KULSIF,
+        first=1e-320,
+        xi=10.0,
+        length=2,
+    )
+    def test_grid_fits_equal_one_lambda_fits_bitwise(self, case, family, first, xi, length):
+        # fit_grid shares one closed-form setup over the grid; every fit must
+        # still be bitwise the fit at that lambda alone, the first failure
+        # must be the one-lambda failure, and the Gram matrix, whose blocks
+        # the setup copies, must be left as it was.
+        ds, spec = case
+        gram = gram_matrix(spec, ds.xs)
+        gram_bytes = gram.values.tobytes()
+        grid = LambdaGrid.from_first(first, xi, length)
+        alone = []
+        for lam in map(float, grid.values):
+            try:
+                alone.append((closed_form_fit(family, gram, ds.ys, lam), fit(family, spec, ds, lam)[1]))
+            except NumericalError as exc:
+                with pytest.raises(NumericalError) as failure:
+                    fit_grid(family, spec, ds, grid, gram=gram)
+                assert str(failure.value) == f"fit failed at lambda={lam}: {exc}"
+                break
+        else:
+            fits = fit_grid(family, spec, ds, grid, gram=gram)
+            for (model, report), (alpha, one_report) in zip(fits, alone):
+                assert model.alpha.tobytes() == alpha.tobytes()
+                assert repr(report) == repr(one_report)
+            if family is LossFamily.KULSIF and ds.m == 0:
+                assert all(not np.any(np.signbit(model.alpha)) for model, _ in fits)
+        assert gram.values.tobytes() == gram_bytes
+
+    def test_solve_leaves_the_shared_block_as_it_was(self, pair, kspec):
+        ds = sample_pair(pair, 6, 7, seed=1)
+        gram = gram_matrix(kspec, ds.xs)
+        system = solver.ClosedFormSystem(LossFamily.KULSIF, gram, ds.ys)
+        block = system.block.tobytes()
+        assert system.solve(0.1).tobytes() == closed_form_fit(LossFamily.KULSIF, gram, ds.ys, 0.1).tobytes()
+        assert system.block.tobytes() == block
+        with pytest.raises(NumericalError, match="not finite at lambda=1e-320"):
+            system.solve(1e-320)
+        assert system.block.tobytes() == block
 
 
 class TestFit:
