@@ -104,10 +104,14 @@ def hessian_weights(
 
     kulsif: (1 - y_i)/2 exactly (label-only); exp: e^{-y_i f(x_i)};
     lr: s(1-s) at s = logistic(y_i f(x_i)); sq: the constant 2.
-    With the Gram matrix of the training points at hand, the margins are
-    read off as K alpha instead of evaluating the kernel again.
+    The margin-quadratic families' ell'' does not depend on the margin, so
+    theirs are read off the labels alone.  Otherwise, with the Gram matrix
+    of the training points at hand, the margins are read off as K alpha
+    instead of evaluating the kernel again.
     """
-    if gram is None:
+    if family in QUADRATIC_FAMILIES:
+        margins = np.zeros(dataset.total)
+    elif gram is None:
         margins = predict_margin(model, dataset.xs)
     else:
         margins = gram_values(gram) @ model.alpha
@@ -365,18 +369,6 @@ def fit_grid(
     return fits
 
 
-def _selection_weights(family: LossFamily, gram: GramMatrix, dataset: LabeledDataset, fits):
-    """hessian_weights at each fitted model.
-
-    A margin-quadratic family's ell'' does not depend on the margin, so one
-    vector read off the labels serves every fit.
-    """
-    if family in QUADRATIC_FAMILIES:
-        ys = dataset.ys.astype(np.float64)
-        return [HessianWeights(e=loss_d2(family, ys, np.zeros(ys.shape[0])))] * len(fits)
-    return [hessian_weights(family, model, dataset, gram) for model, _ in fits]
-
-
 def select_from_fits(
     family: LossFamily,
     gram: GramMatrix,
@@ -395,7 +387,7 @@ def select_from_fits(
     n_total = dataset.total
     consts = consts or BoundConstants()
 
-    weights = _selection_weights(family, gram, dataset, fits)
+    weights = [hessian_weights(family, model, dataset, gram) for model, _ in fits]
     traces = [hessian_trace(gram, w, float(lam)) for w, lam in zip(weights, values)]
 
     thresholds = []

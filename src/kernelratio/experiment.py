@@ -24,6 +24,14 @@ from .losses import LossFamily
 from .oracle import OracleContext, bayes_risk, grid_mse, population_risk, population_risks
 from .solver import margins_at
 
+# The rules an experiment selects by; the known-norm rule needs the oracle's population form.
+_EXPERIMENT_RULES = (SelectionRule.PRACTICAL_MJ, SelectionRule.THEORETICAL_ETA_S)
+
+
+def _rule_error(got) -> InputError:
+    names = " or ".join(f'"{rule.value}"' for rule in _EXPERIMENT_RULES)
+    return InputError(f"rule must be {names}, got {got!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -49,9 +57,8 @@ class ExperimentConfig:
                 raise InputError(f"invalid sample size (m={m}, n={n})")
         if any(seed < 0 for seed in self.seeds):
             raise InputError(f"seeds must be nonnegative, got {min(self.seeds)}")
-        if self.rule is SelectionRule.KNOWN_NORM_ORACLE:
-            # Selection by the known-norm rule needs the oracle's population form.
-            raise InputError(f"rule must be \"mj\" or \"eta-s\", got {self.rule.value!r}")
+        if self.rule not in _EXPERIMENT_RULES:
+            raise _rule_error(self.rule.value)
 
     def to_dict(self) -> dict:
         return {
@@ -94,8 +101,8 @@ class ExperimentConfig:
                 raise InputError(f"pair: {exc}") from exc
             if not isinstance(doc["losses"], list):
                 raise InputError(f"losses must be a JSON list, got {doc['losses']!r}")
-            if doc["rule"] not in ("mj", "eta-s"):
-                raise InputError(f"rule must be \"mj\" or \"eta-s\", got {doc['rule']!r}")
+            if doc["rule"] not in [rule.value for rule in _EXPERIMENT_RULES]:
+                raise _rule_error(doc["rule"])
             if not isinstance(doc["output_dir"], str):
                 raise InputError(f"output_dir must be a JSON string, got {doc['output_dir']!r}")
             return cls(
@@ -250,10 +257,11 @@ def check_output_dir(output_dir: str) -> None:
     """Raise InputError if output_dir can be neither made nor written.
 
     Only its nearest existing ancestor is looked at, so nothing is created
-    or truncated: that must be a directory this process may write.
+    or truncated: that must be a directory, or a symlink that resolves to
+    one, which this process may write.
     """
     existing = os.path.abspath(output_dir)
-    while not os.path.exists(existing):
+    while not os.path.lexists(existing):
         existing = os.path.dirname(existing)
     if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
         raise InputError(f"cannot write {_output_paths(output_dir)[0]}: {existing} is not a writable directory")

@@ -133,6 +133,7 @@ class ClosedFormSystem:
         ys = np.asarray(ys, dtype=np.float64)
         zero = np.zeros(ys.shape[0])
         e = loss_d2(family, ys, zero)
+        self.family, self.gram, self.ys = family, K, ys
         self.n_total = ys.shape[0]
         self.d0 = loss_d1(family, ys, zero)
         self.flat = np.flatnonzero(e == 0.0)
@@ -145,6 +146,10 @@ class ClosedFormSystem:
         self.block /= self.n_total
         self._diagonal = self.block.reshape(-1)[:: self.curved.size + 1]
         self._block_diagonal = self._diagonal.copy()
+
+    def serves(self, family: LossFamily, K, ys) -> bool:
+        """Whether this system was set up for family over this very Gram matrix and these labels."""
+        return family is self.family and K is self.gram and np.array_equal(ys, self.ys)
 
     # A subnormal lambda overflows the coefficients; the finite check reports
     # that, not numpy.
@@ -280,8 +285,8 @@ def fit(
     """Minimize the regularized objective; returns the model and a report.
 
     The closed-form path is the default for the margin-quadratic families,
-    CG for the rest.  `system`, the closed form set up over this dataset
-    and Gram matrix, lets a grid of fits share that setup.
+    CG for the rest.  `system`, the closed form set up for family over
+    `gram` and the dataset's labels, lets a grid of fits share that setup.
     Non-convergence is reported, never silent.
     """
     if dataset.total < 1:
@@ -299,7 +304,11 @@ def fit(
     ys = dataset.ys
 
     if opts.method == "auto" and family in QUADRATIC_FAMILIES:
-        alpha = (system or ClosedFormSystem(family, K, ys)).solve(lam)
+        if system is None:
+            system = ClosedFormSystem(family, K, ys)
+        elif not system.serves(family, K, ys):
+            raise InputError("the closed-form system was set up for another family, Gram matrix or labels")
+        alpha = system.solve(lam)
         # At extreme lambda the coefficients are huge: the objective and the
         # gradient norm then overflow to inf or nan, which the report shows.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -26,7 +26,6 @@ from kernelratio import (
 )
 from kernelratio.balancing import (
     HessianWeights,
-    _selection_weights,
     balance_eta,
     choose_max_qualifying,
     curvature_operator_norm,
@@ -35,6 +34,7 @@ from kernelratio.balancing import (
     known_norm_select,
     select_from_fits,
 )
+from kernelratio.losses import QUADRATIC_FAMILIES, loss_d2
 from kernelratio.oracle import OracleContext, bayes_margin, population_h_form
 
 GRID5 = LambdaGrid(lambda0=1e-4, xi=10.0, l=5)
@@ -106,16 +106,16 @@ class TestHessianWeights:
         np.testing.assert_array_equal(w.e, np.full(ds.total, 2.0))
 
     @pytest.mark.parametrize("family", list(LossFamily))
-    def test_selection_weights_equal_the_weights_at_each_fit_bitwise(self, family, pair, kspec):
+    def test_weights_equal_ell2_at_the_k_alpha_margins_bitwise(self, family, pair, kspec):
         # The quadratic families read theirs off the labels, without K alpha.
         ds = sample_pair(pair, 7, 9, seed=3)
         gram = gram_matrix(kspec, ds.xs)
-        fits = fit_grid(family, kspec, ds, GRID5, gram=gram)
-        weights = _selection_weights(family, gram, ds, fits)
-        assert len(weights) == len(fits)
-        for w, (model, _) in zip(weights, fits):
-            assert w.e.tobytes() == hessian_weights(family, model, ds, gram).e.tobytes()
-            assert w.e.tobytes() == hessian_weights(family, model, ds).e.tobytes()
+        ys = ds.ys.astype(np.float64)
+        for model, _ in fit_grid(family, kspec, ds, GRID5, gram=gram):
+            expected = loss_d2(family, ys, gram.values @ model.alpha).tobytes()
+            assert hessian_weights(family, model, ds, gram).e.tobytes() == expected
+            if family in QUADRATIC_FAMILIES:
+                assert hessian_weights(family, model, ds).e.tobytes() == expected
 
 
 class TestEmpiricalNorm:

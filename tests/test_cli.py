@@ -1,5 +1,4 @@
 import json
-import time
 import warnings
 
 import numpy as np
@@ -643,18 +642,23 @@ class TestUnwritableOutput:
         assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: ")
         assert not missing.exists()
 
-    def test_experiment_under_a_regular_file_exits_two_before_any_fit(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("blocker", ["regular file", "dangling symlink"])
+    def test_experiment_under_a_non_directory_exits_two_before_any_fit(self, tmp_path, capsys, monkeypatch, blocker):
         # The default config: 1500 fits, had they run before the check.
         started = []
         monkeypatch.setattr(cli, "run_experiment", lambda config: started.append(config))
-        (tmp_path / "a_file").write_text("kept", encoding="utf-8")
+        if blocker == "regular file":
+            (tmp_path / "blocker").write_text("kept", encoding="utf-8")
+        else:
+            (tmp_path / "blocker").symlink_to(tmp_path / "nowhere")
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"output_dir": str(tmp_path / "a_file" / "out")}), encoding="utf-8")
-        before = time.perf_counter()
+        config_path.write_text(json.dumps({"output_dir": str(tmp_path / "blocker" / "out")}), encoding="utf-8")
         assert run_quiet(["experiment", str(config_path)]) == 2
-        assert time.perf_counter() - before < 1.0
         assert started == []
         err = capsys.readouterr().err
-        assert err == f"error: cannot write {tmp_path / 'a_file' / 'out' / 'report.json'}: {tmp_path / 'a_file'} is not a writable directory\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "config.json"]
-        assert (tmp_path / "a_file").read_text(encoding="utf-8") == "kept"
+        assert err == f"error: cannot write {tmp_path / 'blocker' / 'out' / 'report.json'}: {tmp_path / 'blocker'} is not a writable directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+        if blocker == "regular file":
+            assert (tmp_path / "blocker").read_text(encoding="utf-8") == "kept"
+        else:
+            assert not (tmp_path / "nowhere").exists()

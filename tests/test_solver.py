@@ -231,6 +231,22 @@ class TestClosedForm:
             system.solve(1e-320)
         assert system.block.tobytes() == block
 
+    def test_fit_rejects_a_system_set_up_for_other_data(self, pair, kspec):
+        ds = sample_pair(pair, 6, 7, seed=1)
+        gram = gram_matrix(kspec, ds.xs)
+        system = solver.ClosedFormSystem(LossFamily.KULSIF, gram, ds.ys)
+        model, _ = fit(LossFamily.KULSIF, kspec, ds, 0.1, gram=gram, system=system)
+        assert model.alpha.tobytes() == closed_form_fit(LossFamily.KULSIF, gram, ds.ys, 0.1).tobytes()
+        flipped = LabeledDataset(ds.xs, -ds.ys, m=ds.n, n=ds.m)
+        other_gram = gram_matrix(kspec, ds.xs)
+        for family, data, other in (
+            (LossFamily.SQ, ds, gram),
+            (LossFamily.KULSIF, ds, other_gram),
+            (LossFamily.KULSIF, flipped, gram),
+        ):
+            with pytest.raises(InputError, match="set up for another family, Gram matrix or labels"):
+                fit(family, kspec, data, 0.1, gram=other, system=system)
+
 
 class TestFit:
     def test_fit_two_point_kulsif_reaches_closed_form(self, kspec):
