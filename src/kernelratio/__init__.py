@@ -26,16 +26,7 @@ from .balancing import (
 from .data import DEFAULT_PAIR, GaussianPairSpec, LabeledDataset, load_two_csv, sample_pair
 from .errors import InputError, NumericalError
 from .kernel import GramMatrix, KernelFamily, KernelSpec, gram_matrix, kernel_eval
-from .losses import (
-    LossFamily,
-    MarginDerivatives,
-    bregman_generator,
-    link,
-    link_inv,
-    loss_derivs,
-    ratio_map,
-    self_concordance_check,
-)
+from .losses import LossFamily, link, link_inv, ratio_map
 from .oracle import (
     OracleContext,
     QuadratureSpec,
@@ -79,7 +70,6 @@ __all__ = [
     "LabeledDataset",
     "LambdaGrid",
     "LossFamily",
-    "MarginDerivatives",
     "NumericalError",
     "OracleContext",
     "QuadratureSpec",
@@ -91,7 +81,6 @@ __all__ = [
     "bayes_margin",
     "bregman_error_direct",
     "bregman_error_via_risk",
-    "bregman_generator",
     "closed_form_fit",
     "empirical_h_norm",
     "fit",
@@ -105,7 +94,6 @@ __all__ = [
     "link_inv",
     "load_model",
     "load_two_csv",
-    "loss_derivs",
     "margins_at",
     "objective_and_gradient",
     "population_h_form",
@@ -118,6 +106,5 @@ __all__ = [
     "sample_pair",
     "save_model",
     "select_lambda",
-    "self_concordance_check",
     "true_ratio",
 ]

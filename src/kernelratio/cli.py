@@ -11,12 +11,7 @@ import argparse
 import json
 import sys
 
-from .balancing import (
-    BoundConstants,
-    LambdaGrid,
-    SelectionRule,
-    select_lambda,
-)
+from .balancing import BoundConstants, LambdaGrid, SelectionRule, rate_exponent, select_lambda
 from .data import (
     DEFAULT_PAIR,
     GaussianPairSpec,
@@ -162,6 +157,9 @@ def cmd_experiment(args) -> int:
 def cmd_rate_sweep(args) -> int:
     family = LossFamily(args.loss)
     sizes = _parse_sizes(args.sizes)
+    if (args.r is None) != (args.capacity_alpha is None):
+        raise InputError("--r and --capacity-alpha must be given together")
+    exponent = None if args.r is None else rate_exponent(args.r, args.capacity_alpha)
     result = run_rate_sweep(
         family,
         sizes,
@@ -181,10 +179,8 @@ def cmd_rate_sweep(args) -> int:
         },
         "slope": result["slope"],
     }
-    if args.r is not None and args.capacity_alpha is not None:
-        from .balancing import rate_exponent
-
-        summary["theoretical_exponent"] = rate_exponent(args.r, args.capacity_alpha)
+    if exponent is not None:
+        summary["theoretical_exponent"] = exponent
     summary["median_error"] = dict(zip(map(str, result["sizes"]), result["median_error"]))
     print(json.dumps(summary, indent=2))
     return 0

@@ -28,11 +28,6 @@ from .solver import margins_at
 _EXPERIMENT_RULES = (SelectionRule.PRACTICAL_MJ, SelectionRule.THEORETICAL_ETA_S)
 
 
-def _rule_error(got) -> InputError:
-    names = " or ".join(f'"{rule.value}"' for rule in _EXPERIMENT_RULES)
-    return InputError(f"rule must be {names}, got {got!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     pair: GaussianPairSpec = field(default_factory=GaussianPairSpec)
@@ -57,8 +52,7 @@ class ExperimentConfig:
                 raise InputError(f"invalid sample size (m={m}, n={n})")
         if any(seed < 0 for seed in self.seeds):
             raise InputError(f"seeds must be nonnegative, got {min(self.seeds)}")
-        if self.rule not in _EXPERIMENT_RULES:
-            raise _rule_error(self.rule.value)
+        _choice(_EXPERIMENT_RULES, self.rule.value, "rule")
 
     def to_dict(self) -> dict:
         return {
@@ -82,9 +76,11 @@ class ExperimentConfig:
     def from_dict(cls, doc) -> "ExperimentConfig":
         """The config that `to_dict` wrote; an absent key takes ExperimentConfig()'s value.
 
-        Unknown keys are rejected, at the top level and in each section;
-        grid.l, seeds and sample sizes must be JSON integers, losses a list,
-        output_dir a string, and rule "mj" or "eta-s".
+        Unknown keys are rejected, at the top level and in each section.
+        grid.l, seeds and sample sizes must be JSON integers, and the other
+        pair, grid, kernel and consts values JSON numbers, kernel.family
+        excepted.  losses, seeds and sample_sizes must be lists, output_dir
+        a string, and rule "mj" or "eta-s".
         """
         default = cls().to_dict()
         try:
@@ -95,26 +91,34 @@ class ExperimentConfig:
             missing = [key for key in default["grid"] if key not in grid]
             if missing:
                 raise InputError(f"grid lacks {', '.join(map(repr, missing))}")
+            for section in ("pair", "grid", "kernel", "consts"):
+                for key, value in doc[section].items():
+                    if key not in ("l", "family") and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                        raise InputError(f"{section}.{key} must be a JSON number, got {value!r}")
             try:
                 pair = GaussianPairSpec(**doc["pair"])
             except (TypeError, ValueError) as exc:  # ValueError covers InputError
                 raise InputError(f"pair: {exc}") from exc
-            if not isinstance(doc["losses"], list):
-                raise InputError(f"losses must be a JSON list, got {doc['losses']!r}")
-            if doc["rule"] not in [rule.value for rule in _EXPERIMENT_RULES]:
-                raise _rule_error(doc["rule"])
+            for key in ("losses", "sample_sizes", "seeds"):
+                if not isinstance(doc[key], list):
+                    raise InputError(f"{key} must be a JSON list, got {doc[key]!r}")
+            for size in doc["sample_sizes"]:
+                if not (isinstance(size, list) and len(size) == 2):
+                    raise InputError(f"sample_sizes must hold [m, n] pairs, got {size!r}")
             if not isinstance(doc["output_dir"], str):
                 raise InputError(f"output_dir must be a JSON string, got {doc['output_dir']!r}")
             return cls(
                 pair=pair,
-                losses=tuple(LossFamily(v) for v in doc["losses"]),
+                losses=tuple(_choice(LossFamily, v, "losses entry") for v in doc["losses"]),
                 grid=LambdaGrid(float(grid["lambda0"]), float(grid["xi"]), _integer(grid["l"], "grid.l")),
                 sample_sizes=tuple(
                     (_integer(m, "sample_sizes"), _integer(n, "sample_sizes")) for m, n in doc["sample_sizes"]
                 ),
                 seeds=tuple(_integer(s, "seeds") for s in doc["seeds"]),
-                rule=SelectionRule(doc["rule"]),
-                kernel=KernelSpec(KernelFamily(doc["kernel"]["family"]), float(doc["kernel"]["bandwidth"])),
+                rule=_choice(_EXPERIMENT_RULES, doc["rule"], "rule"),
+                kernel=KernelSpec(
+                    _choice(KernelFamily, doc["kernel"]["family"], "kernel.family"), float(doc["kernel"]["bandwidth"])
+                ),
                 output_dir=doc["output_dir"],
                 consts=BoundConstants(**{key: float(value) for key, value in doc["consts"].items()}),
             )
@@ -148,6 +152,15 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{name} must hold JSON integers, got {value!r}")
     return value
+
+
+def _choice(members, value, name: str):
+    """The member of `members` whose value is `value`."""
+    for member in members:
+        if member.value == value:
+            return member
+    names = " or ".join(f'"{member.value}"' for member in members)
+    raise InputError(f"{name} must be {names}, got {value!r}")
 
 
 def _mse_rank(mses: list[float], chosen_index: int) -> int:

@@ -44,11 +44,6 @@ class KernelSpec:
                 f"bandwidth must be a positive real with 2 * bandwidth**2 in the float range, got {self.bandwidth}"
             )
 
-    @property
-    def diagonal_value(self) -> float:
-        """k(x, x): 2 for the offset family, 1 for the plain Gaussian."""
-        return 2.0 if self.family is KernelFamily.ONE_PLUS_GAUSSIAN else 1.0
-
 
 def as_points(xs) -> np.ndarray:
     """Coerce input to an (N, d) float array; 1-d input is N scalar points."""

@@ -31,7 +31,6 @@ self-concordance.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,22 +62,6 @@ QUADRATIC_FAMILIES = (LossFamily.KULSIF, LossFamily.SQ)
 POLE_AT_ZERO_FAMILIES = (LossFamily.EXP,)
 
 
-@dataclass(frozen=True)
-class MarginDerivatives:
-    """Loss value and its first three margin derivatives at one point."""
-
-    value: float
-    d1: float
-    d2: float
-    d3: float
-
-
-@dataclass(frozen=True)
-class ConcordanceReport:
-    max_ratio: float
-    holds: bool
-
-
 def _safe_exp(t):
     return np.exp(np.minimum(t, _EXP_ARG_MAX))
 
@@ -92,13 +75,6 @@ def _sigmoid_parts(t):
 def sigmoid(t):
     """Numerically stable logistic function, exact for both signs."""
     return _sigmoid_parts(np.asarray(t, dtype=np.float64))[1]
-
-
-def _check_labels(y) -> np.ndarray:
-    arr = np.asarray(y)
-    if not np.all(np.isin(arr, (-1, 1))):
-        raise InputError(f"labels must be -1 or +1, got {y}")
-    return arr.astype(np.float64)
 
 
 def loss_value(family: LossFamily, y, v):
@@ -182,22 +158,6 @@ def loss_d3(family: LossFamily, y, v):
         s = sigmoid(-y * v)
         return -y * loss_d2(family, y, v) * (1.0 - 2.0 * s)
     return loss_d1(family, y, v)  # exp: the third derivative equals the first
-
-
-def loss_value_delta(family: LossFamily, y, v, dv):
-    """ell(y, v + dv) - ell(y, v) in a cancellation-free form; see margin_terms."""
-    return margin_terms(family, y, v).delta(np.asarray(dv, dtype=np.float64))
-
-
-def loss_derivs(family: LossFamily, y: int, v: float) -> MarginDerivatives:
-    """Loss and first three margin derivatives at a single (y, v)."""
-    _check_labels(y)
-    return MarginDerivatives(
-        value=float(loss_value(family, y, v)),
-        d1=float(loss_d1(family, y, v)),
-        d2=float(loss_d2(family, y, v)),
-        d3=float(loss_d3(family, y, v)),
-    )
 
 
 def link(family: LossFamily, u):
@@ -284,36 +244,3 @@ def phi_prime(family: LossFamily, t):
     r = 1.0 + t
     return -4.0 / (r * r)
 
-
-def bregman_generator(family: LossFamily, t: float) -> tuple[float, float]:
-    """Generator value and derivative (phi(t), phi'(t)) at a single ratio t."""
-    t = float(t)
-    if family in POLE_AT_ZERO_FAMILIES:
-        if t <= 0.0:
-            raise InputError(f"{family.value} generator requires t > 0 (derivative pole at 0), got {t}")
-    elif t < 0.0:
-        raise InputError(f"generator argument must be nonnegative, got {t}")
-    with np.errstate(divide="ignore"):
-        return float(phi(family, t)), float(phi_prime(family, t))
-
-
-def self_concordance_check(family: LossFamily, y: int, v_grid) -> ConcordanceReport:
-    """Max of |ell'''| / ell'' over a margin grid, with 0/0 read as 0.
-
-    Holds when the ratio stays <= 1 for the lr/exp families, and when the
-    third derivative vanishes identically for the quadratic families.
-    """
-    _check_labels(y)
-    grid = np.asarray(v_grid, dtype=np.float64)
-    if grid.size == 0:
-        raise InputError("self_concordance_check needs a nonempty grid")
-    d2 = loss_d2(family, y, grid)
-    d3 = loss_d3(family, y, grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where((d3 == 0.0) & (d2 == 0.0), 0.0, np.abs(d3) / d2)
-    max_ratio = float(np.max(ratio))
-    if family in QUADRATIC_FAMILIES:
-        holds = bool(np.all(d3 == 0.0))
-    else:
-        holds = max_ratio <= 1.0 + 1e-9
-    return ConcordanceReport(max_ratio=max_ratio, holds=holds)

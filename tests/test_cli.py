@@ -515,6 +515,21 @@ class TestRateSweep:
         summary = json.loads(capsys.readouterr().out)
         assert summary["theoretical_exponent"] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--r", "0.5"], "--r and --capacity-alpha must be given together"),
+            (["--capacity-alpha", "1"], "--r and --capacity-alpha must be given together"),
+            (["--r", "0.7", "--capacity-alpha", "1"], "r must lie in (0, 1/2], got 0.7"),
+        ],
+    )
+    def test_bad_exponent_flags_exit_two_before_any_fit(self, capsys, monkeypatch, flags, message):
+        started = []
+        monkeypatch.setattr(cli, "run_rate_sweep", lambda *args, **kwargs: started.append(args))
+        assert run_cli(["rate-sweep", "--loss", "kulsif", "--sizes", "8", "--seeds", "1", *flags]) == 2
+        assert started == []
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 def run_quiet(args):
     """Run the CLI with every warning as an error."""
@@ -604,6 +619,20 @@ class TestOutOfRangeInput:
             ('{"output_dir": 5}', "output_dir must be a JSON string, got 5"),
             ('{"losses": "kulsif"}', "losses must be a JSON list, got 'kulsif'"),
             ('{"rule": "known-norm"}', 'rule must be "mj" or "eta-s", got \'known-norm\''),
+            # A boolean is not read as 1.0, and a non-number fails naming its field.
+            ('{"grid": {"lambda0": true, "xi": 10, "l": 5}}', "grid.lambda0 must be a JSON number, got True"),
+            ('{"grid": {"lambda0": 1e-3, "xi": false, "l": 5}}', "grid.xi must be a JSON number, got False"),
+            ('{"kernel": {"bandwidth": true}}', "kernel.bandwidth must be a JSON number, got True"),
+            ('{"pair": {"mu_p": true}}', "pair.mu_p must be a JSON number, got True"),
+            ('{"consts": {"delta": true}}', "consts.delta must be a JSON number, got True"),
+            ('{"grid": {"lambda0": "x", "xi": 10, "l": 5}}', "grid.lambda0 must be a JSON number, got 'x'"),
+            ('{"kernel": {"bandwidth": "wide"}}', "kernel.bandwidth must be a JSON number, got 'wide'"),
+            ('{"consts": {"delta": null}}', "consts.delta must be a JSON number, got None"),
+            ('{"seeds": 5}', "seeds must be a JSON list, got 5"),
+            ('{"sample_sizes": 7}', "sample_sizes must be a JSON list, got 7"),
+            ('{"sample_sizes": [[1, 2, 3]]}', "sample_sizes must hold [m, n] pairs, got [1, 2, 3]"),
+            ('{"losses": ["kulsif", 3]}', 'losses entry must be "kulsif" or "lr" or "exp" or "sq", got 3'),
+            ('{"kernel": {"family": "wide"}}', 'kernel.family must be "one_plus_gaussian" or "gaussian", got \'wide\''),
         ],
     )
     def test_config_reads_only_what_it_writes(self, tmp_path, capsys, monkeypatch, content, names):

@@ -1,0 +1,49 @@
+"""README examples stay runnable, and README's module notes stay true."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+from kernelratio.cli import build_parser
+from kernelratio.experiment import ExperimentConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def fenced_blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```$", README, flags=re.MULTILINE | re.DOTALL)
+
+
+def readme_commands():
+    """The argument list of every `kernelratio ...` command in README's bash blocks."""
+    commands = []
+    for block in fenced_blocks("bash"):
+        for line in block.replace("\\\n", " ").splitlines():
+            found = re.search(r"(?:^|&&)\s*kernelratio\s+([^#]*)", line)
+            if found:
+                commands.append(shlex.split(found.group(1)))
+    return commands
+
+
+def test_every_readme_command_parses():
+    commands = readme_commands()
+    assert len(commands) == 7
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
+
+
+def test_readme_config_loads():
+    (block,) = fenced_blocks("json")
+    config = ExperimentConfig.from_dict(json.loads(block))
+    assert config.seeds == (0, 1, 2)
+
+
+def test_only_losses_branches_on_the_family():
+    pattern = re.compile(r"family is (not )?LossFamily\.")
+    modules = sorted((ROOT / "src" / "kernelratio").glob("*.py"))
+    branching = [path.name for path in modules if pattern.search(path.read_text(encoding="utf-8"))]
+    assert branching == ["losses.py"]

@@ -5,19 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernelratio import InputError, LossFamily, bregman_generator, link, link_inv, loss_derivs
+from kernelratio import InputError, LossFamily, link, link_inv
 from kernelratio.losses import (
     loss_d1,
     loss_d2,
     loss_d3,
     loss_value,
-    loss_value_delta,
     margin_terms,
     phi,
     phi_prime,
     ratio_map,
     ratio_map_raw,
-    self_concordance_check,
     sigmoid,
 )
 
@@ -26,40 +24,36 @@ CURVED = [LossFamily.LR, LossFamily.EXP]
 QUADRATIC = [LossFamily.KULSIF, LossFamily.SQ]
 
 
+def derivs(family, y, v):
+    """The loss and its first three margin derivatives at one (y, v), as floats."""
+    return tuple(float(f(family, y, v)) for f in (loss_value, loss_d1, loss_d2, loss_d3))
+
+
 class TestMarginDerivatives:
     def test_lr_at_zero(self):
-        d = loss_derivs(LossFamily.LR, 1, 0.0)
-        assert d.value == pytest.approx(math.log(2.0), rel=1e-15)
-        assert d.d1 == -0.5
-        assert d.d2 == 0.25
+        value, d1, d2, _ = derivs(LossFamily.LR, 1, 0.0)
+        assert value == pytest.approx(math.log(2.0), rel=1e-15)
+        assert d1 == -0.5
+        assert d2 == 0.25
 
     def test_kulsif_negative_class_is_half_square(self):
-        d = loss_derivs(LossFamily.KULSIF, -1, 2.0)
-        assert (d.value, d.d1, d.d2, d.d3) == (2.0, 2.0, 1.0, 0.0)
+        assert derivs(LossFamily.KULSIF, -1, 2.0) == (2.0, 2.0, 1.0, 0.0)
 
     def test_exp_chain_rule(self):
-        d = loss_derivs(LossFamily.EXP, 1, 1.0)
         e = math.exp(-1.0)
-        assert d.value == pytest.approx(e, rel=1e-15)
-        assert d.d1 == pytest.approx(-e, rel=1e-15)
-        assert d.d2 == pytest.approx(e, rel=1e-15)
-        assert d.d3 == pytest.approx(-e, rel=1e-15)
+        assert derivs(LossFamily.EXP, 1, 1.0) == pytest.approx((e, -e, e, -e), rel=1e-15)
 
     def test_sq_is_squared_margin_residual(self):
-        d = loss_derivs(LossFamily.SQ, -1, 0.5)
-        assert d.value == pytest.approx(2.25, rel=1e-15)
-        assert (d.d1, d.d2, d.d3) == (3.0, 2.0, 0.0)
-
-    def test_rejects_bad_label(self):
-        with pytest.raises(InputError):
-            loss_derivs(LossFamily.LR, 0, 1.0)
+        value, *rest = derivs(LossFamily.SQ, -1, 0.5)
+        assert value == pytest.approx(2.25, rel=1e-15)
+        assert tuple(rest) == (3.0, 2.0, 0.0)
 
     @pytest.mark.parametrize("family", ALL)
     @pytest.mark.parametrize("y", [-1, 1])
     def test_derivatives_match_finite_differences(self, family, y):
         # Central differences of the loss value, step tuned per order.
         for v in np.linspace(-5.0, 5.0, 21):
-            d = loss_derivs(family, y, v)
+            value, d1, d2, d3 = derivs(family, y, v)
             h1 = 1e-6
             fd1 = (loss_value(family, y, v + h1) - loss_value(family, y, v - h1)) / (2 * h1)
             h2 = 1e-4
@@ -75,10 +69,10 @@ class TestMarginDerivatives:
                 + 2 * loss_value(family, y, v - h3)
                 - loss_value(family, y, v - 2 * h3)
             ) / (2 * h3**3)
-            scale = max(1.0, abs(d.value))
-            assert abs(fd1 - d.d1) <= 1e-6 * max(scale, abs(d.d1))
-            assert abs(fd2 - d.d2) <= 1e-6 * max(scale, abs(d.d2)) + 1e-7
-            assert abs(fd3 - d.d3) <= 1e-5 * max(scale, abs(d.d3)) + 1e-5
+            scale = max(1.0, abs(value))
+            assert abs(fd1 - d1) <= 1e-6 * max(scale, abs(d1))
+            assert abs(fd2 - d2) <= 1e-6 * max(scale, abs(d2)) + 1e-7
+            assert abs(fd3 - d3) <= 1e-5 * max(scale, abs(d3)) + 1e-5
 
     @given(
         family=st.sampled_from(ALL),
@@ -98,7 +92,7 @@ class TestMarginDerivatives:
     @settings(max_examples=300, deadline=None)
     def test_value_delta_matches_direct_difference(self, family, y, v, dv):
         direct = float(loss_value(family, y, v + dv) - loss_value(family, y, v))
-        delta = float(loss_value_delta(family, y, v, dv))
+        delta = float(margin_terms(family, y, v).delta(dv))
         scale = max(1.0, abs(float(loss_value(family, y, v))), abs(direct))
         assert abs(delta - direct) <= 1e-9 * scale
 
@@ -119,7 +113,7 @@ class TestMarginTerms:
             pairs = [
                 (loss_d1(family, y, v), terms.d1),
                 (loss_d2(family, y, v), terms.d2),
-                (loss_value_delta(family, y, v, dv), terms.delta(dv)),
+                (margin_terms(family, y, v).delta(dv), terms.delta(dv)),
             ]
         for view, term in pairs:
             assert np.shape(view) == np.broadcast(y, v).shape
@@ -158,7 +152,7 @@ class TestMarginTerms:
             (lambda *a: loss_d1(family, *a), (y, v)),
             (lambda *a: loss_d2(family, *a), (y, v)),
             (lambda *a: loss_d3(family, *a), (y, v)),
-            (lambda *a: loss_value_delta(family, *a), (y, v, dv)),
+            (lambda y, v, dv: margin_terms(family, y, v).delta(dv), (y, v, dv)),
             (lambda *a: ratio_map_raw(family, *a), (v,)),
             (lambda *a: ratio_map(family, *a), (v,)),
             (lambda *a: phi(family, *a), (t,)),
@@ -252,37 +246,28 @@ class TestRatioMap:
         assert ratio_map(family, link(family, u)) == pytest.approx(u / (1.0 - u), rel=1e-12)
 
 
+def generator(family, t):
+    """The generator value and slope at one ratio t, as floats."""
+    return float(phi(family, t)), float(phi_prime(family, t))
+
+
 class TestGenerator:
     def test_kulsif_vanishes_at_reference(self):
-        assert bregman_generator(LossFamily.KULSIF, 1.0) == (0.0, 0.0)
+        assert generator(LossFamily.KULSIF, 1.0) == (0.0, 0.0)
 
     def test_exp_at_one(self):
-        value, slope = bregman_generator(LossFamily.EXP, 1.0)
-        assert value == -2.0
-        assert slope == -1.0
+        assert generator(LossFamily.EXP, 1.0) == (-2.0, -1.0)
 
     def test_sq_at_zero(self):
-        value, slope = bregman_generator(LossFamily.SQ, 0.0)
-        assert value == 4.0
-        assert slope == -4.0
+        assert generator(LossFamily.SQ, 0.0) == (4.0, -4.0)
 
     def test_lr_limit_at_zero(self):
-        value, slope = bregman_generator(LossFamily.LR, 0.0)
-        assert value == 0.0
-        assert slope == -math.inf
-
-    def test_exp_rejects_nonpositive(self):
-        with pytest.raises(InputError):
-            bregman_generator(LossFamily.EXP, 0.0)
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(InputError):
-            bregman_generator(LossFamily.KULSIF, -0.5)
+        assert generator(LossFamily.LR, 0.0) == (0.0, -math.inf)
 
     @pytest.mark.parametrize("family", ALL)
     def test_derivative_matches_finite_differences(self, family):
         for t in np.linspace(0.2, 6.0, 25):
-            _, slope = bregman_generator(family, float(t))
+            slope = float(phi_prime(family, t))
             h = 1e-6 * t
             fd = (phi(family, t + h) - phi(family, t - h)) / (2 * h)
             assert abs(fd - slope) <= 1e-6 * max(1.0, abs(slope))
@@ -305,23 +290,8 @@ class TestSelfConcordance:
     def test_quadratic_families_have_zero_third_derivative(self):
         grid = np.linspace(-5.0, 5.0, 101)
         for family in QUADRATIC:
-            report = self_concordance_check(family, -1, grid)
-            assert report.holds
-            assert report.max_ratio == 0.0
-
-    def test_exp_ratio_is_exactly_one(self):
-        report = self_concordance_check(LossFamily.EXP, 1, np.linspace(-5.0, 5.0, 101))
-        assert report.holds
-        assert report.max_ratio == 1.0
-
-    def test_lr_ratio_is_at_most_one(self):
-        report = self_concordance_check(LossFamily.LR, 1, np.linspace(-10.0, 10.0, 201))
-        assert report.holds
-        assert report.max_ratio <= 1.0
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(InputError):
-            self_concordance_check(LossFamily.LR, 1, [])
+            for y in (-1, 1):
+                assert np.all(loss_d3(family, y, grid) == 0.0)
 
     @pytest.mark.parametrize("family", CURVED)
     @pytest.mark.parametrize("y", [-1, 1])
@@ -330,3 +300,5 @@ class TestSelfConcordance:
         d2 = loss_d2(family, y, grid)
         d3 = loss_d3(family, y, grid)
         assert np.all(np.abs(d3) <= d2)
+        if family is LossFamily.EXP:  # the third derivative is -y times the second: the bound is tight
+            assert np.all(np.abs(d3) == d2)
