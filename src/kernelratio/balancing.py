@@ -46,7 +46,6 @@ class BalanceRule(enum.Enum):
 class SelectionRule(enum.Enum):
     PRACTICAL_MJ = "mj"
     THEORETICAL_ETA_S = "eta-s"
-    KNOWN_NORM_ORACLE = "known-norm"
 
 
 @dataclass(frozen=True)
@@ -306,45 +305,6 @@ def choose_max_qualifying(n_candidates: int, norm_sq: dict, thresholds) -> int:
     return chosen
 
 
-def _balance(
-    grid: LambdaGrid, rule: SelectionRule, norm_sq, thresholds, per_lambda, params: dict
-) -> SelectionReport:
-    """The pairwise balancing loop shared by every selection rule.
-
-    `norm_sq(i, j)` is the squared distance between the fits at 1-based
-    grid indices j < i; `thresholds[j - 1]` bounds it.
-    """
-    values = grid.values
-    pairwise = []
-    norms = {}
-    for i in range(2, len(values) + 1):
-        for j in range(1, i):
-            value = norm_sq(i, j)
-            norms[(i, j)] = value
-            pairwise.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "lambda_i": float(values[i - 1]),
-                    "lambda_j": float(values[j - 1]),
-                    "norm_sq": value,
-                    "threshold": thresholds[j - 1],
-                    "pass": value <= thresholds[j - 1],
-                }
-            )
-    chosen = choose_max_qualifying(len(values), norms, thresholds)
-    return SelectionReport(
-        chosen_lambda=float(values[chosen - 1]),
-        chosen_index=chosen,
-        rule=rule,
-        grid=grid,
-        pairwise=tuple(pairwise),
-        thresholds_used=tuple(thresholds),
-        per_lambda=tuple(per_lambda),
-        params=params,
-    )
-
-
 def fit_grid(
     family: LossFamily,
     kernel: KernelSpec,
@@ -379,8 +339,6 @@ def select_from_fits(
     consts: BoundConstants | None = None,
 ) -> SelectionReport:
     """Run the balancing selection over precomputed grid fits."""
-    if rule is SelectionRule.KNOWN_NORM_ORACLE:
-        raise InputError("the known-norm rule needs an oracle form; use known_norm_select")
     values = grid.values
     if len(fits) != len(values):
         raise InputError(f"got {len(fits)} fits for a grid of length {len(values)}")
@@ -412,9 +370,26 @@ def select_from_fits(
         thresholds.append(threshold)
         per_lambda.append(entry)
 
-    def norm_sq(i: int, j: int) -> float:
-        alpha_i, alpha_j = fits[i - 1][0].alpha, fits[j - 1][0].alpha
-        return empirical_h_norm(gram, weights[j - 1], alpha_i, alpha_j, float(values[j - 1]))
+    pairwise = []
+    norms = {}
+    for i in range(2, len(values) + 1):
+        for j in range(1, i):
+            value = empirical_h_norm(
+                gram, weights[j - 1], fits[i - 1][0].alpha, fits[j - 1][0].alpha, float(values[j - 1])
+            )
+            norms[(i, j)] = value
+            pairwise.append(
+                {
+                    "i": i,
+                    "j": j,
+                    "lambda_i": float(values[i - 1]),
+                    "lambda_j": float(values[j - 1]),
+                    "norm_sq": value,
+                    "threshold": thresholds[j - 1],
+                    "pass": value <= thresholds[j - 1],
+                }
+            )
+    chosen = choose_max_qualifying(len(values), norms, thresholds)
 
     params = {"rule": rule.value, "n_total": n_total}
     if rule is SelectionRule.THEORETICAL_ETA_S:
@@ -423,7 +398,16 @@ def select_from_fits(
         )
     else:
         params["capacity_alpha"] = consts.capacity_alpha
-    return _balance(grid, rule, norm_sq, thresholds, per_lambda, params)
+    return SelectionReport(
+        chosen_lambda=float(values[chosen - 1]),
+        chosen_index=chosen,
+        rule=rule,
+        grid=grid,
+        pairwise=tuple(pairwise),
+        thresholds_used=tuple(thresholds),
+        per_lambda=tuple(per_lambda),
+        params=params,
+    )
 
 
 def fit_and_select(
@@ -458,8 +442,8 @@ def known_norm_select(
     oracle_h_quadratic_form,
     consts: BoundConstants,
     n_total: int,
-) -> SelectionReport:
-    """Balancing with the population curvature norm; for tests only.
+) -> int:
+    """The 1-based grid index that balancing picks in the population norm; for tests only.
 
     `fits` holds (model, report) pairs, as `fit_grid` returns them.
     `oracle_h_quadratic_form(coeffs, lam)` must return the population
@@ -473,16 +457,9 @@ def known_norm_select(
     thresholds = [
         8.0 * eta * s_term(BalanceRule.FAST_RATE, consts, n_total, float(lam)) for lam in values
     ]
-
-    def norm_sq(i: int, j: int) -> float:
-        delta_coeffs = fits[i - 1][0].alpha - fits[j - 1][0].alpha
-        return float(oracle_h_quadratic_form(delta_coeffs, float(values[j - 1])))
-
-    per_lambda = [{"lambda": float(lam), "threshold": t} for lam, t in zip(values, thresholds)]
-    params = {
-        "delta": consts.delta,
-        "q0": consts.q0,
-        "capacity_alpha": consts.capacity_alpha,
-        "n_total": n_total,
+    norm_sq = {
+        (i, j): float(oracle_h_quadratic_form(fits[i - 1][0].alpha - fits[j - 1][0].alpha, float(values[j - 1])))
+        for i in range(2, len(values) + 1)
+        for j in range(1, i)
     }
-    return _balance(grid, SelectionRule.KNOWN_NORM_ORACLE, norm_sq, thresholds, per_lambda, params)
+    return choose_max_qualifying(len(values), norm_sq, thresholds)

@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument(
         "--grid", required=True, help="lo:ratio:count; geometric grid whose smallest value is lo"
     )
-    p_sel.add_argument("--rule", choices=["mj", "eta-s"], default="mj")
+    p_sel.add_argument("--rule", choices=[r.value for r in SelectionRule], default=SelectionRule.PRACTICAL_MJ.value)
     p_sel.add_argument("--delta", type=float, default=BoundConstants().delta)
     p_sel.add_argument("--q0", type=float, default=BoundConstants().q0)
     p_sel.add_argument("--capacity-alpha", type=float, default=BoundConstants().capacity_alpha)
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--loss", required=True, choices=[f.value for f in LossFamily])
     p_rate.add_argument("--sizes", required=True, help="comma-separated pooled sizes, e.g. 32,64,128")
     p_rate.add_argument("--seeds", type=int, default=21, help="number of seeds (0..k-1)")
-    p_rate.add_argument("--selection", choices=["mj", "eta-s"], default="mj")
+    p_rate.add_argument("--selection", choices=[r.value for r in SelectionRule], default=SelectionRule.PRACTICAL_MJ.value)
     p_rate.add_argument("--grid", default="1e-3:10:5")
     p_rate.add_argument("--r", type=float, help="source regularity for the printed exponent")
     p_rate.add_argument("--capacity-alpha", type=float, help="capacity index for the printed exponent")

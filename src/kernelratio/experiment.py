@@ -24,10 +24,6 @@ from .losses import LossFamily
 from .oracle import OracleContext, bayes_risk, grid_mse, population_risk, population_risks
 from .solver import margins_at
 
-# The rules an experiment selects by; the known-norm rule needs the oracle's population form.
-_EXPERIMENT_RULES = (SelectionRule.PRACTICAL_MJ, SelectionRule.THEORETICAL_ETA_S)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     pair: GaussianPairSpec = field(default_factory=GaussianPairSpec)
@@ -52,7 +48,6 @@ class ExperimentConfig:
                 raise InputError(f"invalid sample size (m={m}, n={n})")
         if any(seed < 0 for seed in self.seeds):
             raise InputError(f"seeds must be nonnegative, got {min(self.seeds)}")
-        _choice(_EXPERIMENT_RULES, self.rule.value, "rule")
 
     def to_dict(self) -> dict:
         return {
@@ -80,7 +75,7 @@ class ExperimentConfig:
         grid.l, seeds and sample sizes must be JSON integers, and the other
         pair, grid, kernel and consts values JSON numbers, kernel.family
         excepted.  losses, seeds and sample_sizes must be lists, output_dir
-        a string, and rule "mj" or "eta-s".
+        a string, and rule the value of a SelectionRule.
         """
         default = cls().to_dict()
         try:
@@ -93,8 +88,14 @@ class ExperimentConfig:
                 raise InputError(f"grid lacks {', '.join(map(repr, missing))}")
             for section in ("pair", "grid", "kernel", "consts"):
                 for key, value in doc[section].items():
-                    if key not in ("l", "family") and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                    if key in ("l", "family"):
+                        continue
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
                         raise InputError(f"{section}.{key} must be a JSON number, got {value!r}")
+                    try:
+                        float(value)
+                    except OverflowError:
+                        raise InputError(f"{section}.{key} is an integer too large for a float") from None
             try:
                 pair = GaussianPairSpec(**doc["pair"])
             except (TypeError, ValueError) as exc:  # ValueError covers InputError
@@ -115,7 +116,7 @@ class ExperimentConfig:
                     (_integer(m, "sample_sizes"), _integer(n, "sample_sizes")) for m, n in doc["sample_sizes"]
                 ),
                 seeds=tuple(_integer(s, "seeds") for s in doc["seeds"]),
-                rule=_choice(_EXPERIMENT_RULES, doc["rule"], "rule"),
+                rule=_choice(SelectionRule, doc["rule"], "rule"),
                 kernel=KernelSpec(
                     _choice(KernelFamily, doc["kernel"]["family"], "kernel.family"), float(doc["kernel"]["bandwidth"])
                 ),

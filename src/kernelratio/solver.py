@@ -298,6 +298,8 @@ def fit(
         opts = replace(opts, tol_grad=1e-8 * dataset.total)
     if opts.method not in ("auto", "cg"):
         raise InputError(f"unknown method {opts.method!r}")
+    if opts.max_iters < 1:
+        raise InputError(f"max_iters must be at least 1, got {opts.max_iters}")
     if gram is None:
         gram = gram_matrix(kernel, dataset.xs)
     K = gram.values
@@ -389,11 +391,27 @@ def save_model(model: RatioModel, path: str, *, seed=None, dataset_hash=None) ->
     write_json(path, model_to_dict(model, seed=seed, dataset_hash=dataset_hash))
 
 
+def _check_json_numbers(value, name: str) -> None:
+    """Raise InputError unless value is a JSON number or nested lists of them.
+
+    numpy would read a boolean as 1.0 or 0.0, and a numeric string or a
+    null as a float, even inside a row of numbers.
+    """
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(reversed(item))
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise InputError(f"{name}: {item!r} is not a JSON number")
+
+
 def load_model(path: str) -> tuple[RatioModel, dict]:
     """Load a model JSON; returns the model and the raw document.
 
     Anything but an object with finite points and coefficients raises
-    InputError.
+    InputError, and so does a boolean, string or null in `bandwidth`,
+    `lambda`, `points` or `alpha`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -403,6 +421,8 @@ def load_model(path: str) -> tuple[RatioModel, dict]:
     if not isinstance(doc, dict):
         raise InputError(f"malformed model file {path}: expected a JSON object")
     try:
+        for key in ("bandwidth", "lambda", "points", "alpha"):
+            _check_json_numbers(doc[key], key)
         model = RatioModel(
             kernel=KernelSpec(KernelFamily(doc["kernel_family"]), float(doc["bandwidth"])),
             points=np.asarray(doc["points"], dtype=np.float64),

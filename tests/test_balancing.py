@@ -452,20 +452,20 @@ class TestKnownNormSelection:
         ctx = OracleContext.default(pair)
         grid = LambdaGrid(lambda0=1e-3, xi=10.0, l=1)
         fits = fit_grid(LossFamily.KULSIF, kspec, ds, grid)
-        report = known_norm_select(
+        chosen = known_norm_select(
             grid, fits, self._oracle_form(ctx, LossFamily.KULSIF, kspec, ds), BoundConstants(), ds.total
         )
-        assert report.chosen_index == 1
+        assert chosen == 1
 
     def test_identical_fits_choose_largest(self, pair, kspec):
         ds = sample_pair(pair, 5, 5, seed=1)
         ctx = OracleContext.default(pair)
         model, _ = fit(LossFamily.KULSIF, kspec, ds, 0.1)
         fits = [(model, None)] * GRID5.l
-        report = known_norm_select(
+        chosen = known_norm_select(
             GRID5, fits, self._oracle_form(ctx, LossFamily.KULSIF, kspec, ds), BoundConstants(), ds.total
         )
-        assert report.chosen_index == GRID5.l
+        assert chosen == GRID5.l
 
     def test_nested_grid_monotonicity(self, pair, kspec):
         ds = sample_pair(pair, 100, 100, seed=4)
@@ -476,5 +476,4 @@ class TestKnownNormSelection:
         full = known_norm_select(GRID5, fits, form, consts, ds.total)
         for l_prefix in range(1, GRID5.l):
             prefix = LambdaGrid(lambda0=GRID5.lambda0, xi=GRID5.xi, l=l_prefix)
-            sub = known_norm_select(prefix, fits[:l_prefix], form, consts, ds.total)
-            assert sub.chosen_index <= full.chosen_index
+            assert known_norm_select(prefix, fits[:l_prefix], form, consts, ds.total) <= full

@@ -1,10 +1,11 @@
+import argparse
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from kernelratio import InputError, load_model
+from kernelratio import InputError, SelectionRule, load_model
 from kernelratio import cli
 from kernelratio.cli import _parse_grid, build_parser, main
 from kernelratio.experiment import ExperimentConfig
@@ -539,6 +540,25 @@ def run_quiet(args):
 
 
 SYNTH = ["--synthetic", "--m", "20", "--n", "20"]
+HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+def flag_action(command, flag):
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (action,) = [a for a in commands.choices[command]._actions if flag in a.option_strings]
+    return action
+
+
+def test_every_rule_surface_offers_exactly_the_selection_rules():
+    rules = [rule.value for rule in SelectionRule]
+    for command, flag in (("select", "--rule"), ("rate-sweep", "--selection")):
+        action = flag_action(command, flag)
+        assert action.choices == rules
+        assert action.default == ExperimentConfig.rule.value
+    assert [ExperimentConfig.from_dict({"rule": rule}).rule.value for rule in rules] == rules
+    with pytest.raises(InputError) as excinfo:
+        ExperimentConfig.from_dict({"rule": "known-norm"})
+    assert str(excinfo.value).endswith("rule must be " + " or ".join(f'"{rule}"' for rule in rules) + ", got 'known-norm'")
 
 
 class TestOutOfRangeInput:
@@ -595,6 +615,15 @@ class TestOutOfRangeInput:
         assert run_quiet([command, *SYNTH, "--loss", "kulsif", "--seed", "-1", *extra]) == 2
         assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
 
+    @pytest.mark.parametrize("max_iters", ["0", "-3"])
+    @pytest.mark.parametrize("loss", ["lr", "kulsif"])  # CG and the closed form
+    def test_max_iters_below_one_exits_two_before_writing(self, tmp_path, capsys, loss, max_iters):
+        out = tmp_path / "m.json"
+        args = ["fit", *SYNTH, "--loss", loss, "--lambda", "0.1", "--max-iters", max_iters, "--out", str(out)]
+        assert run_quiet(args) == 2
+        assert capsys.readouterr().err == f"error: max_iters must be at least 1, got {max_iters}\n"
+        assert not out.exists()
+
     def test_closed_form_method_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["fit", *SYNTH, "--loss", "kulsif", "--lambda", "0.1", "--method", "closed_form", "--out", str(tmp_path / "m.json")])
@@ -633,6 +662,12 @@ class TestOutOfRangeInput:
             ('{"sample_sizes": [[1, 2, 3]]}', "sample_sizes must hold [m, n] pairs, got [1, 2, 3]"),
             ('{"losses": ["kulsif", 3]}', 'losses entry must be "kulsif" or "lr" or "exp" or "sq", got 3'),
             ('{"kernel": {"family": "wide"}}', 'kernel.family must be "one_plus_gaussian" or "gaussian", got \'wide\''),
+            # An integer JSON reads exactly but float() cannot hold.
+            (f'{{"grid": {{"lambda0": {HUGE}, "xi": 10, "l": 5}}}}', "grid.lambda0 is an integer too large for a float"),
+            (f'{{"grid": {{"lambda0": 1e-3, "xi": {HUGE}, "l": 5}}}}', "grid.xi is an integer too large for a float"),
+            (f'{{"kernel": {{"bandwidth": {HUGE}}}}}', "kernel.bandwidth is an integer too large for a float"),
+            (f'{{"consts": {{"q0": {HUGE}}}}}', "consts.q0 is an integer too large for a float"),
+            (f'{{"pair": {{"mu_p": -{HUGE}}}}}', "pair.mu_p is an integer too large for a float"),
         ],
     )
     def test_config_reads_only_what_it_writes(self, tmp_path, capsys, monkeypatch, content, names):

@@ -107,7 +107,7 @@ CONFIGS = st.builds(
     grid=st.builds(LambdaGrid, _positive(1e-12, 1.0), _positive(1.01, 100.0), st.integers(1, 8)),
     sample_sizes=st.lists(st.tuples(st.integers(0, 500), st.integers(1, 500)), min_size=1, max_size=3).map(tuple),
     seeds=st.lists(st.integers(0, 2**63), min_size=1, max_size=5).map(tuple),
-    rule=st.sampled_from([SelectionRule.PRACTICAL_MJ, SelectionRule.THEORETICAL_ETA_S]),
+    rule=st.sampled_from(SelectionRule),
     kernel=st.builds(KernelSpec, st.sampled_from(KernelFamily), _positive(1e-100, 1e100)),
     output_dir=st.text(min_size=1, max_size=20),
     consts=st.builds(
@@ -138,8 +138,6 @@ def test_config_validation():
         ExperimentConfig(seeds=())
     with pytest.raises(InputError, match="seeds must be nonnegative"):
         ExperimentConfig(seeds=(0, -1))
-    with pytest.raises(InputError, match="rule must be \"mj\" or \"eta-s\", got 'known-norm'"):
-        ExperimentConfig(rule=SelectionRule.KNOWN_NORM_ORACLE)
 
 
 def test_rate_sweep_shape():

@@ -472,6 +472,25 @@ class TestPersistence:
             with pytest.raises(InputError):
                 load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lambda", "0.1"),
+            ("lambda", None),
+            ("bandwidth", "1"),
+            ("bandwidth", True),
+            ("points", [["4.08"], [1.0]]),
+            ("points", [[True, 2.0], [1.0, 2.0]]),  # numpy would read this row as floats
+            ("alpha", [True, -0.5]),
+            ("alpha", [None, -0.5]),
+        ],
+    )
+    def test_non_numbers_are_rejected_naming_the_field(self, tmp_path, field, value):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**VALID_MODEL_DOC, field: value}), encoding="utf-8")
+        with pytest.raises(InputError, match=f"malformed model file .*: {field}: .* is not a JSON number"):
+            load_model(str(path))
+
 
 _JSON_VALUES = st.recursive(
     st.none()
