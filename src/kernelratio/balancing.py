@@ -164,14 +164,13 @@ def curvature_operator_norm(gram, weights: HessianWeights) -> float:
 class BoundConstants:
     """User-supplied theory constants; never estimated from data.
 
-    b1/b2 bound the gradient norm and curvature trace of the loss, radius
-    the self-concordance directions, target_norm the risk minimizer's
-    norm, q0/capacity_alpha the degrees-of-freedom decay, source_scale/
-    source_r the source condition.  delta is the confidence level.
+    b1 bounds the gradient norm of the loss, radius the self-concordance
+    directions, target_norm the risk minimizer's norm, q0/capacity_alpha
+    the degrees-of-freedom decay, source_scale/source_r the source
+    condition.  delta is the confidence level.
     """
 
     b1: float = 1.0
-    b2: float = 1.0
     radius: float = 1.0
     target_norm: float = 1.0
     q0: float = 1.0
@@ -181,7 +180,7 @@ class BoundConstants:
     delta: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("b1", "b2", "radius", "target_norm", "q0", "source_scale"):
+        for name in ("b1", "radius", "target_norm", "q0", "source_scale"):
             value = getattr(self, name)
             if not (value > 0.0 and np.isfinite(value)):
                 raise InputError(f"{name} must be a positive real, got {value}")
@@ -291,15 +290,16 @@ class SelectionReport:
         }
 
 
-def choose_max_qualifying(n_candidates: int, norm_sq: dict, thresholds) -> int:
+def choose_max_qualifying(norm_sq: dict, thresholds) -> int:
     """Largest 1-based index i whose norms pass the threshold for all j < i.
 
+    There is one candidate per threshold.
     `norm_sq` maps (i, j) with j < i to the squared distance; index 1
     qualifies vacuously.  Monotone in the thresholds: raising any
     threshold can only move the choice up.
     """
     chosen = 1
-    for i in range(2, n_candidates + 1):
+    for i in range(2, len(thresholds) + 1):
         if all(norm_sq[(i, j)] <= thresholds[j - 1] for j in range(1, i)):
             chosen = i
     return chosen
@@ -389,7 +389,7 @@ def select_from_fits(
                     "pass": value <= thresholds[j - 1],
                 }
             )
-    chosen = choose_max_qualifying(len(values), norms, thresholds)
+    chosen = choose_max_qualifying(norms, thresholds)
 
     params = {"rule": rule.value, "n_total": n_total}
     if rule is SelectionRule.THEORETICAL_ETA_S:
@@ -436,30 +436,23 @@ def select_lambda(
     return fit_and_select(dataset, family, kernel, grid, rule, consts)[1]
 
 
-def known_norm_select(
-    grid: LambdaGrid,
-    fits,
-    oracle_h_quadratic_form,
-    consts: BoundConstants,
-    n_total: int,
-) -> int:
+def known_norm_select(fits, oracle_h_quadratic_form, consts: BoundConstants) -> int:
     """The 1-based grid index that balancing picks in the population norm; for tests only.
 
-    `fits` holds (model, report) pairs, as `fit_grid` returns them.
+    `fits` holds (model, report) pairs in ascending lambda, as `fit_grid`
+    returns them; lambda_j and N are read off the models.
     `oracle_h_quadratic_form(coeffs, lam)` must return the population
     quadratic form of the coefficient vector at regularization lam; the
     threshold is 8 eta S(N, delta, lambda_j).
     """
-    values = grid.values
-    if len(fits) != len(values):
-        raise InputError(f"got {len(fits)} fits for a grid of length {len(values)}")
+    models = [model for model, _ in fits]
     eta = balance_eta(BalanceRule.FAST_RATE, consts)
     thresholds = [
-        8.0 * eta * s_term(BalanceRule.FAST_RATE, consts, n_total, float(lam)) for lam in values
+        8.0 * eta * s_term(BalanceRule.FAST_RATE, consts, model.points.shape[0], model.lam) for model in models
     ]
     norm_sq = {
-        (i, j): float(oracle_h_quadratic_form(fits[i - 1][0].alpha - fits[j - 1][0].alpha, float(values[j - 1])))
-        for i in range(2, len(values) + 1)
+        (i, j): float(oracle_h_quadratic_form(models[i - 1].alpha - models[j - 1].alpha, models[j - 1].lam))
+        for i in range(2, len(models) + 1)
         for j in range(1, i)
     }
-    return choose_max_qualifying(len(values), norm_sq, thresholds)
+    return choose_max_qualifying(norm_sq, thresholds)

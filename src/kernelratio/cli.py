@@ -1,8 +1,9 @@
 """Command-line surface: fit, select, experiment, rate-sweep.
 
 Exit codes: 0 success, 2 usage/input error, 3 numerical failure.  All
-outputs are JSON/CSV and deterministic given the flags and seed.  `select`
-names any unconverged grid fit on stderr and still exits 0.
+outputs are JSON/CSV and deterministic given the flags and seed.  Every
+command checks its output paths before any fit.  `select` and `rate-sweep`
+name any unconverged grid fit on stderr and still exit 0.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .balancing import BoundConstants, LambdaGrid, SelectionRule, rate_exponent,
 from .data import (
     DEFAULT_PAIR,
     GaussianPairSpec,
+    check_writable,
     dataset_sha256,
     finite_or_null,
     load_two_csv,
@@ -104,6 +106,7 @@ def _data_config(args, seed) -> dict:
 def cmd_fit(args) -> int:
     dataset, seed = _dataset_from_args(args)
     family = LossFamily(args.loss)
+    check_writable(args.out)
     model, report = fit(
         family,
         _kernel_from_args(args),
@@ -125,6 +128,8 @@ def cmd_select(args) -> int:
     grid = _parse_grid(args.grid)
     rule = SelectionRule(args.rule)
     consts = BoundConstants(delta=args.delta, q0=args.q0, capacity_alpha=args.capacity_alpha)
+    if args.out:
+        check_writable(args.out)
     report = select_lambda(dataset, family, _kernel_from_args(args), grid, rule, consts)
     if args.out:
         doc = {
@@ -160,6 +165,8 @@ def cmd_rate_sweep(args) -> int:
     if (args.r is None) != (args.capacity_alpha is None):
         raise InputError("--r and --capacity-alpha must be given together")
     exponent = None if args.r is None else rate_exponent(args.r, args.capacity_alpha)
+    if args.out_csv:
+        check_writable(args.out_csv)
     result = run_rate_sweep(
         family,
         sizes,
@@ -183,6 +190,10 @@ def cmd_rate_sweep(args) -> int:
         summary["theoretical_exponent"] = exponent
     summary["median_error"] = dict(zip(map(str, result["sizes"]), result["median_error"]))
     print(json.dumps(summary, indent=2))
+    if result["unconverged"]:
+        # Still exit 0, as select does: each size and seed chose a lambda.
+        fits = "; ".join(f"N={size} seed={seed} lambda={lam!r}" for size, seed, lam in result["unconverged"])
+        print(f"warning: fit did not converge at {fits}", file=sys.stderr)
     return 0
 
 

@@ -68,12 +68,12 @@ DEFAULT_PAIR = GaussianPairSpec()
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Pooled samples: m points labeled +1 (from P) and n labeled -1 (from Q)."""
+    """Pooled samples labeled +1 (from P) or -1 (from Q); m and n count the two labels."""
 
     xs: np.ndarray = field(repr=False)
     ys: np.ndarray = field(repr=False)
-    m: int
-    n: int
+    m: int = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
         xs = as_points(self.xs)
@@ -86,20 +86,15 @@ class LabeledDataset:
             raise InputError("sample points must be finite")
         if not np.all(np.isin(ys, (-1, 1))):
             raise InputError("labels must take values -1 or +1 only")
-        if self.m < 0 or self.n < 1:
-            raise InputError(f"need m >= 0 and n >= 1, got m={self.m}, n={self.n}")
-        if self.m + self.n != ys.shape[0]:
-            raise InputError(f"m + n = {self.m + self.n} != {ys.shape[0]} samples")
-        if int(np.sum(ys == 1)) != self.m or int(np.sum(ys == -1)) != self.n:
-            raise InputError("label counts disagree with m, n")
+        m = int(np.count_nonzero(ys == 1))
+        if m == ys.shape[0]:
+            raise InputError("need at least one Q sample (label -1)")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", ys.shape[0] - m)
 
     @property
     def total(self) -> int:
         return self.m + self.n
-
-    @property
-    def dim(self) -> int:
-        return self.xs.shape[1]
 
     @classmethod
     def from_blocks(cls, xp, xq) -> "LabeledDataset":
@@ -110,7 +105,7 @@ class LabeledDataset:
             raise InputError(f"dimension mismatch: P has d={xp.shape[1]}, Q has d={xq.shape[1]}")
         xs = np.vstack([xp, xq])
         ys = np.concatenate([np.ones(xp.shape[0], dtype=np.int64), -np.ones(xq.shape[0], dtype=np.int64)])
-        return cls(xs=xs, ys=ys, m=xp.shape[0], n=xq.shape[0])
+        return cls(xs=xs, ys=ys)
 
 
 def sample_pair(spec: GaussianPairSpec, m: int, n: int, seed: int) -> LabeledDataset:
@@ -196,6 +191,23 @@ def finite_or_null(doc):
     if isinstance(doc, float) and not math.isfinite(doc):
         return None
     return doc
+
+
+def check_writable(path: str, *, make_dirs: bool = False) -> None:
+    """Raise the InputError write_text would raise if path cannot be written; create nothing.
+
+    Only what exists is looked at: path must not be a directory or a file
+    this process may not write, and the nearest existing ancestor of its
+    directory (the directory itself unless make_dirs) must be a directory,
+    or a symlink that resolves to one, that this process may write.
+    """
+    existing = os.path.dirname(os.path.abspath(path))
+    while make_dirs and not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
+        raise InputError(f"cannot write {path}: {existing} is not a writable directory")
+    if os.path.isdir(path) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise InputError(f"cannot write {path}: it is not a writable file")
 
 
 def write_text(path: str, chunks, *, make_dirs: bool = False) -> None:

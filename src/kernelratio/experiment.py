@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balancing import BoundConstants, LambdaGrid, SelectionRule, fit_and_select
-from .data import DEFAULT_PAIR, GaussianPairSpec, sample_pair, write_json, write_text
+from .data import DEFAULT_PAIR, GaussianPairSpec, check_writable, sample_pair, write_json, write_text
 from .errors import InputError
 from .kernel import KernelFamily, KernelSpec
 from .losses import LossFamily
@@ -48,6 +48,16 @@ class ExperimentConfig:
                 raise InputError(f"invalid sample size (m={m}, n={n})")
         if any(seed < 0 for seed in self.seeds):
             raise InputError(f"seeds must be nonnegative, got {min(self.seeds)}")
+        # A repeated entry would run its cells again and count them twice.
+        entries = {
+            "losses": [loss.value for loss in self.losses],
+            "sample_sizes": [list(size) for size in self.sample_sizes],
+            "seeds": list(self.seeds),
+        }
+        for name, values in entries.items():
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise InputError(f"{name} entry {json.dumps(value)} is given more than once")
 
     def to_dict(self) -> dict:
         return {
@@ -268,17 +278,8 @@ def _output_paths(output_dir: str) -> tuple[str, str]:
 
 
 def check_output_dir(output_dir: str) -> None:
-    """Raise InputError if output_dir can be neither made nor written.
-
-    Only its nearest existing ancestor is looked at, so nothing is created
-    or truncated: that must be a directory, or a symlink that resolves to
-    one, which this process may write.
-    """
-    existing = os.path.abspath(output_dir)
-    while not os.path.lexists(existing):
-        existing = os.path.dirname(existing)
-    if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
-        raise InputError(f"cannot write {_output_paths(output_dir)[0]}: {existing} is not a writable directory")
+    """Raise InputError if output_dir can be neither made nor written; create nothing."""
+    check_writable(_output_paths(output_dir)[0], make_dirs=True)
 
 
 def write_experiment_outputs(report: dict, output_dir: str) -> tuple[str, str]:
@@ -300,7 +301,8 @@ def run_rate_sweep(
 
     Data come from DEFAULT_PAIR and are fitted with the default kernel.
     Sizes are total counts m + n, split evenly; the fitted log-log slope
-    of the medians is reported (None for a single size).
+    of the medians is reported (None for a single size), and so is the
+    (size, seed, lambda) of every grid fit that did not converge.
     """
     sizes = sorted(int(s) for s in sizes)
     if not sizes:
@@ -317,6 +319,7 @@ def run_rate_sweep(
     bayes_value = bayes_risk(ctx, family)
 
     medians = []
+    unconverged = []
     for size in sizes:
         m = size // 2
         n = size - m
@@ -324,6 +327,7 @@ def run_rate_sweep(
         for seed in range(n_seeds):
             dataset = sample_pair(DEFAULT_PAIR, m, n, seed)
             fits, selection = fit_and_select(dataset, family, KernelSpec(), grid, rule)
+            unconverged += [(size, seed, model.lam) for model, report in fits if not report.converged]
             model = fits[selection.chosen_index - 1][0]
             errors.append(2.0 * (population_risk(ctx, family, model) - bayes_value))
         medians.append(float(np.median(errors)))
@@ -338,6 +342,7 @@ def run_rate_sweep(
         "n_seeds": n_seeds,
         "median_error": medians,
         "slope": slope,
+        "unconverged": unconverged,
     }
 
 

@@ -289,8 +289,6 @@ def fit(
     `gram` and the dataset's labels, lets a grid of fits share that setup.
     Non-convergence is reported, never silent.
     """
-    if dataset.total < 1:
-        raise InputError("dataset is empty")
     if not (lam > 0.0 and np.isfinite(lam)):
         raise InputError(f"lambda must be positive, got {lam}")
     opts = opts or FitOptions()

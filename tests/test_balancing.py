@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,9 +288,10 @@ class TestBoundCalculators:
     @pytest.mark.parametrize("seed", range(10))
     def test_balance_postcondition(self, seed):
         rng = np.random.default_rng(seed)
+        b1 = float(rng.uniform(0.1, 5.0))
+        rng.uniform(0.1, 5.0)  # an unused draw, so the constants below keep their values
         consts = BoundConstants(
-            b1=float(rng.uniform(0.1, 5.0)),
-            b2=float(rng.uniform(0.1, 5.0)),
+            b1=b1,
             radius=float(rng.uniform(0.1, 5.0)),
             target_norm=float(rng.uniform(0.1, 5.0)),
             q0=float(rng.uniform(0.1, 5.0)),
@@ -342,7 +344,7 @@ class TestSelection:
 
     def test_all_pass_chooses_largest(self):
         norms = {(i, j): 0.0 for i in range(2, 6) for j in range(1, i)}
-        assert choose_max_qualifying(5, norms, [1.0] * 5) == 5
+        assert choose_max_qualifying(norms, [1.0] * 5) == 5
 
     def test_pairwise_count(self, pair, kspec):
         ds = sample_pair(pair, 20, 20, seed=1)
@@ -393,8 +395,8 @@ class TestSelection:
         l = int(rng.integers(2, 7))
         norms = {(i, j): float(rng.uniform(0, 2)) for i in range(2, l + 1) for j in range(1, i)}
         thresholds = [float(rng.uniform(0, 2)) for _ in range(l)]
-        base = choose_max_qualifying(l, norms, thresholds)
-        bigger = choose_max_qualifying(l, norms, [t + r for t, r in zip(thresholds, raises)])
+        base = choose_max_qualifying(norms, thresholds)
+        bigger = choose_max_qualifying(norms, [t + r for t, r in zip(thresholds, raises)])
         assert bigger >= base
 
     def test_eta_s_threshold_formula(self, pair, kspec):
@@ -452,19 +454,15 @@ class TestKnownNormSelection:
         ctx = OracleContext.default(pair)
         grid = LambdaGrid(lambda0=1e-3, xi=10.0, l=1)
         fits = fit_grid(LossFamily.KULSIF, kspec, ds, grid)
-        chosen = known_norm_select(
-            grid, fits, self._oracle_form(ctx, LossFamily.KULSIF, kspec, ds), BoundConstants(), ds.total
-        )
+        chosen = known_norm_select(fits, self._oracle_form(ctx, LossFamily.KULSIF, kspec, ds), BoundConstants())
         assert chosen == 1
 
     def test_identical_fits_choose_largest(self, pair, kspec):
         ds = sample_pair(pair, 5, 5, seed=1)
         ctx = OracleContext.default(pair)
         model, _ = fit(LossFamily.KULSIF, kspec, ds, 0.1)
-        fits = [(model, None)] * GRID5.l
-        chosen = known_norm_select(
-            GRID5, fits, self._oracle_form(ctx, LossFamily.KULSIF, kspec, ds), BoundConstants(), ds.total
-        )
+        fits = [(replace(model, lam=float(lam)), None) for lam in GRID5.values]
+        chosen = known_norm_select(fits, self._oracle_form(ctx, LossFamily.KULSIF, kspec, ds), BoundConstants())
         assert chosen == GRID5.l
 
     def test_nested_grid_monotonicity(self, pair, kspec):
@@ -473,7 +471,6 @@ class TestKnownNormSelection:
         fits = fit_grid(LossFamily.KULSIF, kspec, ds, GRID5)
         form = self._oracle_form(ctx, LossFamily.KULSIF, kspec, ds)
         consts = BoundConstants()
-        full = known_norm_select(GRID5, fits, form, consts, ds.total)
+        full = known_norm_select(fits, form, consts)
         for l_prefix in range(1, GRID5.l):
-            prefix = LambdaGrid(lambda0=GRID5.lambda0, xi=GRID5.xi, l=l_prefix)
-            assert known_norm_select(prefix, fits[:l_prefix], form, consts, ds.total) <= full
+            assert known_norm_select(fits[:l_prefix], form, consts) <= full

@@ -473,11 +473,24 @@ class TestRateSweep:
             ]
         )
         assert code == 0
-        summary = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        summary = json.loads(captured.out)
         assert summary["slope"] is None
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "N,median_error"
         assert len(lines) == 2
+
+    def test_unconverged_fits_are_named_on_stderr(self, capsys):
+        args = ["rate-sweep", "--loss", "exp", "--sizes", "20,40", "--seeds", "2", "--grid", "1e-12:10:3"]
+        assert run_cli(args) == 0  # every size and seed still chose a lambda
+        captured = capsys.readouterr()
+        assert list(json.loads(captured.out)["median_error"]) == ["20", "40"]
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: fit did not converge at N=20 seed=0 lambda=1e-12; ")
+        named = err[0].removeprefix("warning: fit did not converge at ").split("; ")
+        assert len(named) == len(set(named)) == 9
+        assert all(entry.startswith(("N=20 seed=", "N=40 seed=")) for entry in named)
 
     @pytest.mark.parametrize("sizes", ["10,abc", "", ",", "8,8"])
     def test_bad_sizes_exit_two(self, sizes, capsys):
@@ -648,6 +661,11 @@ class TestOutOfRangeInput:
             ('{"output_dir": 5}', "output_dir must be a JSON string, got 5"),
             ('{"losses": "kulsif"}', "losses must be a JSON list, got 'kulsif'"),
             ('{"rule": "known-norm"}', 'rule must be "mj" or "eta-s", got \'known-norm\''),
+            # A repeated entry would run the same cells again.
+            ('{"losses": ["kulsif", "kulsif"], "sample_sizes": [[3, 3], [3, 3]], "seeds": [0, 0]}',
+             'losses entry "kulsif" is given more than once'),
+            ('{"sample_sizes": [[3, 3], [10, 10], [3, 3]]}', "sample_sizes entry [3, 3] is given more than once"),
+            ('{"seeds": [0, 1, 0]}', "seeds entry 0 is given more than once"),
             # A boolean is not read as 1.0, and a non-number fails naming its field.
             ('{"grid": {"lambda0": true, "xi": 10, "l": 5}}', "grid.lambda0 must be a JSON number, got True"),
             ('{"grid": {"lambda0": 1e-3, "xi": false, "l": 5}}', "grid.xi must be a JSON number, got False"),
@@ -681,8 +699,17 @@ class TestOutOfRangeInput:
 
 
 class TestUnwritableOutput:
+    @staticmethod
+    def _record_fits(monkeypatch):
+        """Stand-ins for every entry into the fits that record their calls."""
+        started = []
+        for name in ("fit", "select_lambda", "run_rate_sweep", "run_experiment"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: started.append(name))
+        return started
+
     @pytest.mark.parametrize("command", ["fit", "select", "rate-sweep", "experiment"])
-    def test_exits_two_naming_the_path(self, tmp_path, capsys, command):
+    def test_exits_two_naming_the_path(self, tmp_path, capsys, monkeypatch, command):
+        started = self._record_fits(monkeypatch)
         (tmp_path / "a_file").write_text("", encoding="utf-8")
         missing = tmp_path / "missing"
         if command == "fit":
@@ -702,9 +729,24 @@ class TestUnwritableOutput:
             config_path.write_text(json.dumps(config), encoding="utf-8")
             args = ["experiment", str(config_path)]
         assert run_quiet(args) == 2
+        assert started == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: ")
         assert not missing.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "select", "rate-sweep"])
+    def test_a_directory_as_the_output_file_exits_two_before_any_fit(self, tmp_path, capsys, monkeypatch, command):
+        started = self._record_fits(monkeypatch)
+        flag = "--out-csv" if command == "rate-sweep" else "--out"
+        args = {
+            "fit": ["fit", *SYNTH, "--loss", "exp", "--lambda", "1e-3"],
+            "select": ["select", *SYNTH, "--loss", "lr", "--grid", "1e-3:10:5"],
+            "rate-sweep": ["rate-sweep", "--loss", "kulsif", "--sizes", "250,500,1000", "--seeds", "3"],
+        }[command]
+        assert run_quiet([*args, flag, str(tmp_path)]) == 2
+        assert started == []
+        assert capsys.readouterr() == ("", f"error: cannot write {tmp_path}: it is not a writable file\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("blocker", ["regular file", "dangling symlink"])
     def test_experiment_under_a_non_directory_exits_two_before_any_fit(self, tmp_path, capsys, monkeypatch, blocker):

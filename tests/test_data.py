@@ -62,23 +62,39 @@ class TestSamplePair:
 
 
 class TestDatasetInvariants:
-    def test_counts_must_match(self):
-        with pytest.raises(InputError):
-            LabeledDataset(xs=np.zeros((3, 1)), ys=np.array([1, -1, -1]), m=2, n=1)
+    @given(
+        labels=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=30).filter(lambda ys: -1 in ys),
+        dim=st.integers(1, 3),
+    )
+    def test_counts_are_read_off_the_labels(self, labels, dim):
+        xs = np.arange(len(labels) * dim, dtype=np.float64).reshape(len(labels), dim)
+        ds = LabeledDataset(xs=xs, ys=np.array(labels))
+        assert ds.m == labels.count(1)
+        assert ds.n == labels.count(-1)
+        assert ds.total == len(labels)
+
+    @given(m=st.integers(0, 10), n=st.integers(1, 10), dim=st.integers(1, 3))
+    def test_blocks_give_their_row_counts(self, m, n, dim):
+        ds = LabeledDataset.from_blocks(np.ones((m, dim)), np.zeros((n, dim)))
+        assert (ds.m, ds.n, ds.total) == (m, n, m + n)
+
+    @pytest.mark.parametrize("ys", [[1, 1], []])
+    def test_needs_a_q_label(self, ys):
+        with pytest.raises(InputError, match=r"at least one Q sample \(label -1\)"):
+            LabeledDataset(xs=np.zeros((len(ys), 1)), ys=np.array(ys, dtype=np.int64))
 
     def test_labels_must_be_plus_minus_one(self):
         with pytest.raises(InputError):
-            LabeledDataset(xs=np.zeros((2, 1)), ys=np.array([1, 0]), m=1, n=1)
+            LabeledDataset(xs=np.zeros((2, 1)), ys=np.array([1, 0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_points_must_be_finite(self, bad):
         with pytest.raises(InputError, match="finite"):
-            LabeledDataset(xs=np.array([[0.0], [bad]]), ys=np.array([1, -1]), m=1, n=1)
+            LabeledDataset(xs=np.array([[0.0], [bad]]), ys=np.array([1, -1]))
 
-    def test_total_and_dim(self, pair):
+    def test_total(self, pair):
         ds = sample_pair(pair, 2, 3, seed=1)
         assert ds.total == 5
-        assert ds.dim == 1
 
 
 class TestCsvLoading:
@@ -100,7 +116,6 @@ class TestCsvLoading:
         self._write(p, ["x_1,x_2", "1,2"])
         self._write(q, ["x_1,x_2", "3,4", "5,6"])
         ds = load_two_csv(str(p), str(q))
-        assert ds.dim == 2
         assert ds.xs.shape == (3, 2)
 
     def test_non_numeric_cell_names_file_and_line(self, tmp_path):

@@ -1,5 +1,6 @@
 """README examples stay runnable, and README's module notes stay true."""
 
+import importlib
 import json
 import re
 import shlex
@@ -47,3 +48,27 @@ def test_only_losses_branches_on_the_family():
     modules = sorted((ROOT / "src" / "kernelratio").glob("*.py"))
     branching = [path.name for path in modules if pattern.search(path.read_text(encoding="utf-8"))]
     assert branching == ["losses.py"]
+
+
+def readme_module_notes():
+    """(module, backticked names in its note) for each entry of README's "Modules:" list."""
+    section = README.split("\nModules:\n", 1)[1]
+    notes = []
+    for line in section.splitlines():
+        found = re.match(r"- `(\w+)`: (.*)", line)
+        if found:
+            notes.append((found.group(1), re.findall(r"`([^`]+)`", found.group(2))))
+    return notes
+
+
+def test_every_name_in_readme_module_notes_resolves_in_its_module():
+    notes = readme_module_notes()
+    assert [module for module, _ in notes] == [
+        "kernel", "losses", "data", "solver", "balancing", "oracle", "experiment", "cli"
+    ]
+    for module, names in notes:
+        for name in names:
+            target = importlib.import_module(f"kernelratio.{module}")
+            for part in name.removesuffix("()").split("."):
+                assert hasattr(target, part), f"README names `{name}` under `{module}`"
+                target = getattr(target, part)

@@ -103,10 +103,12 @@ def _positive(lo=1e-3, hi=1e3):
 CONFIGS = st.builds(
     ExperimentConfig,
     pair=st.builds(GaussianPairSpec, st.floats(-5.0, 5.0), _positive(0.2, 5.0), st.floats(-5.0, 5.0), _positive(0.2, 5.0)),
-    losses=st.lists(st.sampled_from(LossFamily), min_size=1, max_size=4).map(tuple),
+    losses=st.lists(st.sampled_from(LossFamily), min_size=1, max_size=4, unique=True).map(tuple),
     grid=st.builds(LambdaGrid, _positive(1e-12, 1.0), _positive(1.01, 100.0), st.integers(1, 8)),
-    sample_sizes=st.lists(st.tuples(st.integers(0, 500), st.integers(1, 500)), min_size=1, max_size=3).map(tuple),
-    seeds=st.lists(st.integers(0, 2**63), min_size=1, max_size=5).map(tuple),
+    sample_sizes=st.lists(
+        st.tuples(st.integers(0, 500), st.integers(1, 500)), min_size=1, max_size=3, unique=True
+    ).map(tuple),
+    seeds=st.lists(st.integers(0, 2**63), min_size=1, max_size=5, unique=True).map(tuple),
     rule=st.sampled_from(SelectionRule),
     kernel=st.builds(KernelSpec, st.sampled_from(KernelFamily), _positive(1e-100, 1e100)),
     output_dir=st.text(min_size=1, max_size=20),

@@ -68,7 +68,7 @@ def block_datasets(draw, p_counts=st.integers(1, 40)):
 
 def two_point_dataset():
     # One point from each class at the two component means.
-    return LabeledDataset(xs=np.array([[4.0], [2.0]]), ys=np.array([1, -1]), m=1, n=1)
+    return LabeledDataset(xs=np.array([[4.0], [2.0]]), ys=np.array([1, -1]))
 
 
 class TestObjective:
@@ -119,7 +119,7 @@ class TestClosedForm:
         assert alpha[0] == pytest.approx(1.0 / (2.0 * lam), rel=1e-12)
 
     def test_single_q_point_gives_zero(self, kspec):
-        ds = LabeledDataset(xs=np.array([[2.0]]), ys=np.array([-1]), m=0, n=1)
+        ds = LabeledDataset(xs=np.array([[2.0]]), ys=np.array([-1]))
         K = gram_matrix(kspec, ds.xs).values
         alpha = closed_form_fit(LossFamily.KULSIF, K, ds.ys, 0.1)
         assert alpha[0] == 0.0
@@ -237,7 +237,7 @@ class TestClosedForm:
         system = solver.ClosedFormSystem(LossFamily.KULSIF, gram, ds.ys)
         model, _ = fit(LossFamily.KULSIF, kspec, ds, 0.1, gram=gram, system=system)
         assert model.alpha.tobytes() == closed_form_fit(LossFamily.KULSIF, gram, ds.ys, 0.1).tobytes()
-        flipped = LabeledDataset(ds.xs, -ds.ys, m=ds.n, n=ds.m)
+        flipped = LabeledDataset(ds.xs, -ds.ys)
         other_gram = gram_matrix(kspec, ds.xs)
         for family, data, other in (
             (LossFamily.SQ, ds, gram),
