@@ -35,7 +35,6 @@ from .oracle import (
     bregman_error_via_risk,
     grid_mse,
     hessian_sandwich_test,
-    population_h_form,
     population_risk,
     true_ratio,
 )
@@ -43,7 +42,6 @@ from .solver import (
     FitOptions,
     FitReport,
     RatioModel,
-    closed_form_fit,
     fit,
     load_model,
     margins_at,
@@ -81,7 +79,6 @@ __all__ = [
     "bayes_margin",
     "bregman_error_direct",
     "bregman_error_via_risk",
-    "closed_form_fit",
     "empirical_h_norm",
     "fit",
     "gram_matrix",
@@ -96,7 +93,6 @@ __all__ = [
     "load_two_csv",
     "margins_at",
     "objective_and_gradient",
-    "population_h_form",
     "population_risk",
     "predict_margin",
     "predict_ratio",

@@ -35,7 +35,7 @@ from .data import LabeledDataset
 from .errors import InputError, NumericalError
 from .kernel import GramMatrix, KernelSpec, gram_matrix, gram_values
 from .losses import QUADRATIC_FAMILIES, LossFamily, loss_d2
-from .solver import ClosedFormSystem, FitReport, RatioModel, fit, predict_margin
+from .solver import ClosedFormSystem, FitReport, RatioModel, fit
 
 
 class BalanceRule(enum.Enum):
@@ -97,21 +97,18 @@ class HessianWeights:
 
 
 def hessian_weights(
-    family: LossFamily, model: RatioModel, dataset: LabeledDataset, gram: GramMatrix | None = None
+    family: LossFamily, model: RatioModel, dataset: LabeledDataset, gram: GramMatrix
 ) -> HessianWeights:
     """e_i = ell''(y_i, f(x_i)) at the model's training margins.
 
     kulsif: (1 - y_i)/2 exactly (label-only); exp: e^{-y_i f(x_i)};
     lr: s(1-s) at s = logistic(y_i f(x_i)); sq: the constant 2.
     The margin-quadratic families' ell'' does not depend on the margin, so
-    theirs are read off the labels alone.  Otherwise, with the Gram matrix
-    of the training points at hand, the margins are read off as K alpha
-    instead of evaluating the kernel again.
+    theirs are read off the labels alone.  Otherwise the margins are read
+    off the Gram matrix of the training points as K alpha.
     """
     if family in QUADRATIC_FAMILIES:
         margins = np.zeros(dataset.total)
-    elif gram is None:
-        margins = predict_margin(model, dataset.xs)
     else:
         margins = gram_values(gram) @ model.alpha
     e = loss_d2(family, dataset.ys.astype(np.float64), margins)
@@ -186,8 +183,8 @@ class BoundConstants:
                 raise InputError(f"{name} must be a positive real, got {value}")
         if not 0.0 < self.source_r <= 0.5:
             raise InputError(f"source_r must lie in (0, 1/2], got {self.source_r}")
-        if not self.capacity_alpha >= 1.0:
-            raise InputError(f"capacity_alpha must be >= 1, got {self.capacity_alpha}")
+        if not 1.0 <= self.capacity_alpha < math.inf:
+            raise InputError(f"capacity_alpha must be finite and >= 1, got {self.capacity_alpha}")
         # Theory wants delta <= 1/2; any value in (0, 1) is accepted so the
         # calculators stay usable at round-number log(2/delta) targets.
         if not 0.0 < self.delta < 1.0:
@@ -255,8 +252,8 @@ def rate_exponent(r: float, capacity_alpha: float) -> float:
     """Error-rate exponent (2 r alpha + alpha) / (2 r alpha + alpha + 1)."""
     if not 0.0 < r <= 0.5:
         raise InputError(f"r must lie in (0, 1/2], got {r}")
-    if not capacity_alpha >= 1.0:
-        raise InputError(f"capacity_alpha must be >= 1, got {capacity_alpha}")
+    if not 1.0 <= capacity_alpha < math.inf:
+        raise InputError(f"capacity_alpha must be finite and >= 1, got {capacity_alpha}")
     top = 2.0 * r * capacity_alpha + capacity_alpha
     return top / (top + 1.0)
 
@@ -311,14 +308,12 @@ def fit_grid(
     dataset: LabeledDataset,
     grid: LambdaGrid,
     *,
-    gram: GramMatrix | None = None,
+    gram: GramMatrix,
 ) -> list[tuple[RatioModel, FitReport]]:
     """Fit the estimator once per grid value, ascending.
 
     The margin-quadratic families share one closed-form setup over the grid.
     """
-    if gram is None:
-        gram = gram_matrix(kernel, dataset.xs)
     system = ClosedFormSystem(family, gram, dataset.ys) if family in QUADRATIC_FAMILIES else None
     fits = []
     for lam in grid.values:
@@ -358,8 +353,6 @@ def select_from_fits(
             "fit": fits[idx][1].to_dict(),
         }
         if rule is SelectionRule.PRACTICAL_MJ:
-            if traces[idx] <= 0.0:
-                raise NumericalError(f"curvature trace vanished at lambda={lam}")
             m_j = traces[idx] ** -2
             threshold = m_j / (lam * n_total)
             entry["m_j"] = m_j
@@ -434,25 +427,3 @@ def select_lambda(
 ) -> SelectionReport:
     """Fit the whole grid and pick lambda by the balancing rule."""
     return fit_and_select(dataset, family, kernel, grid, rule, consts)[1]
-
-
-def known_norm_select(fits, oracle_h_quadratic_form, consts: BoundConstants) -> int:
-    """The 1-based grid index that balancing picks in the population norm; for tests only.
-
-    `fits` holds (model, report) pairs in ascending lambda, as `fit_grid`
-    returns them; lambda_j and N are read off the models.
-    `oracle_h_quadratic_form(coeffs, lam)` must return the population
-    quadratic form of the coefficient vector at regularization lam; the
-    threshold is 8 eta S(N, delta, lambda_j).
-    """
-    models = [model for model, _ in fits]
-    eta = balance_eta(BalanceRule.FAST_RATE, consts)
-    thresholds = [
-        8.0 * eta * s_term(BalanceRule.FAST_RATE, consts, model.points.shape[0], model.lam) for model in models
-    ]
-    norm_sq = {
-        (i, j): float(oracle_h_quadratic_form(models[i - 1].alpha - models[j - 1].alpha, models[j - 1].lam))
-        for i in range(2, len(models) + 1)
-        for j in range(1, i)
-    }
-    return choose_max_qualifying(norm_sq, thresholds)

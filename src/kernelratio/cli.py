@@ -128,10 +128,10 @@ def cmd_select(args) -> int:
     grid = _parse_grid(args.grid)
     rule = SelectionRule(args.rule)
     consts = BoundConstants(delta=args.delta, q0=args.q0, capacity_alpha=args.capacity_alpha)
-    if args.out:
+    if args.out is not None:
         check_writable(args.out)
     report = select_lambda(dataset, family, _kernel_from_args(args), grid, rule, consts)
-    if args.out:
+    if args.out is not None:
         doc = {
             "config": {
                 "data": _data_config(args, seed),
@@ -165,7 +165,7 @@ def cmd_rate_sweep(args) -> int:
     if (args.r is None) != (args.capacity_alpha is None):
         raise InputError("--r and --capacity-alpha must be given together")
     exponent = None if args.r is None else rate_exponent(args.r, args.capacity_alpha)
-    if args.out_csv:
+    if args.out_csv is not None:
         check_writable(args.out_csv)
     result = run_rate_sweep(
         family,
@@ -174,7 +174,7 @@ def cmd_rate_sweep(args) -> int:
         SelectionRule(args.selection),
         grid=_parse_grid(args.grid),
     )
-    if args.out_csv:
+    if args.out_csv is not None:
         write_text(args.out_csv, (line + "\n" for line in rate_sweep_csv_rows(result)))
     summary = {
         "config": {

@@ -77,15 +77,17 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         xs = as_points(self.xs)
-        ys = np.asarray(self.ys, dtype=np.int64).reshape(-1)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        ys = np.asarray(self.ys).reshape(-1)
         if xs.shape[0] != ys.shape[0]:
             raise InputError(f"xs/ys length mismatch: {xs.shape[0]} vs {ys.shape[0]}")
         if not np.all(np.isfinite(xs)):
             raise InputError("sample points must be finite")
+        # Checked before the cast to integers, which would truncate 1.7 to 1.
         if not np.all(np.isin(ys, (-1, 1))):
             raise InputError("labels must take values -1 or +1 only")
+        ys = ys.astype(np.int64, copy=False)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
         m = int(np.count_nonzero(ys == 1))
         if m == ys.shape[0]:
             raise InputError("need at least one Q sample (label -1)")
@@ -193,14 +195,31 @@ def finite_or_null(doc):
     return doc
 
 
+def check_json_number(value, name: str) -> None:
+    """Raise an InputError naming the field unless value is a JSON number a float can hold.
+
+    float() and numpy would read a boolean as 1.0 or 0.0, and numpy a
+    numeric string or a null as a float, even inside a row of numbers.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{name} must be a JSON number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise InputError(f"{name} is an integer too large for a float") from None
+
+
 def check_writable(path: str, *, make_dirs: bool = False) -> None:
     """Raise the InputError write_text would raise if path cannot be written; create nothing.
 
-    Only what exists is looked at: path must not be a directory or a file
-    this process may not write, and the nearest existing ancestor of its
-    directory (the directory itself unless make_dirs) must be a directory,
-    or a symlink that resolves to one, that this process may write.
+    Only what exists is looked at: path must be nonempty, and not a
+    directory or a file this process may not write, and the nearest
+    existing ancestor of its directory (the directory itself unless
+    make_dirs) must be a directory, or a symlink that resolves to one,
+    that this process may write.
     """
+    if not path:
+        raise InputError(f"cannot write {path}: the path is empty")
     existing = os.path.dirname(os.path.abspath(path))
     while make_dirs and not os.path.lexists(existing):
         existing = os.path.dirname(existing)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balancing import BoundConstants, LambdaGrid, SelectionRule, fit_and_select
-from .data import DEFAULT_PAIR, GaussianPairSpec, check_writable, sample_pair, write_json, write_text
+from .data import DEFAULT_PAIR, GaussianPairSpec, check_json_number, check_writable, sample_pair, write_json, write_text
 from .errors import InputError
 from .kernel import KernelFamily, KernelSpec
 from .losses import LossFamily
@@ -100,12 +100,7 @@ class ExperimentConfig:
                 for key, value in doc[section].items():
                     if key in ("l", "family"):
                         continue
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        raise InputError(f"{section}.{key} must be a JSON number, got {value!r}")
-                    try:
-                        float(value)
-                    except OverflowError:
-                        raise InputError(f"{section}.{key} is an integer too large for a float") from None
+                    check_json_number(value, f"{section}.{key}")
             try:
                 pair = GaussianPairSpec(**doc["pair"])
             except (TypeError, ValueError) as exc:  # ValueError covers InputError

@@ -42,7 +42,7 @@ from .losses import (
     ratio_map,
     ratio_map_raw,
 )
-from .solver import FitOptions, RatioModel, fit, margins_at, predict_margin
+from .solver import RatioModel, fit, margins_at, predict_margin
 
 _ETA_FLOOR = 1e-300
 _ETA_CEIL = 1.0 - 1e-16
@@ -286,27 +286,6 @@ def _h_form_integrals(ctx, family, center, kernel, points, coeff_rows) -> np.nda
     return _integrate(integrand, ctx.quad)
 
 
-def population_h_form(
-    ctx: OracleContext,
-    family: LossFamily,
-    center,
-    lam: float,
-    coeffs,
-    kernel: KernelSpec,
-    points,
-) -> float:
-    """Population curvature form of h = sum_j c_j k(x_j, .) at a center margin.
-
-    (1/2) int ell''(1, c(x)) h(x)^2 p + (1/2) int ell''(-1, c(x)) h(x)^2 q
-    + lam ||h||_H^2, all by the context's quadrature.
-    """
-    if not lam > 0.0:
-        raise InputError(f"lambda must be positive, got {lam}")
-    coeffs = np.asarray(coeffs, dtype=np.float64).reshape(-1)
-    rkhs_sq = float(coeffs @ (gram_matrix(kernel, points).values @ coeffs))
-    return float(_h_form_integrals(ctx, family, center, kernel, points, [coeffs])[0] + lam * rkhs_sq)
-
-
 def grid_mse(ctx: OracleContext, model: RatioModel, margins=None) -> float:
     """Mean squared error of the (floored) ratio estimate on the eval grid.
 
@@ -342,7 +321,7 @@ def reference_margin(
         return lambda xs: np.zeros(np.shape(np.asarray(xs, dtype=np.float64).reshape(-1))[0])
     half = n_ref // 2
     dataset = sample_pair(ctx.pair, half, n_ref - half, seed)
-    model, _ = fit(family, kernel, dataset, lambda_ref, FitOptions())
+    model, _ = fit(family, kernel, dataset, lambda_ref)
     return lambda xs: predict_margin(model, np.asarray(xs, dtype=np.float64))
 
 

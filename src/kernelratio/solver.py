@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import LabeledDataset, write_json
+from .data import LabeledDataset, check_json_number, write_json
 from .errors import InputError, NumericalError
 from .kernel import (
     GramMatrix,
@@ -174,11 +174,6 @@ class ClosedFormSystem:
         return alpha
 
 
-def closed_form_fit(family: LossFamily, gram, ys, lam: float) -> np.ndarray:
-    """Direct linear solve at one lambda; see ClosedFormSystem."""
-    return ClosedFormSystem(family, gram, ys).solve(lam)
-
-
 def _fit_cg(family, K, ys, lam, opts, callback=None):
     n_total = ys.shape[0]
     neg_ys = -ys
@@ -301,6 +296,8 @@ def fit(
     if gram is None:
         gram = gram_matrix(kernel, dataset.xs)
     K = gram.values
+    if K.shape != (dataset.total, dataset.total):
+        raise InputError(f"the Gram matrix has shape {K.shape}, not ({dataset.total}, {dataset.total})")
     ys = dataset.ys
 
     if opts.method == "auto" and family in QUADRATIC_FAMILIES:
@@ -389,27 +386,12 @@ def save_model(model: RatioModel, path: str, *, seed=None, dataset_hash=None) ->
     write_json(path, model_to_dict(model, seed=seed, dataset_hash=dataset_hash))
 
 
-def _check_json_numbers(value, name: str) -> None:
-    """Raise InputError unless value is a JSON number or nested lists of them.
-
-    numpy would read a boolean as 1.0 or 0.0, and a numeric string or a
-    null as a float, even inside a row of numbers.
-    """
-    pending = [value]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, list):
-            pending.extend(reversed(item))
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise InputError(f"{name}: {item!r} is not a JSON number")
-
-
 def load_model(path: str) -> tuple[RatioModel, dict]:
     """Load a model JSON; returns the model and the raw document.
 
     Anything but an object with finite points and coefficients raises
-    InputError, and so does a boolean, string or null in `bandwidth`,
-    `lambda`, `points` or `alpha`.
+    InputError, and so does a boolean, string, null or integer too large
+    for a float in `bandwidth`, `lambda`, `points` or `alpha`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -420,7 +402,13 @@ def load_model(path: str) -> tuple[RatioModel, dict]:
         raise InputError(f"malformed model file {path}: expected a JSON object")
     try:
         for key in ("bandwidth", "lambda", "points", "alpha"):
-            _check_json_numbers(doc[key], key)
+            pending = [doc[key]]
+            while pending:  # the first bad entry in document order
+                item = pending.pop()
+                if isinstance(item, list):
+                    pending.extend(reversed(item))
+                else:
+                    check_json_number(item, key)
         model = RatioModel(
             kernel=KernelSpec(KernelFamily(doc["kernel_family"]), float(doc["bandwidth"])),
             points=np.asarray(doc["points"], dtype=np.float64),

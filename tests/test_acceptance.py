@@ -170,7 +170,7 @@ def test_06_empirical_norm_matrix_vs_operator_form():
                 ds = sample_pair(PAIR, n_half, n_half, seed=seed)
                 gram = gram_matrix(KERNEL, ds.xs)
                 model, _ = fit(family, KERNEL, ds, 0.05)
-                weights = hessian_weights(family, model, ds)
+                weights = hessian_weights(family, model, ds, gram)
                 a = rng.normal(size=ds.total)
                 b = rng.normal(size=ds.total)
                 lam = float(rng.uniform(0.01, 1.0))

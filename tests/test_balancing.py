@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,11 +31,10 @@ from kernelratio.balancing import (
     curvature_operator_norm,
     fit_and_select,
     fit_grid,
-    known_norm_select,
     select_from_fits,
 )
-from kernelratio.losses import QUADRATIC_FAMILIES, loss_d2
-from kernelratio.oracle import OracleContext, bayes_margin, population_h_form
+from kernelratio.losses import loss_d2
+from kernelratio.solver import predict_margin
 
 GRID5 = LambdaGrid(lambda0=1e-4, xi=10.0, l=5)
 
@@ -67,7 +65,7 @@ class TestHessianWeights:
     def test_kulsif_weights_are_label_indicators(self, pair, kspec):
         ds = sample_pair(pair, 4, 6, seed=0)
         model, _ = fit(LossFamily.KULSIF, kspec, ds, 0.1)
-        w = hessian_weights(LossFamily.KULSIF, model, ds)
+        w = hessian_weights(LossFamily.KULSIF, model, ds, gram_matrix(kspec, ds.xs))
         np.testing.assert_array_equal(w.e, 0.5 * (1.0 - ds.ys))
         assert set(np.unique(w.e)) == {0.0, 1.0}
 
@@ -75,20 +73,21 @@ class TestHessianWeights:
         ds = sample_pair(pair, 4, 6, seed=0)
         m1, _ = fit(LossFamily.KULSIF, kspec, ds, 1e-3)
         m2, _ = fit(LossFamily.KULSIF, kspec, ds, 10.0)
-        w1 = hessian_weights(LossFamily.KULSIF, m1, ds)
-        w2 = hessian_weights(LossFamily.KULSIF, m2, ds)
+        gram = gram_matrix(kspec, ds.xs)
+        w1 = hessian_weights(LossFamily.KULSIF, m1, ds, gram)
+        w2 = hessian_weights(LossFamily.KULSIF, m2, ds, gram)
         np.testing.assert_array_equal(w1.e, w2.e)
 
     def test_exp_weights_at_zero_coefficients(self, pair, kspec):
         ds = sample_pair(pair, 3, 3, seed=1)
         model, _ = fit(LossFamily.EXP, kspec, ds, 1e9)  # effectively alpha = 0
-        w = hessian_weights(LossFamily.EXP, model, ds)
+        w = hessian_weights(LossFamily.EXP, model, ds, gram_matrix(kspec, ds.xs))
         np.testing.assert_allclose(w.e, 1.0, atol=1e-6)
 
     def test_lr_weights_at_zero_are_quarter(self, pair, kspec):
         ds = sample_pair(pair, 3, 3, seed=1)
         model, _ = fit(LossFamily.LR, kspec, ds, 1e9)
-        w = hessian_weights(LossFamily.LR, model, ds)
+        w = hessian_weights(LossFamily.LR, model, ds, gram_matrix(kspec, ds.xs))
         np.testing.assert_allclose(w.e, 0.25, atol=1e-6)
 
     @pytest.mark.parametrize("family", list(LossFamily))
@@ -97,13 +96,14 @@ class TestHessianWeights:
         gram = gram_matrix(kspec, ds.xs)
         model, _ = fit(family, kspec, ds, 0.01, gram=gram)
         with_gram = hessian_weights(family, model, ds, gram)
-        assert np.array_equal(with_gram.e, hessian_weights(family, model, ds).e)
+        predicted = predict_margin(model, ds.xs)
+        assert np.array_equal(with_gram.e, loss_d2(family, ds.ys.astype(np.float64), predicted))
         assert np.array_equal(hessian_weights(family, model, ds, gram.values).e, with_gram.e)
 
     def test_sq_weights_are_two(self, pair, kspec):
         ds = sample_pair(pair, 3, 3, seed=1)
         model, _ = fit(LossFamily.SQ, kspec, ds, 0.5)
-        w = hessian_weights(LossFamily.SQ, model, ds)
+        w = hessian_weights(LossFamily.SQ, model, ds, gram_matrix(kspec, ds.xs))
         np.testing.assert_array_equal(w.e, np.full(ds.total, 2.0))
 
     @pytest.mark.parametrize("family", list(LossFamily))
@@ -115,8 +115,6 @@ class TestHessianWeights:
         for model, _ in fit_grid(family, kspec, ds, GRID5, gram=gram):
             expected = loss_d2(family, ys, gram.values @ model.alpha).tobytes()
             assert hessian_weights(family, model, ds, gram).e.tobytes() == expected
-            if family in QUADRATIC_FAMILIES:
-                assert hessian_weights(family, model, ds).e.tobytes() == expected
 
 
 class TestEmpiricalNorm:
@@ -124,7 +122,7 @@ class TestEmpiricalNorm:
         ds = sample_pair(pair, m, n, seed=seed)
         gram = gram_matrix(kspec, ds.xs)
         model, _ = fit(LossFamily.EXP, kspec, ds, 0.1)
-        weights = hessian_weights(LossFamily.EXP, model, ds)
+        weights = hessian_weights(LossFamily.EXP, model, ds, gram)
         return ds, gram, weights
 
     def test_zero_at_equal_coefficients(self, pair, kspec):
@@ -162,7 +160,7 @@ class TestEmpiricalNorm:
         ds = sample_pair(pair, n_half, n_half, seed=seed)
         gram = gram_matrix(kspec, ds.xs)
         model, _ = fit(family, kspec, ds, 0.05)
-        weights = hessian_weights(family, model, ds)
+        weights = hessian_weights(family, model, ds, gram)
         a = rng.normal(size=ds.total)
         b = rng.normal(size=ds.total)
         lam = float(rng.uniform(0.01, 1.0))
@@ -176,6 +174,17 @@ class TestEmpiricalNorm:
         )
         assert empirical_h_norm(gram, weights, a, b, lam) == pytest.approx(by_hand, abs=1e-10)
 
+    def test_rejects_a_bad_lambda_or_lengths_that_miss_the_kernel_matrix(self, pair, kspec):
+        ds, gram, weights = self._setup(pair, kspec)
+        alpha = np.zeros(ds.total)
+        for lam in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InputError, match="lambda_t must be positive"):
+                empirical_h_norm(gram, weights, alpha, alpha, lam)
+        with pytest.raises(InputError, match="does not match the kernel matrix"):
+            empirical_h_norm(gram, weights, alpha[:-1], alpha[:-1], 0.1)
+        with pytest.raises(InputError, match="does not match the kernel matrix"):
+            empirical_h_norm(gram, HessianWeights(e=weights.e[:-1]), alpha, alpha, 0.1)
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_nonnegative(self, seed, pair, kspec):
@@ -183,7 +192,7 @@ class TestEmpiricalNorm:
         ds = sample_pair(pair, 3, 3, seed=seed % 7)
         gram = gram_matrix(kspec, ds.xs)
         model, _ = fit(LossFamily.KULSIF, kspec, ds, 0.1)
-        weights = hessian_weights(LossFamily.KULSIF, model, ds)
+        weights = hessian_weights(LossFamily.KULSIF, model, ds, gram)
         a, b = rng.normal(size=6), rng.normal(size=6)
         assert empirical_h_norm(gram, weights, a, b, 0.3) >= 0.0
 
@@ -200,21 +209,21 @@ class TestTrace:
         ds = sample_pair(pair, 5, 5, seed=0)
         gram = gram_matrix(kspec, ds.xs)
         model, _ = fit(LossFamily.KULSIF, kspec, ds, 0.1)
-        w = hessian_weights(LossFamily.KULSIF, model, ds)
+        w = hessian_weights(LossFamily.KULSIF, model, ds, gram)
         assert hessian_trace(gram, w) == pytest.approx(1.0, rel=1e-14)
 
     def test_exp_zero_coefficients_trace_is_two(self, pair, kspec):
         ds = sample_pair(pair, 5, 5, seed=0)
         gram = gram_matrix(kspec, ds.xs)
         model, _ = fit(LossFamily.EXP, kspec, ds, 1e9)
-        w = hessian_weights(LossFamily.EXP, model, ds)
+        w = hessian_weights(LossFamily.EXP, model, ds, gram)
         assert hessian_trace(gram, w) == pytest.approx(2.0, abs=1e-6)
 
     def test_identity_part_adds_n_lambda(self, pair, kspec):
         ds = sample_pair(pair, 5, 5, seed=0)
         gram = gram_matrix(kspec, ds.xs)
         model, _ = fit(LossFamily.KULSIF, kspec, ds, 0.1)
-        w = hessian_weights(LossFamily.KULSIF, model, ds)
+        w = hessian_weights(LossFamily.KULSIF, model, ds, gram)
         base = hessian_trace(gram, w)
         assert hessian_trace(gram, w, 0.01) == pytest.approx(base + 10 * 0.01, rel=1e-14)
 
@@ -222,7 +231,7 @@ class TestTrace:
         ds = sample_pair(pair, 5, 5, seed=0)
         gram = gram_matrix(kspec, ds.xs)
         model, _ = fit(LossFamily.KULSIF, kspec, ds, 0.1)
-        w = hessian_weights(LossFamily.KULSIF, model, ds)
+        w = hessian_weights(LossFamily.KULSIF, model, ds, gram)
         assert curvature_operator_norm(gram, w) > 0.0
 
 
@@ -233,7 +242,7 @@ class TestTrace:
         gram = gram_matrix(kspec, ds.xs)
         for family in (LossFamily.KULSIF, LossFamily.EXP):
             model, _ = fit(family, kspec, ds, 0.1)
-            w = hessian_weights(family, model, ds)
+            w = hessian_weights(family, model, ds, gram)
             root = np.sqrt(w.e)
             full = np.linalg.eigvalsh(root[:, None] * gram.values * root[None, :] / ds.total)
             assert curvature_operator_norm(gram, w) == pytest.approx(np.max(np.abs(full)), rel=1e-13)
@@ -313,6 +322,8 @@ class TestBoundCalculators:
             BoundConstants(source_r=0.7)
         with pytest.raises(InputError):
             BoundConstants(capacity_alpha=0.5)
+        with pytest.raises(InputError, match="capacity_alpha must be finite and >= 1, got inf"):
+            BoundConstants(capacity_alpha=math.inf)
         with pytest.raises(InputError):
             BoundConstants(delta=1.5)
         with pytest.raises(InputError):
@@ -332,6 +343,8 @@ class TestRateExponent:
             rate_exponent(0.0, 1.0)
         with pytest.raises(InputError):
             rate_exponent(0.25, 0.9)
+        with pytest.raises(InputError, match="capacity_alpha must be finite and >= 1, got inf"):
+            rate_exponent(0.25, math.inf)
 
 
 class TestSelection:
@@ -341,6 +354,13 @@ class TestSelection:
         report = select_lambda(ds, LossFamily.KULSIF, kspec, grid, SelectionRule.PRACTICAL_MJ)
         assert report.chosen_lambda == pytest.approx(1e-2, rel=1e-12)
         assert report.pairwise == ()
+
+    def test_fits_must_match_the_grid(self, pair, kspec):
+        ds = sample_pair(pair, 3, 3, seed=0)
+        gram = gram_matrix(kspec, ds.xs)
+        fits = fit_grid(LossFamily.KULSIF, kspec, ds, GRID5, gram=gram)
+        with pytest.raises(InputError, match="got 4 fits for a grid of length 5"):
+            select_from_fits(LossFamily.KULSIF, gram, ds, GRID5, fits[:-1], SelectionRule.PRACTICAL_MJ)
 
     def test_all_pass_chooses_largest(self):
         norms = {(i, j): 0.0 for i in range(2, 6) for j in range(1, i)}
@@ -375,7 +395,8 @@ class TestSelection:
         consts = BoundConstants(delta=0.1, q0=2.0)
         fits, report = fit_and_select(ds, family, kspec, GRID5, rule, consts)
         assert report == select_lambda(ds, family, kspec, GRID5, rule, consts)
-        for (model, fit_report), (ref_model, ref_report) in zip(fits, fit_grid(family, kspec, ds, GRID5), strict=True):
+        ref_fits = fit_grid(family, kspec, ds, GRID5, gram=gram_matrix(kspec, ds.xs))
+        for (model, fit_report), (ref_model, ref_report) in zip(fits, ref_fits, strict=True):
             np.testing.assert_array_equal(model.alpha, ref_model.alpha)
             assert fit_report == ref_report
 
@@ -428,7 +449,7 @@ class TestSelection:
 
         monkeypatch.setattr(balancing, "fit", counting_fit)
         ds = sample_pair(pair, 5, 6, seed=1)
-        fit_grid(family, kspec, ds, GRID5)
+        fit_grid(family, kspec, ds, GRID5, gram=gram_matrix(kspec, ds.xs))
         assert calls == [(family, float(lam)) for lam in GRID5.values]
 
     def test_fit_failure_names_lambda(self, pair, kspec, monkeypatch):
@@ -443,34 +464,3 @@ class TestSelection:
         with pytest.raises(NumericalError, match="lambda=0.001"):
             select_lambda(ds, LossFamily.KULSIF, kspec, GRID5, SelectionRule.PRACTICAL_MJ)
 
-
-class TestKnownNormSelection:
-    def _oracle_form(self, ctx, family, kspec, ds):
-        center = lambda xs: bayes_margin(ctx, family, xs)
-        return lambda coeffs, lam: population_h_form(ctx, family, center, lam, coeffs, kspec, ds.xs)
-
-    def test_single_element_grid(self, pair, kspec):
-        ds = sample_pair(pair, 10, 10, seed=0)
-        ctx = OracleContext.default(pair)
-        grid = LambdaGrid(lambda0=1e-3, xi=10.0, l=1)
-        fits = fit_grid(LossFamily.KULSIF, kspec, ds, grid)
-        chosen = known_norm_select(fits, self._oracle_form(ctx, LossFamily.KULSIF, kspec, ds), BoundConstants())
-        assert chosen == 1
-
-    def test_identical_fits_choose_largest(self, pair, kspec):
-        ds = sample_pair(pair, 5, 5, seed=1)
-        ctx = OracleContext.default(pair)
-        model, _ = fit(LossFamily.KULSIF, kspec, ds, 0.1)
-        fits = [(replace(model, lam=float(lam)), None) for lam in GRID5.values]
-        chosen = known_norm_select(fits, self._oracle_form(ctx, LossFamily.KULSIF, kspec, ds), BoundConstants())
-        assert chosen == GRID5.l
-
-    def test_nested_grid_monotonicity(self, pair, kspec):
-        ds = sample_pair(pair, 100, 100, seed=4)
-        ctx = OracleContext.default(pair)
-        fits = fit_grid(LossFamily.KULSIF, kspec, ds, GRID5)
-        form = self._oracle_form(ctx, LossFamily.KULSIF, kspec, ds)
-        consts = BoundConstants()
-        full = known_norm_select(fits, form, consts)
-        for l_prefix in range(1, GRID5.l):
-            assert known_norm_select(fits[:l_prefix], form, consts) <= full

@@ -301,11 +301,10 @@ class TestSelect:
         assert all(e["fit"]["objective"] is None for e in report["per_lambda"])
 
     def test_malformed_grid(self, capsys):
-        code = run_cli(
-            ["select", "--synthetic", "--loss", "exp", "--grid", "nope"]
-        )
-        assert code == 2
-        capsys.readouterr()
+        for grid, expects in (("nope", "lo:ratio:count"), ("1e-3:x:3", "numbers lo:ratio:count")):
+            code = run_cli(["select", "--synthetic", "--loss", "exp", "--grid", grid])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: --grid expects {expects}, got {grid!r}\n"
 
     @pytest.mark.parametrize(
         "command, grid",
@@ -535,6 +534,7 @@ class TestRateSweep:
             (["--r", "0.5"], "--r and --capacity-alpha must be given together"),
             (["--capacity-alpha", "1"], "--r and --capacity-alpha must be given together"),
             (["--r", "0.7", "--capacity-alpha", "1"], "r must lie in (0, 1/2], got 0.7"),
+            (["--r", "0.5", "--capacity-alpha", "inf"], "capacity_alpha must be finite and >= 1, got inf"),
         ],
     )
     def test_bad_exponent_flags_exit_two_before_any_fit(self, capsys, monkeypatch, flags, message):
@@ -656,6 +656,7 @@ class TestOutOfRangeInput:
             ('{"seeds": [true]}', "seeds must hold JSON integers, got True"),
             ('{"sample_sizes": [[3, 3.0]]}', "sample_sizes must hold JSON integers, got 3.0"),
             ('{"seeds": [0, -1]}', "seeds must be nonnegative, got -1"),
+            ('{"sample_sizes": []}', "sample_sizes must be nonempty"),
             ('{"kernel": {"bandwidth": 1e-170}}', "bandwidth must be a positive real with 2 * bandwidth**2"),
             ('{"output_dir": null}', "output_dir must be a JSON string, got None"),
             ('{"output_dir": 5}', "output_dir must be a JSON string, got 5"),
@@ -746,6 +747,20 @@ class TestUnwritableOutput:
         assert run_quiet([*args, flag, str(tmp_path)]) == 2
         assert started == []
         assert capsys.readouterr() == ("", f"error: cannot write {tmp_path}: it is not a writable file\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit", "select", "rate-sweep"])
+    def test_an_empty_output_path_exits_two_before_any_fit(self, tmp_path, capsys, monkeypatch, command):
+        started = self._record_fits(monkeypatch)
+        monkeypatch.chdir(tmp_path)  # where a write to the empty path's directory would land
+        args = {
+            "fit": ["fit", *SYNTH, "--loss", "exp", "--lambda", "1e-3", "--out", ""],
+            "select": ["select", *SYNTH, "--loss", "lr", "--grid", "1e-3:10:5", "--out", ""],
+            "rate-sweep": ["rate-sweep", "--loss", "kulsif", "--sizes", "8", "--seeds", "1", "--out-csv", ""],
+        }[command]
+        assert run_quiet(args) == 2
+        assert started == []
+        assert capsys.readouterr() == ("", "error: cannot write : the path is empty\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("blocker", ["regular file", "dangling symlink"])

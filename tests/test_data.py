@@ -87,6 +87,25 @@ class TestDatasetInvariants:
         with pytest.raises(InputError):
             LabeledDataset(xs=np.zeros((2, 1)), ys=np.array([1, 0]))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            # Labels are checked before the cast to integers, which would read 1.7 as 1.
+            (lambda: LabeledDataset(np.zeros((2, 1)), np.array([1.7, -1.2])), r"labels must take values -1 or \+1"),
+            (lambda: LabeledDataset(np.zeros((2, 1)), np.array([np.nan, -1.0])), r"labels must take values -1 or \+1"),
+            (lambda: LabeledDataset(np.zeros((3, 1)), np.array([1, -1])), "xs/ys length mismatch: 3 vs 2"),
+            (lambda: LabeledDataset.from_blocks(np.zeros((2, 2)), np.zeros((2, 1))), "P has d=2, Q has d=1"),
+        ],
+        ids=["fractional-labels", "nan-label", "length-mismatch", "block-dimensions"],
+    )
+    def test_malformed_datasets_are_rejected(self, make, message):
+        with pytest.raises(InputError, match=message):
+            make()
+
+    def test_float_labels_of_plus_minus_one_are_read_as_integers(self):
+        ds = LabeledDataset(np.zeros((2, 1)), np.array([1.0, -1.0]))
+        assert ds.ys.dtype == np.int64 and ds.ys.tolist() == [1, -1]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_points_must_be_finite(self, bad):
         with pytest.raises(InputError, match="finite"):

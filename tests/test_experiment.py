@@ -158,3 +158,5 @@ def test_rate_sweep_shape():
 def test_rate_sweep_validates_sizes():
     with pytest.raises(InputError):
         run_rate_sweep(LossFamily.KULSIF, [1], 2, SelectionRule.PRACTICAL_MJ)
+    with pytest.raises(InputError, match="need at least one seed"):
+        run_rate_sweep(LossFamily.KULSIF, [8], 0, SelectionRule.PRACTICAL_MJ)

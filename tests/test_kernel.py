@@ -36,6 +36,10 @@ def test_bandwidth_scales_the_exponent():
 def test_dimension_mismatch_raises():
     with pytest.raises(InputError):
         kernel_eval(OFFSET, [0.0, 1.0], [0.0])
+    with pytest.raises(InputError, match="dimension mismatch: 2 vs 1"):
+        cross_matrix(OFFSET, np.zeros((3, 2)), np.zeros((4, 1)))
+    with pytest.raises(InputError, match=r"at most 2-dimensional, got shape \(2, 2, 2\)"):
+        gram_matrix(OFFSET, np.zeros((2, 2, 2)))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), 1e200, 1e-162, 1e-170])

@@ -21,7 +21,7 @@ from kernelratio import (
     gram_matrix,
     grid_mse,
     hessian_sandwich_test,
-    population_h_form,
+    kernel_eval,
     population_risk,
     predict_ratio,
     sample_pair,
@@ -342,9 +342,7 @@ class TestPopulationHForm:
     def test_zero_coefficients(self, ctx, pair, kspec):
         ds = sample_pair(pair, 4, 4, seed=0)
         zero_center = lambda xs: np.zeros(np.shape(np.asarray(xs))[0])
-        value = population_h_form(
-            ctx, LossFamily.KULSIF, zero_center, 0.1, np.zeros(ds.total), kspec, ds.xs
-        )
+        value = _h_form_integrals(ctx, LossFamily.KULSIF, zero_center, kspec, ds.xs, [np.zeros(ds.total)])[0]
         assert value == 0.0
 
     def test_kulsif_form_is_q_weighted_l2_plus_rkhs(self, ctx, pair, kspec):
@@ -353,7 +351,8 @@ class TestPopulationHForm:
         coeffs = rng.normal(size=ds.total)
         lam = 0.3
         zero_center = lambda xs: np.zeros(np.shape(np.asarray(xs))[0])
-        value = population_h_form(ctx, LossFamily.KULSIF, zero_center, lam, coeffs, kspec, ds.xs)
+        value = _h_form_integrals(ctx, LossFamily.KULSIF, zero_center, kspec, ds.xs, [coeffs])[0]
+        value += lam * float(coeffs @ (gram_matrix(kspec, ds.xs).values @ coeffs))
 
         from kernelratio.kernel import cross_matrix
 
@@ -361,7 +360,9 @@ class TestPopulationHForm:
         _, q = densities(pair, nodes)
         h_values = cross_matrix(kspec, nodes.reshape(-1, 1), ds.xs) @ coeffs
         expected = 0.5 * float(weights @ (h_values**2 * q))
-        expected += lam * float(coeffs @ (gram_matrix(kspec, ds.xs).values @ coeffs))
+        expected += lam * sum(
+            ci * cj * kernel_eval(kspec, xi, xj) for ci, xi in zip(coeffs, ds.xs) for cj, xj in zip(coeffs, ds.xs)
+        )
         assert value == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("family", [LossFamily.KULSIF, LossFamily.EXP])
@@ -369,13 +370,9 @@ class TestPopulationHForm:
         ds = sample_pair(pair, 6, 6, seed=2)
         center = fitted_model(pair, kspec, family)
         rows = np.random.default_rng(5).normal(size=(4, ds.total))
-        lam = 0.2
         joint = _h_form_integrals(ctx, family, center, kspec, ds.xs, rows)
-        rkhs_sq = np.einsum("ij,ij->i", rows, rows @ gram_matrix(kspec, ds.xs).values)
         for k, row in enumerate(rows):
             assert joint[k] == _h_form_integrals(ctx, family, center, kspec, ds.xs, [row])[0]
-            value = population_h_form(ctx, family, center, lam, row, kspec, ds.xs)
-            assert value == pytest.approx(joint[k] + lam * rkhs_sq[k], rel=1e-12)
 
 
 class TestGridMse:
@@ -396,6 +393,10 @@ class TestGridMse:
         shuffled = rng.permutation(errors)
         assert grid_mse(ctx, model) == pytest.approx(float(shuffled.mean()), rel=1e-12)
 
+    @pytest.mark.parametrize("eval_grid, message", [([], "nonempty"), ([0.0, 2.0, 1.0], "sorted ascending")])
+    def test_eval_grid_must_be_nonempty_and_sorted(self, ctx, eval_grid, message):
+        with pytest.raises(InputError, match=f"eval_grid must be {message}"):
+            OracleContext(pair=ctx.pair, quad=ctx.quad, eval_grid=np.array(eval_grid))
 
     def test_precomputed_margins_score_bitwise_like_the_model(self, ctx, pair, kspec):
         for family in ALL:

@@ -14,7 +14,6 @@ from kernelratio import (
     LambdaGrid,
     LossFamily,
     NumericalError,
-    closed_form_fit,
     fit,
     gram_matrix,
     load_model,
@@ -114,24 +113,24 @@ class TestClosedForm:
         d_mat = np.diag([0.0, 1.0])
         system = d_mat @ K / 2.0 + lam * np.eye(2)
         expected = np.linalg.solve(system, np.array([1.0, 0.0]) / 2.0)
-        alpha = closed_form_fit(LossFamily.KULSIF, K, ds.ys, lam)
+        alpha = solver.ClosedFormSystem(LossFamily.KULSIF, K, ds.ys).solve(lam)
         np.testing.assert_allclose(alpha, expected, rtol=1e-12)
         assert alpha[0] == pytest.approx(1.0 / (2.0 * lam), rel=1e-12)
 
     def test_single_q_point_gives_zero(self, kspec):
         ds = LabeledDataset(xs=np.array([[2.0]]), ys=np.array([-1]))
         K = gram_matrix(kspec, ds.xs).values
-        alpha = closed_form_fit(LossFamily.KULSIF, K, ds.ys, 0.1)
+        alpha = solver.ClosedFormSystem(LossFamily.KULSIF, K, ds.ys).solve(0.1)
         assert alpha[0] == 0.0
 
     def test_sq_scalar_solve_value(self):
         # ((2/1) * 2 + 1) alpha = 2  =>  alpha = 0.4
-        alpha = closed_form_fit(LossFamily.SQ, np.array([[2.0]]), np.array([1]), 1.0)
+        alpha = solver.ClosedFormSystem(LossFamily.SQ, np.array([[2.0]]), np.array([1])).solve(1.0)
         assert alpha[0] == pytest.approx(0.4, rel=1e-14)
 
     def test_no_closed_form_for_curved_losses(self):
         with pytest.raises(InputError):
-            closed_form_fit(LossFamily.LR, np.eye(2), np.array([1, -1]), 0.1)
+            solver.ClosedFormSystem(LossFamily.LR, np.eye(2), np.array([1, -1]))
 
     @given(
         case=block_datasets(),
@@ -141,7 +140,7 @@ class TestClosedForm:
     def test_matches_a_dense_lu_solve_of_the_full_system(self, case, family, lam):
         ds, spec = case
         K = gram_matrix(spec, ds.xs).values
-        alpha = closed_form_fit(family, K, ds.ys, lam)
+        alpha = solver.ClosedFormSystem(family, K, ds.ys).solve(lam)
         reference = dense_lu_closed_form(family, K, ds.ys, lam)
         if family is LossFamily.SQ:  # no flat rows: the very same system
             assert alpha.tobytes() == reference.tobytes()
@@ -158,8 +157,9 @@ class TestClosedForm:
         ds, spec = case
         rng = np.random.default_rng(seed)
         order = np.concatenate([rng.permutation(ds.m), ds.m + rng.permutation(ds.n)])
-        alpha = closed_form_fit(family, gram_matrix(spec, ds.xs).values, ds.ys, lam)
-        permuted = closed_form_fit(family, gram_matrix(spec, ds.xs[order]).values, ds.ys[order], lam)
+        alpha = solver.ClosedFormSystem(family, gram_matrix(spec, ds.xs).values, ds.ys).solve(lam)
+        permuted_gram = gram_matrix(spec, ds.xs[order]).values
+        permuted = solver.ClosedFormSystem(family, permuted_gram, ds.ys[order]).solve(lam)
         assert np.max(np.abs(permuted - alpha[order])) <= 1e-9 * np.max(np.abs(alpha))
 
     @given(case=block_datasets(p_counts=st.just(0)), lam=st.floats(1e-3, 10.0))
@@ -169,7 +169,7 @@ class TestClosedForm:
     )
     def test_kulsif_with_only_q_points_is_positive_zero(self, case, lam):
         ds, spec = case
-        alpha = closed_form_fit(LossFamily.KULSIF, gram_matrix(spec, ds.xs).values, ds.ys, lam)
+        alpha = solver.ClosedFormSystem(LossFamily.KULSIF, gram_matrix(spec, ds.xs).values, ds.ys).solve(lam)
         assert np.all(alpha == 0.0) and not np.any(np.signbit(alpha))
 
     @given(
@@ -205,7 +205,8 @@ class TestClosedForm:
         alone = []
         for lam in map(float, grid.values):
             try:
-                alone.append((closed_form_fit(family, gram, ds.ys, lam), fit(family, spec, ds, lam)[1]))
+                alpha = solver.ClosedFormSystem(family, gram, ds.ys).solve(lam)
+                alone.append((alpha, fit(family, spec, ds, lam)[1]))
             except NumericalError as exc:
                 with pytest.raises(NumericalError) as failure:
                     fit_grid(family, spec, ds, grid, gram=gram)
@@ -225,7 +226,8 @@ class TestClosedForm:
         gram = gram_matrix(kspec, ds.xs)
         system = solver.ClosedFormSystem(LossFamily.KULSIF, gram, ds.ys)
         block = system.block.tobytes()
-        assert system.solve(0.1).tobytes() == closed_form_fit(LossFamily.KULSIF, gram, ds.ys, 0.1).tobytes()
+        fresh = solver.ClosedFormSystem(LossFamily.KULSIF, gram, ds.ys)
+        assert system.solve(0.1).tobytes() == fresh.solve(0.1).tobytes()
         assert system.block.tobytes() == block
         with pytest.raises(NumericalError, match="not finite at lambda=1e-320"):
             system.solve(1e-320)
@@ -236,7 +238,8 @@ class TestClosedForm:
         gram = gram_matrix(kspec, ds.xs)
         system = solver.ClosedFormSystem(LossFamily.KULSIF, gram, ds.ys)
         model, _ = fit(LossFamily.KULSIF, kspec, ds, 0.1, gram=gram, system=system)
-        assert model.alpha.tobytes() == closed_form_fit(LossFamily.KULSIF, gram, ds.ys, 0.1).tobytes()
+        fresh = solver.ClosedFormSystem(LossFamily.KULSIF, gram, ds.ys)
+        assert model.alpha.tobytes() == fresh.solve(0.1).tobytes()
         flipped = LabeledDataset(ds.xs, -ds.ys)
         other_gram = gram_matrix(kspec, ds.xs)
         for family, data, other in (
@@ -253,7 +256,7 @@ class TestFit:
         ds = two_point_dataset()
         model, report = fit(LossFamily.KULSIF, kspec, ds, 0.1, FitOptions(method="cg"))
         K = gram_matrix(kspec, ds.xs).values
-        expected = closed_form_fit(LossFamily.KULSIF, K, ds.ys, 0.1)
+        expected = solver.ClosedFormSystem(LossFamily.KULSIF, K, ds.ys).solve(0.1)
         np.testing.assert_allclose(model.alpha, expected, atol=1e-8)
         assert report.method == "NonlinearCG"
 
@@ -321,7 +324,8 @@ class TestFit:
         # (say, d/N + lambda*alpha as (d + N*lambda*alpha)/N) moves these counts.
         config = ExperimentConfig()
         ds = sample_pair(config.pair, 10, 10, seed=3)
-        reports = [report for _, report in fit_grid(LossFamily.EXP, config.kernel, ds, config.grid)]
+        gram = gram_matrix(config.kernel, ds.xs)
+        reports = [report for _, report in fit_grid(LossFamily.EXP, config.kernel, ds, config.grid, gram=gram)]
         assert [r.iterations for r in reports] == [5000, 1030, 289, 148, 64]
         assert [r.converged for r in reports] == [False, True, True, True, True]
 
@@ -342,7 +346,7 @@ class TestFit:
         K = gram_matrix(kspec, ds.xs).values
         norms = []
         for lam in np.geomspace(1e-3, 10.0, 9):
-            alpha = closed_form_fit(LossFamily.KULSIF, K, ds.ys, float(lam))
+            alpha = solver.ClosedFormSystem(LossFamily.KULSIF, K, ds.ys).solve(float(lam))
             norms.append(float(alpha @ (K @ alpha)))
         assert np.all(np.diff(norms) <= 1e-12)
 
@@ -350,6 +354,15 @@ class TestFit:
         ds = sample_pair(pair, 2, 2, seed=0)
         with pytest.raises(InputError):
             fit(LossFamily.KULSIF, kspec, ds, 0.0)
+        with pytest.raises(InputError, match="unknown method 'newton'"):
+            fit(LossFamily.KULSIF, kspec, ds, 0.1, FitOptions(method="newton"))
+
+    @pytest.mark.parametrize("family", [LossFamily.LR, LossFamily.KULSIF])  # CG and the closed form
+    def test_gram_matrix_of_another_size_is_rejected(self, family, pair, kspec):
+        ds = sample_pair(pair, 4, 4, seed=0)
+        gram = gram_matrix(kspec, sample_pair(pair, 5, 5, seed=0).xs)
+        with pytest.raises(InputError, match=r"the Gram matrix has shape \(10, 10\), not \(8, 8\)"):
+            fit(family, kspec, ds, 0.1, gram=gram)
 
 
 class TestPredict:
@@ -391,6 +404,8 @@ class TestPredict:
         batch = predict_ratio(model, np.array([[0.5, -0.5], [1.0, 1.0]]))
         assert single == pytest.approx(batch[0], rel=1e-12)
         assert np.all(batch >= 0.0)
+        with pytest.raises(InputError, match="point has dimension 3, model expects 2"):
+            predict_margin(model, np.zeros(3))
 
 
     @pytest.mark.parametrize("dim", [1, 3])
@@ -483,12 +498,18 @@ class TestPersistence:
             ("points", [[True, 2.0], [1.0, 2.0]]),  # numpy would read this row as floats
             ("alpha", [True, -0.5]),
             ("alpha", [None, -0.5]),
+            # An integer JSON reads exactly but float() cannot hold.
+            pytest.param("lambda", 10**400, id="lambda-huge"),
+            pytest.param("bandwidth", -(10**400), id="bandwidth-huge"),
+            pytest.param("points", [[10**400], [1.0]], id="points-huge"),
+            pytest.param("alpha", [0.5, 10**400], id="alpha-huge"),
         ],
     )
     def test_non_numbers_are_rejected_naming_the_field(self, tmp_path, field, value):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({**VALID_MODEL_DOC, field: value}), encoding="utf-8")
-        with pytest.raises(InputError, match=f"malformed model file .*: {field}: .* is not a JSON number"):
+        message = "(must be a JSON number, got|is an integer too large for a float)"
+        with pytest.raises(InputError, match=f"malformed model file .*: {field} {message}"):
             load_model(str(path))
 
 
