@@ -56,6 +56,9 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
 
 def _dataset_from_args(args):
     if args.synthetic:
+        for flag, path in (("--p-csv", args.p_csv), ("--q-csv", args.q_csv)):
+            if path is not None:
+                raise InputError(f"--synthetic samples its own data; it cannot be given with {flag}")
         pair = GaussianPairSpec(args.mu_p, args.sigma_p, args.mu_q, args.sigma_q)
         return sample_pair(pair, args.m, args.n, args.seed), args.seed
     if not (args.p_csv and args.q_csv):

@@ -133,9 +133,11 @@ def _read_csv(path: str) -> np.ndarray:
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
     try:
-        text = raw.decode("utf-8")
+        # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write.
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
+        # exc.object and exc.start leave out any byte-order mark.
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}: line {lineno}: not valid UTF-8 text") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     header = [h.strip() for h in next(reader, [])]

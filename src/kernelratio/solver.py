@@ -174,12 +174,11 @@ class ClosedFormSystem:
         return alpha
 
 
-def _fit_cg(family, K, ys, lam, opts, callback=None):
+def _fit_cg(family, K, ys, lam, opts):
     n_total = ys.shape[0]
     neg_ys = -ys
     alpha = np.zeros(n_total)
     margins = np.zeros(n_total)
-    value = float(np.mean(loss_value(family, ys, margins)))
     # The loss terms at the current margins serve the gradient, the next
     # directional curvature and the next line search.
     terms = margin_terms(family, ys, margins, neg_ys)
@@ -191,10 +190,7 @@ def _fit_cg(family, K, ys, lam, opts, callback=None):
     converged = False
 
     for iteration in range(1, opts.max_iters + 1):
-        grad_norm = math.sqrt(gg)
-        if callback is not None:
-            callback(iteration - 1, alpha, value, grad_norm)
-        if grad_norm <= opts.tol_grad:
+        if math.sqrt(gg) <= opts.tol_grad:
             converged = True
             break
         iterations = iteration
@@ -234,7 +230,6 @@ def _fit_cg(family, K, ys, lam, opts, callback=None):
 
         alpha = alpha + t * direction
         margins = margins + t_kd
-        value = value + delta
         step = t
 
         terms = margin_terms(family, ys, margins, neg_ys)
@@ -254,13 +249,10 @@ def _fit_cg(family, K, ys, lam, opts, callback=None):
         grad = grad_new
         gg = gg_new
 
-    grad_norm = math.sqrt(gg)
-    # Recompute the regularized objective from scratch to avoid drift.
-    value = float(np.mean(loss_value(family, ys, margins)) + 0.5 * lam * (alpha @ margins))
     return alpha, FitReport(
         iterations=iterations,
-        grad_norm=grad_norm,
-        objective=value,
+        grad_norm=math.sqrt(gg),
+        objective=float(np.mean(loss_value(family, ys, margins)) + 0.5 * lam * (alpha @ margins)),
         converged=converged,
         method="NonlinearCG",
     )
@@ -275,7 +267,6 @@ def fit(
     *,
     gram: GramMatrix | None = None,
     system: ClosedFormSystem | None = None,
-    callback=None,
 ) -> tuple[RatioModel, FitReport]:
     """Minimize the regularized objective; returns the model and a report.
 
@@ -319,7 +310,7 @@ def fit(
             method="ClosedForm",
         )
     else:
-        alpha, report = _fit_cg(family, K, ys.astype(np.float64), lam, opts, callback)
+        alpha, report = _fit_cg(family, K, ys.astype(np.float64), lam, opts)
     model = RatioModel(kernel=kernel, points=dataset.xs, alpha=alpha, lam=lam, family=family)
     return model, report
 

@@ -186,7 +186,7 @@ class TestEmpiricalNorm:
             empirical_h_norm(gram, HessianWeights(e=weights.e[:-1]), alpha, alpha, 0.1)
 
     @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_nonnegative(self, seed, pair, kspec):
         rng = np.random.default_rng(seed)
         ds = sample_pair(pair, 3, 3, seed=seed % 7)
@@ -408,7 +408,7 @@ class TestSelection:
         assert again.chosen_lambda == full.chosen_lambda
 
     @given(seed=st.integers(0, 100_000), raises=st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_choice_monotone_in_thresholds(self, seed, raises):
         # Raising any subset of the thresholds, each by its own amount,
         # can only move the choice up.

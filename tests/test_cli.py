@@ -763,6 +763,24 @@ class TestUnwritableOutput:
         assert capsys.readouterr() == ("", "error: cannot write : the path is empty\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    @pytest.mark.parametrize("csv_flags", [["--p-csv", "--q-csv"], ["--p-csv"], ["--q-csv"]])
+    def test_synthetic_with_a_csv_flag_exits_two_before_any_fit(self, tmp_path, capsys, monkeypatch, command, csv_flags):
+        started = self._record_fits(monkeypatch)
+        out = tmp_path / "out.json"
+        args = {
+            "fit": ["fit", *SYNTH, "--loss", "kulsif", "--lambda", "0.1", "--out", str(out)],
+            "select": ["select", *SYNTH, "--loss", "kulsif", "--grid", "1e-2:10:2", "--out", str(out)],
+        }[command]
+        paths = {"--p-csv": str(tmp_path / "missing.csv"), "--q-csv": ""}  # an empty path is still given
+        for flag in csv_flags:
+            args += [flag, paths[flag]]
+        assert run_quiet(args) == 2
+        assert started == []
+        message = f"error: --synthetic samples its own data; it cannot be given with {csv_flags[0]}\n"
+        assert capsys.readouterr() == ("", message)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("blocker", ["regular file", "dangling symlink"])
     def test_experiment_under_a_non_directory_exits_two_before_any_fit(self, tmp_path, capsys, monkeypatch, blocker):
         # The default config: 1500 fits, had they run before the check.

@@ -175,6 +175,24 @@ class TestCsvLoading:
         with pytest.raises(InputError, match="dimension"):
             load_two_csv(str(p), str(q))
 
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start the file with EF BB BF.
+        q = tmp_path / "q.csv"
+        self._write(q, ["x_1,x_2", "3,4", "5,6"])
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        self._write(plain, ["x_1,x_2", "1,2", "-0.5,7"])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = dataset_sha256(load_two_csv(str(plain), str(q)))
+        assert dataset_sha256(load_two_csv(str(marked), str(q))) == expected
+
+    def test_non_utf8_bytes_after_a_byte_order_mark_name_their_line(self, tmp_path):
+        p = tmp_path / "p.csv"
+        q = tmp_path / "q.csv"
+        p.write_bytes(b"\xef\xbb\xbfx_1\n1.0\n\xff\n2.0\n")
+        self._write(q, ["x_1", "0.1"])
+        with pytest.raises(InputError, match=r"p\.csv: line 3: not valid UTF-8 text$"):
+            load_two_csv(str(p), str(q))
+
     def test_ragged_row(self, tmp_path):
         p = tmp_path / "p.csv"
         q = tmp_path / "q.csv"

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -41,6 +42,14 @@ def test_readme_config_loads():
     (block,) = fenced_blocks("json")
     config = ExperimentConfig.from_dict(json.loads(block))
     assert config.seeds == (0, 1, 2)
+
+
+def test_readme_library_sketch_runs():
+    (block,) = fenced_blocks("python")
+    names = {}
+    exec(block, names)
+    assert names["choice"].chosen_lambda in names["grid"].values
+    assert math.isfinite(names["err"])
 
 
 def test_only_losses_branches_on_the_family():

@@ -119,7 +119,7 @@ CONFIGS = st.builds(
 
 
 @given(config=CONFIGS)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_config_from_dict_inverts_to_dict_through_json(config):
     assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 

@@ -57,7 +57,7 @@ def test_tiny_bandwidth_sends_distinct_points_to_exactly_the_offset():
     x=st.lists(finite_coords, min_size=1, max_size=3),
     y_offsets=st.lists(finite_coords, min_size=1, max_size=3),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_kernel_is_symmetric_bit_exactly(x, y_offsets):
     d = min(len(x), len(y_offsets))
     a, b = x[:d], [x[i] + y_offsets[i] for i in range(d)]
@@ -66,7 +66,7 @@ def test_kernel_is_symmetric_bit_exactly(x, y_offsets):
 
 
 @given(x=finite_coords, y=finite_coords)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_value_ranges(x, y):
     offset = kernel_eval(OFFSET, x, y)
     plain = kernel_eval(GAUSS, x, y)
@@ -135,7 +135,7 @@ def _point_sets(draw):
 
 
 @given(points=_point_sets(), family=st.sampled_from(list(KernelFamily)))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_cross_matrix_matches_the_broadcast_formula(points, family):
     a, b = points
     d = a.shape[1]

@@ -79,7 +79,7 @@ class TestMarginDerivatives:
         y=st.sampled_from([-1, 1]),
         v=st.floats(-30.0, 30.0, allow_nan=False),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_convexity_in_the_margin(self, family, y, v):
         assert float(loss_d2(family, y, v)) >= 0.0
 
@@ -89,7 +89,7 @@ class TestMarginDerivatives:
         v=st.floats(-20.0, 20.0, allow_nan=False),
         dv=st.floats(-5.0, 5.0, allow_nan=False),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_value_delta_matches_direct_difference(self, family, y, v, dv):
         direct = float(loss_value(family, y, v + dv) - loss_value(family, y, v))
         delta = float(margin_terms(family, y, v).delta(dv))
@@ -99,7 +99,7 @@ class TestMarginDerivatives:
 
 class TestMarginTerms:
     @given(family=st.sampled_from(ALL), scalar_label=st.booleans(), data=st.data())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     def test_views_equal_margin_terms_bitwise(self, family, scalar_label, data):
         n = data.draw(st.integers(1, 8))
         # Past +-700 the exponent cap acts; -0.0 and 0.0 both occur.
@@ -144,7 +144,7 @@ class TestMarginTerms:
     @example(family=LossFamily.LR, points=ROUNDING_POINTS)
     @example(family=LossFamily.KULSIF, points=ROUNDING_POINTS)
     @example(family=LossFamily.SQ, points=ROUNDING_POINTS)
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     def test_scalar_call_equals_its_element_of_the_array_call(self, family, points):
         y, v, dv, t, u = (np.array(column) for column in zip(*points))
         per_point = [

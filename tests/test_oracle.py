@@ -28,13 +28,11 @@ from kernelratio import (
     true_ratio,
 )
 from kernelratio import solver
-from kernelratio.losses import loss_value, ratio_map
+from kernelratio.losses import RATIO_FLOOR, loss_value, phi, phi_prime, ratio_map, ratio_map_raw
 from kernelratio.oracle import (
     _h_form_integrals,
     _integrate,
     bayes_risk,
-    default_eval_grid,
-    default_quadrature,
     densities,
     population_risks,
     reference_margin,
@@ -116,14 +114,14 @@ class TestQuadrature:
             QuadratureSpec(**kwargs)
 
     def test_default_domain_covers_both_components(self, pair):
-        quad = default_quadrature(pair)
+        quad = OracleContext.default(pair).quad
         assert quad.lo == pytest.approx(pair.mu_q - 8.0 * pair.sigma_q)
         assert quad.hi == pytest.approx(pair.mu_q + 8.0 * pair.sigma_q)
         assert quad.lo < pair.mu_p - 8.0 * pair.sigma_p
         assert quad.hi > pair.mu_p + 8.0 * pair.sigma_p
 
     def test_default_eval_grid(self, pair):
-        grid = default_eval_grid(pair)
+        grid = OracleContext.default(pair).eval_grid
         assert grid.shape == (500,)
         assert grid[0] == pytest.approx(pair.mu_q - 3.0 * pair.sigma_q)
         assert grid[-1] == pytest.approx(pair.mu_p + 3.0 * pair.sigma_p)
@@ -131,8 +129,8 @@ class TestQuadrature:
     @pytest.mark.parametrize("family", [LossFamily.KULSIF, LossFamily.EXP])
     def test_doubling_nodes_barely_moves_the_risk(self, family, pair, kspec):
         model = fitted_model(pair, kspec, family)
-        coarse = OracleContext(pair, default_quadrature(pair, 20001), default_eval_grid(pair))
-        fine = OracleContext(pair, default_quadrature(pair, 40001), default_eval_grid(pair))
+        coarse = OracleContext.default(pair)
+        fine = OracleContext(pair, QuadratureSpec(*pair.span(), 40001), coarse.eval_grid)
         a = population_risk(coarse, family, model)
         b = population_risk(fine, family, model)
         assert abs(a - b) <= 1e-7
@@ -225,8 +223,7 @@ class TestNestedQuadrature:
         _integrate(noise_rows(seen), quad)
         union = np.sort(np.concatenate(seen))
         finest, _ = quad.nodes_weights()
-        assert union.shape == finest.shape
-        assert np.all(np.abs(union - finest) <= np.spacing(np.abs(finest)))
+        assert np.array_equal(union, finest)
 
 
 class TestTrueRatio:
@@ -331,11 +328,22 @@ class TestBregmanRoutes:
         value, _ = integrate.quad(integrand, ctx.quad.lo, ctx.quad.hi, limit=300)
         assert bregman_error_direct(ctx, LossFamily.KULSIF, model) == pytest.approx(value, abs=1e-8)
 
-    def test_exp_exclusion_mass_reported(self, ctx, pair, kspec):
+    def test_exp_divergence_of_a_fitted_model_is_nonnegative(self, ctx, pair, kspec):
         model = fitted_model(pair, kspec, LossFamily.EXP, seed=2, lam=0.05)
-        value, excluded = bregman_error_direct(ctx, LossFamily.EXP, model, with_diagnostics=True)
-        assert value >= 0.0
-        assert 0.0 <= excluded < 1e-6  # fitted margins stay far from the pole
+        assert bregman_error_direct(ctx, LossFamily.EXP, model) >= 0.0
+
+    def test_exp_excludes_the_nodes_below_the_ratio_floor(self, ctx, pair):
+        # A bump of -10 at x = 3 sends beta_hat below RATIO_FLOOR on 7.8% of
+        # the nodes, carrying 0.43 of Q's mass; with them the sum is ~9e7.
+        model = RatioModel(KernelSpec(), [[3.0]], [-10.0], 0.1, LossFamily.EXP)
+        nodes, weights = ctx.quad.nodes_weights()
+        beta, beta_hat = true_ratio(pair, nodes), ratio_map_raw(LossFamily.EXP, predict_margin(model, nodes))
+        keep = beta_hat >= RATIO_FLOOR
+        assert 0.05 < np.mean(~keep) < 0.1
+        b, bh = beta[keep], beta_hat[keep]
+        bregman = phi(LossFamily.EXP, b) - phi(LossFamily.EXP, bh) - phi_prime(LossFamily.EXP, bh) * (b - bh)
+        expected = float(weights[keep] @ (bregman * densities(pair, nodes[keep])[1]))
+        assert bregman_error_direct(ctx, LossFamily.EXP, model) == pytest.approx(expected, rel=1e-12)
 
 
 class TestPopulationHForm:

