@@ -26,7 +26,7 @@ from .balancing import (
 from .data import DEFAULT_PAIR, GaussianPairSpec, LabeledDataset, load_two_csv, sample_pair
 from .errors import InputError, NumericalError
 from .kernel import GramMatrix, KernelFamily, KernelSpec, gram_matrix, kernel_eval
-from .losses import LossFamily, link, link_inv, ratio_map
+from .losses import LossFamily, link, ratio_map
 from .oracle import (
     OracleContext,
     QuadratureSpec,
@@ -88,7 +88,6 @@ __all__ = [
     "hessian_weights",
     "kernel_eval",
     "link",
-    "link_inv",
     "load_model",
     "load_two_csv",
     "margins_at",

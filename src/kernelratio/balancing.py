@@ -34,7 +34,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import InputError, NumericalError
 from .kernel import GramMatrix, KernelSpec, gram_matrix, gram_values
-from .losses import QUADRATIC_FAMILIES, LossFamily, loss_d2
+from .losses import LossFamily, loss_d2
 from .solver import ClosedFormSystem, FitReport, RatioModel, fit
 
 
@@ -107,7 +107,7 @@ def hessian_weights(
     theirs are read off the labels alone.  Otherwise the margins are read
     off the Gram matrix of the training points as K alpha.
     """
-    if family in QUADRATIC_FAMILIES:
+    if family.quadratic:
         margins = np.zeros(dataset.total)
     else:
         margins = gram_values(gram) @ model.alpha
@@ -314,7 +314,7 @@ def fit_grid(
 
     The margin-quadratic families share one closed-form setup over the grid.
     """
-    system = ClosedFormSystem(family, gram, dataset.ys) if family in QUADRATIC_FAMILIES else None
+    system = ClosedFormSystem(family, gram, dataset.ys) if family.quadratic else None
     fits = []
     for lam in grid.values:
         try:

@@ -41,17 +41,32 @@ from .solver import FitOptions, fit, save_model
 _KERNELS = {"one-plus-gaussian": KernelFamily.ONE_PLUS_GAUSSIAN, "gaussian": KernelFamily.GAUSSIAN}
 
 
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
+# The flags that only shape a --synthetic sample, with the values it gives them when unset.
+_SYNTHETIC_DEFAULTS = {
+    "mu_p": DEFAULT_PAIR.mu_p,
+    "sigma_p": DEFAULT_PAIR.sigma_p,
+    "mu_q": DEFAULT_PAIR.mu_q,
+    "sigma_q": DEFAULT_PAIR.sigma_q,
+    "m": 100,
+    "n": 100,
+    "seed": 0,
+}
+
+
+def _add_data_and_estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p-csv", help="CSV of numerator samples (header x_1,...,x_d)")
     parser.add_argument("--q-csv", help="CSV of denominator samples")
     parser.add_argument("--synthetic", action="store_true", help="sample a synthetic Gaussian pair")
-    parser.add_argument("--mu-p", type=float, default=DEFAULT_PAIR.mu_p)
-    parser.add_argument("--sigma-p", type=float, default=DEFAULT_PAIR.sigma_p)
-    parser.add_argument("--mu-q", type=float, default=DEFAULT_PAIR.mu_q)
-    parser.add_argument("--sigma-q", type=float, default=DEFAULT_PAIR.sigma_q)
-    parser.add_argument("--m", type=int, default=100, help="numerator sample count")
-    parser.add_argument("--n", type=int, default=100, help="denominator sample count")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--mu-p", type=float)
+    parser.add_argument("--sigma-p", type=float)
+    parser.add_argument("--mu-q", type=float)
+    parser.add_argument("--sigma-q", type=float)
+    parser.add_argument("--m", type=int, help="numerator sample count")
+    parser.add_argument("--n", type=int, help="denominator sample count")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--loss", required=True, choices=[f.value for f in LossFamily])
+    parser.add_argument("--kernel", choices=sorted(_KERNELS), default="one-plus-gaussian")
+    parser.add_argument("--bandwidth", type=float, default=KernelSpec().bandwidth)
 
 
 def _dataset_from_args(args):
@@ -59,10 +74,17 @@ def _dataset_from_args(args):
         for flag, path in (("--p-csv", args.p_csv), ("--q-csv", args.q_csv)):
             if path is not None:
                 raise InputError(f"--synthetic samples its own data; it cannot be given with {flag}")
+        for name, default in _SYNTHETIC_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         pair = GaussianPairSpec(args.mu_p, args.sigma_p, args.mu_q, args.sigma_q)
         return sample_pair(pair, args.m, args.n, args.seed), args.seed
     if not (args.p_csv and args.q_csv):
         raise InputError("provide --p-csv and --q-csv, or --synthetic")
+    for name in _SYNTHETIC_DEFAULTS:
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"{flag} applies only to --synthetic data; it cannot be given with --p-csv and --q-csv")
     return load_two_csv(args.p_csv, args.q_csv), None
 
 
@@ -208,10 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit one model at a fixed lambda")
-    _add_data_flags(p_fit)
-    p_fit.add_argument("--loss", required=True, choices=[f.value for f in LossFamily])
-    p_fit.add_argument("--kernel", choices=sorted(_KERNELS), default="one-plus-gaussian")
-    p_fit.add_argument("--bandwidth", type=float, default=KernelSpec().bandwidth)
+    _add_data_and_estimator_flags(p_fit)
     p_fit.add_argument("--lambda", dest="lam", type=float, required=True)
     p_fit.add_argument("--method", choices=["auto", "cg"], default=FitOptions().method)
     p_fit.add_argument("--max-iters", type=int, default=FitOptions().max_iters)
@@ -219,10 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_sel = sub.add_parser("select", help="choose lambda on a geometric grid")
-    _add_data_flags(p_sel)
-    p_sel.add_argument("--loss", required=True, choices=[f.value for f in LossFamily])
-    p_sel.add_argument("--kernel", choices=sorted(_KERNELS), default="one-plus-gaussian")
-    p_sel.add_argument("--bandwidth", type=float, default=KernelSpec().bandwidth)
+    _add_data_and_estimator_flags(p_sel)
     p_sel.add_argument(
         "--grid", required=True, help="lo:ratio:count; geometric grid whose smallest value is lo"
     )

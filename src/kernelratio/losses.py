@@ -23,6 +23,9 @@ Families (v is the margin, t a ratio value, s(t) the logistic function):
     sq      ell(y,v)=(1-yv)^2              Psi(u)=2u-1      g(v)=(1+v)/(1-v)
             phi(t)=4/(1+t), divergence 4(beta-t)^2/((1+beta)(1+t)^2)
 
+Each family's formulas and facts are written once, in its record of the
+`_FAMILIES` table: the one dispatch point, where every function looks it up.
+
 kulsif and sq are quadratic in the margin (zero third derivative); lr and
 exp satisfy |ell'''| <= ell'' pointwise, the scalar form of generalized
 self-concordance.
@@ -55,11 +58,15 @@ class LossFamily(enum.Enum):
     EXP = "exp"
     SQ = "sq"
 
+    @property
+    def quadratic(self) -> bool:
+        """Whether the loss is quadratic in the margin: ell'' does not vary with it, ell''' is zero."""
+        return _FAMILIES[self].quadratic
 
-QUADRATIC_FAMILIES = (LossFamily.KULSIF, LossFamily.SQ)
-
-# Families whose generator derivative has a pole at ratio zero.
-POLE_AT_ZERO_FAMILIES = (LossFamily.EXP,)
+    @property
+    def pole_at_zero(self) -> bool:
+        """Whether the generator derivative has a pole at ratio zero."""
+        return _FAMILIES[self].pole_at_zero
 
 
 def _safe_exp(t):
@@ -72,24 +79,6 @@ def _sigmoid_parts(t):
     return p, np.where(t >= 0.0, 1.0 / (1.0 + p), p / (1.0 + p))
 
 
-def sigmoid(t):
-    """Numerically stable logistic function, exact for both signs."""
-    return _sigmoid_parts(np.asarray(t, dtype=np.float64))[1]
-
-
-def loss_value(family: LossFamily, y, v):
-    y = np.asarray(y, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if family is LossFamily.KULSIF:
-        return np.where(y > 0, -v, 0.5 * v * v)
-    if family is LossFamily.LR:
-        return np.logaddexp(0.0, -y * v)
-    if family is LossFamily.EXP:
-        return _safe_exp(-y * v)
-    residual = 1.0 - y * v
-    return residual * residual
-
-
 class MarginTerms(NamedTuple):
     """ell' and ell'' at margins v, and the loss change delta(dv)."""
 
@@ -98,8 +87,130 @@ class MarginTerms(NamedTuple):
     delta: Callable  # dv -> ell(y, v + dv) - ell(y, v)
 
 
+def _kulsif_terms(y, v, ny):
+    pos = y > 0
+    shape = np.broadcast(y, v).shape
+    return MarginTerms(
+        np.where(pos, -1.0, v),
+        np.where(np.broadcast_to(pos, shape), 0.0, 1.0),
+        lambda dv: np.where(pos, -dv, v * dv + 0.5 * dv * dv),
+    )
+
+
+def _lr_terms(y, v, ny):
+    p, s = _sigmoid_parts(ny * v)
+    one_p = 1.0 + p
+    return MarginTerms(
+        ny * s,
+        p / (one_p * one_p),
+        lambda dv: np.log1p(s * np.expm1(np.minimum(ny * dv, _EXP_ARG_MAX))),
+    )
+
+
+def _exp_terms(y, v, ny):
+    w = _safe_exp(ny * v)
+    return MarginTerms(ny * w, w, lambda dv: w * np.expm1(np.minimum(ny * dv, _EXP_ARG_MAX)))
+
+
+def _sq_terms(y, v, ny):
+    residual = v - y
+    return MarginTerms(
+        2.0 * residual,
+        np.full(np.broadcast(y, v).shape, 2.0),
+        lambda dv: 2.0 * dv * residual + dv * dv,
+    )
+
+
+def _zero_d3(y, v):
+    return np.zeros(np.broadcast(y, v).shape)
+
+
+def _lr_d3(y, v):
+    # Factored as d2 * (1 - 2s) so |d3| <= d2 holds exactly in floats.
+    ny = -y
+    s = _sigmoid_parts(ny * v)[1]
+    return ny * _lr_terms(y, v, ny).d2 * (1.0 - 2.0 * s)
+
+
+def _sq_ratio(v):
+    vc = np.minimum(v, 1.0 - SQ_MARGIN_CLAMP)
+    return (1.0 + vc) / (1.0 - vc)
+
+
+def _lr_phi_prime(t):
+    with np.errstate(divide="ignore"):
+        return np.log(t) - np.log1p(t)
+
+
+class _Family(NamedTuple):
+    """One family's formulas, on float64 arrays, and its two facts."""
+
+    loss: Callable  # (y, v) -> ell(y, v)
+    terms: Callable  # (y, v, -y) -> MarginTerms
+    d3: Callable  # (y, v) -> ell'''(y, v)
+    link: Callable  # u in (0, 1) -> Psi(u)
+    ratio: Callable  # v -> g(v), unfloored
+    phi: Callable  # t -> phi(t)
+    phi_prime: Callable  # t -> phi'(t)
+    quadratic: bool  # ell'' does not depend on the margin
+    pole_at_zero: bool  # phi' has a pole at t = 0
+
+
+_FAMILIES = {
+    LossFamily.KULSIF: _Family(
+        loss=lambda y, v: np.where(y > 0, -v, 0.5 * v * v),
+        terms=_kulsif_terms,
+        d3=_zero_d3,
+        link=lambda u: u / (1.0 - u),
+        ratio=lambda v: v + 0.0,
+        phi=lambda t: 0.5 * ((t - 1.0) * (t - 1.0)),
+        phi_prime=lambda t: t - 1.0,
+        quadratic=True,
+        pole_at_zero=False,
+    ),
+    LossFamily.LR: _Family(
+        loss=lambda y, v: np.logaddexp(0.0, -y * v),
+        terms=_lr_terms,
+        d3=_lr_d3,
+        link=lambda u: np.log(u) - np.log1p(-u),
+        ratio=_safe_exp,
+        phi=lambda t: np.where(t > 0.0, t * np.log(np.maximum(t, np.finfo(float).tiny)), 0.0)
+        - (1.0 + t) * np.log1p(t),
+        phi_prime=_lr_phi_prime,
+        quadratic=False,
+        pole_at_zero=False,
+    ),
+    LossFamily.EXP: _Family(
+        loss=lambda y, v: _safe_exp(-y * v),
+        terms=_exp_terms,
+        d3=lambda y, v: _exp_terms(y, v, -y).d1,  # the third derivative equals the first
+        link=lambda u: 0.5 * (np.log(u) - np.log1p(-u)),
+        ratio=lambda v: _safe_exp(2.0 * v),
+        phi=lambda t: -2.0 * np.sqrt(t),
+        phi_prime=lambda t: -1.0 / np.sqrt(t),
+        quadratic=False,
+        pole_at_zero=True,
+    ),
+    LossFamily.SQ: _Family(
+        loss=lambda y, v: (1.0 - y * v) * (1.0 - y * v),
+        terms=_sq_terms,
+        d3=_zero_d3,
+        link=lambda u: 2.0 * u - 1.0,
+        ratio=_sq_ratio,
+        phi=lambda t: 4.0 / (1.0 + t),
+        phi_prime=lambda t: -4.0 / ((1.0 + t) * (1.0 + t)),
+        quadratic=True,
+        pole_at_zero=False,
+    ),
+}
+
+
+def loss_value(family: LossFamily, y, v):
+    return _FAMILIES[family].loss(np.asarray(y, dtype=np.float64), np.asarray(v, dtype=np.float64))
+
+
 def margin_terms(family: LossFamily, y, v, neg_y=None) -> MarginTerms:
-    """The margin derivatives and loss change at (y, v), from one family branch.
+    """The margin derivatives and loss change at (y, v), from the family's record.
 
     The one home of the margin formulas.  The shared exponential is
     evaluated once: w = e^{-yv} (exponent capped) for exp, and
@@ -112,32 +223,7 @@ def margin_terms(family: LossFamily, y, v, neg_y=None) -> MarginTerms:
     """
     y = np.asarray(y, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if family is LossFamily.KULSIF:
-        pos = y > 0
-        shape = np.broadcast(y, v).shape
-        return MarginTerms(
-            np.where(pos, -1.0, v),
-            np.where(np.broadcast_to(pos, shape), 0.0, 1.0),
-            lambda dv: np.where(pos, -dv, v * dv + 0.5 * dv * dv),
-        )
-    if family is LossFamily.SQ:
-        residual = v - y
-        return MarginTerms(
-            2.0 * residual,
-            np.full(np.broadcast(y, v).shape, 2.0),
-            lambda dv: 2.0 * dv * residual + dv * dv,
-        )
-    ny = -y if neg_y is None else neg_y
-    if family is LossFamily.LR:
-        p, s = _sigmoid_parts(ny * v)
-        one_p = 1.0 + p
-        return MarginTerms(
-            ny * s,
-            p / (one_p * one_p),
-            lambda dv: np.log1p(s * np.expm1(np.minimum(ny * dv, _EXP_ARG_MAX))),
-        )
-    w = _safe_exp(ny * v)
-    return MarginTerms(ny * w, w, lambda dv: w * np.expm1(np.minimum(ny * dv, _EXP_ARG_MAX)))
+    return _FAMILIES[family].terms(y, v, -y if neg_y is None else neg_y)
 
 
 def loss_d1(family: LossFamily, y, v):
@@ -149,15 +235,7 @@ def loss_d2(family: LossFamily, y, v):
 
 
 def loss_d3(family: LossFamily, y, v):
-    y = np.asarray(y, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if family in QUADRATIC_FAMILIES:
-        return np.zeros(np.broadcast(y, v).shape)
-    if family is LossFamily.LR:
-        # Factored as d2 * (1 - 2s) so |d3| <= d2 holds exactly in floats.
-        s = sigmoid(-y * v)
-        return -y * loss_d2(family, y, v) * (1.0 - 2.0 * s)
-    return loss_d1(family, y, v)  # exp: the third derivative equals the first
+    return _FAMILIES[family].d3(np.asarray(y, dtype=np.float64), np.asarray(v, dtype=np.float64))
 
 
 def link(family: LossFamily, u):
@@ -166,30 +244,8 @@ def link(family: LossFamily, u):
     inside = (u > 0.0) & (u < 1.0)
     if not np.all(inside):
         raise InputError(f"link argument must lie in (0, 1), got {u[~inside].flat[0]}")
-    if family is LossFamily.KULSIF:
-        values = u / (1.0 - u)
-    elif family is LossFamily.LR:
-        values = np.log(u) - np.log1p(-u)
-    elif family is LossFamily.EXP:
-        values = 0.5 * (np.log(u) - np.log1p(-u))
-    else:
-        values = 2.0 * u - 1.0
+    values = _FAMILIES[family].link(u)
     return float(values) if values.ndim == 0 else values
-
-
-def link_inv(family: LossFamily, v: float) -> float:
-    """Inverse link; exact on the link's range, clamped into (0, 1) outside."""
-    v = float(v)
-    if family is LossFamily.KULSIF:
-        u = v / (1.0 + v) if v > -1.0 else np.nextafter(0.0, 1.0)
-    elif family is LossFamily.LR:
-        u = float(sigmoid(v))
-    elif family is LossFamily.EXP:
-        u = float(sigmoid(2.0 * v))
-    else:
-        u = 0.5 * (v + 1.0)
-    tiny = np.nextafter(0.0, 1.0)
-    return float(min(max(u, tiny), 1.0 - 1e-16))
 
 
 def ratio_map_raw(family: LossFamily, v):
@@ -198,15 +254,7 @@ def ratio_map_raw(family: LossFamily, v):
     Used inside divergence computations, where negative kulsif/sq outputs
     are meaningful.  The sq pole at v = 1 is clamped.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if family is LossFamily.KULSIF:
-        return v + 0.0
-    if family is LossFamily.LR:
-        return _safe_exp(v)
-    if family is LossFamily.EXP:
-        return _safe_exp(2.0 * v)
-    vc = np.minimum(v, 1.0 - SQ_MARGIN_CLAMP)
-    return (1.0 + vc) / (1.0 - vc)
+    return _FAMILIES[family].ratio(np.asarray(v, dtype=np.float64))
 
 
 def ratio_map(family: LossFamily, v):
@@ -220,27 +268,8 @@ def phi(family: LossFamily, t):
     Domains: kulsif all reals, lr t >= 0 (phi(0) = 0 by limit),
     exp t >= 0 (derivative pole at 0), sq t > -1.
     """
-    t = np.asarray(t, dtype=np.float64)
-    if family is LossFamily.KULSIF:
-        r = t - 1.0
-        return 0.5 * (r * r)
-    if family is LossFamily.LR:
-        safe = np.maximum(t, np.finfo(float).tiny)
-        return np.where(t > 0.0, t * np.log(safe), 0.0) - (1.0 + t) * np.log1p(t)
-    if family is LossFamily.EXP:
-        return -2.0 * np.sqrt(t)
-    return 4.0 / (1.0 + t)
+    return _FAMILIES[family].phi(np.asarray(t, dtype=np.float64))
 
 
 def phi_prime(family: LossFamily, t):
-    t = np.asarray(t, dtype=np.float64)
-    if family is LossFamily.KULSIF:
-        return t - 1.0
-    if family is LossFamily.LR:
-        with np.errstate(divide="ignore"):
-            return np.log(t) - np.log1p(t)
-    if family is LossFamily.EXP:
-        return -1.0 / np.sqrt(t)
-    r = 1.0 + t
-    return -4.0 / (r * r)
-
+    return _FAMILIES[family].phi_prime(np.asarray(t, dtype=np.float64))

@@ -30,10 +30,8 @@ from .data import GaussianPairSpec, LabeledDataset, sample_pair
 from .errors import InputError, NumericalError
 from .kernel import KernelSpec, gram_matrix
 from .losses import (
-    POLE_AT_ZERO_FAMILIES,
     RATIO_FLOOR,
     LossFamily,
-    QUADRATIC_FAMILIES,
     link,
     loss_d2,
     loss_value,
@@ -234,7 +232,7 @@ def bregman_error_direct(ctx: OracleContext, family: LossFamily, model) -> float
         beta_hat = ratio_map_raw(family, _margins_of(model, nodes))
         _, q = densities(ctx.pair, nodes)
         keep = np.ones(nodes.shape[0], dtype=bool)
-        if family in POLE_AT_ZERO_FAMILIES:
+        if family.pole_at_zero:
             keep = beta_hat >= RATIO_FLOOR
         b, bh = beta[keep], beta_hat[keep]
         with np.errstate(divide="ignore"):
@@ -297,7 +295,7 @@ def reference_margin(
     large balanced sample serves as the surrogate; build it once and share
     it before any concurrent use.
     """
-    if family in QUADRATIC_FAMILIES:
+    if family.quadratic:
         return lambda xs: np.zeros(np.shape(np.asarray(xs, dtype=np.float64).reshape(-1))[0])
     half = n_ref // 2
     dataset = sample_pair(ctx.pair, half, n_ref - half, seed)

@@ -38,7 +38,6 @@ from .kernel import (
 )
 from .losses import (
     LossFamily,
-    QUADRATIC_FAMILIES,
     loss_d1,
     loss_d2,
     loss_value,
@@ -127,7 +126,7 @@ class ClosedFormSystem:
     """
 
     def __init__(self, family: LossFamily, gram, ys) -> None:
-        if family not in QUADRATIC_FAMILIES:
+        if not family.quadratic:
             raise InputError(f"no closed form for {family.value}; use the CG path")
         K = gram_values(gram)
         ys = np.asarray(ys, dtype=np.float64)
@@ -241,7 +240,7 @@ def _fit_cg(family, K, ys, lam, opts):
         # kernel spectra need, so only non-descent restarts apply.  The
         # curved losses get Powell's orthogonality-loss restart plus a
         # long periodic backstop.
-        if family not in QUADRATIC_FAMILIES and (
+        if not family.quadratic and (
             abs(float(grad_new.dot(grad))) >= 0.2 * gg_new or iteration % (10 * n_total) == 0
         ):
             beta = 0.0
@@ -291,7 +290,7 @@ def fit(
         raise InputError(f"the Gram matrix has shape {K.shape}, not ({dataset.total}, {dataset.total})")
     ys = dataset.ys
 
-    if opts.method == "auto" and family in QUADRATIC_FAMILIES:
+    if opts.method == "auto" and family.quadratic:
         if system is None:
             system = ClosedFormSystem(family, K, ys)
         elif not system.serves(family, K, ys):

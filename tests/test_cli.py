@@ -781,6 +781,24 @@ class TestUnwritableOutput:
         assert capsys.readouterr() == ("", message)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    @pytest.mark.parametrize("flag", ["--m", "--n", "--seed", "--mu-p", "--sigma-p", "--mu-q", "--sigma-q"])
+    def test_a_synthetic_only_flag_with_csv_data_exits_two_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        started = self._record_fits(monkeypatch)
+        p, q = csv_pair(tmp_path)
+        out = tmp_path / "out.json"
+        args = {
+            "fit": ["fit", "--loss", "lr", "--lambda", "0.1", "--out", str(out)],
+            "select": ["select", "--loss", "lr", "--grid", "1e-2:10:2", "--out", str(out)],
+        }[command]
+        assert run_quiet([*args, "--p-csv", p, "--q-csv", q, flag, "5"]) == 2
+        assert started == []
+        message = f"error: {flag} applies only to --synthetic data; it cannot be given with --p-csv and --q-csv\n"
+        assert capsys.readouterr() == ("", message)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["p.csv", "q.csv"]
+
     @pytest.mark.parametrize("blocker", ["regular file", "dangling symlink"])
     def test_experiment_under_a_non_directory_exits_two_before_any_fit(self, tmp_path, capsys, monkeypatch, blocker):
         # The default config: 1500 fits, had they run before the check.

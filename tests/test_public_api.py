@@ -36,7 +36,6 @@ PUBLIC_API = [
     "hessian_weights",
     "kernel_eval",
     "link",
-    "link_inv",
     "load_model",
     "load_two_csv",
     "margins_at",
