@@ -113,19 +113,10 @@ def _parse_sizes(text: str) -> list[int]:
         raise InputError(f"--sizes expects comma-separated integers, got {text!r}") from exc
 
 
-def _data_config(args, seed) -> dict:
+def _data_config(args) -> dict:
     if args.synthetic:
-        return {
-            "synthetic": True,
-            "mu_p": args.mu_p,
-            "sigma_p": args.sigma_p,
-            "mu_q": args.mu_q,
-            "sigma_q": args.sigma_q,
-            "m": args.m,
-            "n": args.n,
-            "seed": seed,
-        }
-    return {"synthetic": False, "p_csv": args.p_csv, "q_csv": args.q_csv, "seed": seed}
+        return {"synthetic": True, **{name: getattr(args, name) for name in _SYNTHETIC_DEFAULTS}}
+    return {"synthetic": False, "p_csv": args.p_csv, "q_csv": args.q_csv, "seed": None}
 
 
 def cmd_fit(args) -> int:
@@ -148,7 +139,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_select(args) -> int:
-    dataset, seed = _dataset_from_args(args)
+    dataset, _ = _dataset_from_args(args)
     family = LossFamily(args.loss)
     grid = _parse_grid(args.grid)
     rule = SelectionRule(args.rule)
@@ -159,7 +150,7 @@ def cmd_select(args) -> int:
     if args.out is not None:
         doc = {
             "config": {
-                "data": _data_config(args, seed),
+                "data": _data_config(args),
                 "loss": family.value,
                 "kernel": args.kernel,
                 "bandwidth": args.bandwidth,

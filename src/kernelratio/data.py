@@ -245,6 +245,18 @@ def write_text(path: str, chunks, *, make_dirs: bool = False) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def read_json(path: str, what: str):
+    """The JSON document at path; a file that cannot be read raises an InputError naming `what` and path.
+
+    A leading UTF-8 byte-order mark is dropped, as RFC 8259 §8.1 lets a parser do.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def write_json(path: str, doc, *, make_dirs: bool = False) -> None:
     """Write doc to path as strict JSON: non-finite floats as null, indented, newline-terminated.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balancing import BoundConstants, LambdaGrid, SelectionRule, fit_and_select
-from .data import DEFAULT_PAIR, GaussianPairSpec, check_json_number, check_writable, sample_pair, write_json, write_text
+from .data import DEFAULT_PAIR, GaussianPairSpec, check_json_number, check_writable, read_json, sample_pair, write_json, write_text
 from .errors import InputError
 from .kernel import KernelFamily, KernelSpec
 from .losses import LossFamily
@@ -133,11 +133,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-            raise InputError(f"cannot read config {path}: {exc}") from exc
+        doc = read_json(path, "config")
         try:
             return cls.from_dict(doc)
         except InputError as exc:
@@ -253,18 +249,16 @@ def _fmt(value: float) -> str:
 
 
 def report_to_csv_rows(report: dict) -> list[str]:
-    """Long-format rows `loss,m,n,seed,lambda,mse,chosen`, sorted."""
-    rows = []
+    """Long-format rows `loss,m,n,seed,lambda,mse,chosen`, in report order.
+
+    `run_experiment` emits cells sorted by (loss, m, n, seed), each over the
+    ascending grid, so the rows are sorted by (loss, m, n, seed, lambda).
+    """
+    lines = ["loss,m,n,seed,lambda,mse,chosen"]
     for cell in report["cells"]:
         for lam, mse in zip(cell["lambdas"], cell["mse"]):
             chosen = 1 if lam == cell["chosen_lambda"] else 0
-            rows.append(
-                (cell["loss"], cell["m"], cell["n"], cell["seed"], lam, mse, chosen)
-            )
-    rows.sort(key=lambda row: (row[0], row[1], row[2], row[3], row[4]))
-    lines = ["loss,m,n,seed,lambda,mse,chosen"]
-    for loss, m, n, seed, lam, mse, chosen in rows:
-        lines.append(f"{loss},{m},{n},{seed},{_fmt(lam)},{_fmt(mse)},{chosen}")
+            lines.append(f"{cell['loss']},{cell['m']},{cell['n']},{cell['seed']},{_fmt(lam)},{_fmt(mse)},{chosen}")
     return lines
 
 

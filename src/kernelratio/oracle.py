@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balancing import hessian_weights
-from .data import GaussianPairSpec, LabeledDataset, sample_pair
+from .data import GaussianPairSpec, LabeledDataset
 from .errors import InputError, NumericalError
 from .kernel import KernelSpec, gram_matrix
 from .losses import (
@@ -279,28 +279,16 @@ def grid_mse(ctx: OracleContext, model: RatioModel, margins=None) -> float:
         return float(np.mean((estimates - true_ratio(ctx.pair, ctx.eval_grid)) ** 2))
 
 
-def reference_margin(
-    ctx: OracleContext,
-    family: LossFamily,
-    kernel: KernelSpec,
-    *,
-    n_ref: int = 4000,
-    lambda_ref: float = 1e-6,
-    seed: int = 20_000_000,
-):
-    """A margin function approximating the population risk minimizer.
+def reference_margin(ctx: OracleContext, family: LossFamily, kernel: KernelSpec):
+    """The zero margin, an exact reference center for the quadratic families.
 
-    The quadratic families have margin-independent curvature, so the zero
-    margin is an exact stand-in.  Otherwise a lightly regularized fit on a
-    large balanced sample serves as the surrogate; build it once and share
-    it before any concurrent use.
+    Their curvature does not depend on the margin, so any center gives the
+    same population form.  A curved family has no exact center: pass
+    `hessian_sandwich_test` a margin function instead.
     """
-    if family.quadratic:
-        return lambda xs: np.zeros(np.shape(np.asarray(xs, dtype=np.float64).reshape(-1))[0])
-    half = n_ref // 2
-    dataset = sample_pair(ctx.pair, half, n_ref - half, seed)
-    model, _ = fit(family, kernel, dataset, lambda_ref)
-    return lambda xs: predict_margin(model, np.asarray(xs, dtype=np.float64))
+    if not family.quadratic:
+        raise InputError(f"{family.value} has no exact reference margin; pass a margin function instead")
+    return lambda xs: np.zeros(np.shape(np.asarray(xs, dtype=np.float64).reshape(-1))[0])
 
 
 @dataclass(frozen=True)
@@ -325,13 +313,16 @@ def hessian_sandwich_test(
     tests   emp(c) <= 6 pop(c)   and   6 pop(c) <= 48 emp(c),
     where emp(c) = (1/N) c^T K E K c + lam c^T K c at the fitted model and
     pop(c) is the population form at the reference center, under the
-    default kernel.  Returns the fraction of directions passing both.
+    default kernel.  Returns the fraction of directions passing both.  A fit
+    that did not converge raises NumericalError rather than being scored.
     """
     if n_directions < 1:
         raise InputError("need at least one direction")
     kernel = KernelSpec()
     gram = gram_matrix(kernel, dataset.xs)
-    model, _ = fit(family, kernel, dataset, lam, gram=gram)
+    model, report = fit(family, kernel, dataset, lam, gram=gram)
+    if not report.converged:
+        raise NumericalError(f"the fit at lambda={lam} did not converge (grad_norm={report.grad_norm})")
     e = hessian_weights(family, model, dataset, gram).e
     n_total = dataset.total
 

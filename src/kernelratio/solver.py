@@ -19,13 +19,12 @@ Two solve paths:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import LabeledDataset, check_json_number, write_json
+from .data import LabeledDataset, check_json_number, read_json, write_json
 from .errors import InputError, NumericalError
 from .kernel import (
     GramMatrix,
@@ -342,11 +341,9 @@ def predict_margin(model: RatioModel, x):
     """Margin f(x) = sum_j alpha_j k(x_j, x); scalar in, scalar out."""
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0 or (arr.ndim == 1 and model.points.shape[1] != 1)
-    if arr.ndim == 1 and model.points.shape[1] != 1 and arr.shape[0] != model.points.shape[1]:
-        raise InputError(f"point has dimension {arr.shape[0]}, model expects {model.points.shape[1]}")
     pts = as_points(arr if not scalar else arr.reshape(1, -1))
     if pts.shape[1] != model.points.shape[1]:
-        raise InputError(f"points have dimension {pts.shape[1]}, model expects {model.points.shape[1]}")
+        raise InputError(f"point has dimension {pts.shape[1]}, model expects {model.points.shape[1]}")
     values = margins_at(model.kernel, model.points, [model.alpha], pts)[0]
     return float(values[0]) if scalar else values
 
@@ -383,11 +380,7 @@ def load_model(path: str) -> tuple[RatioModel, dict]:
     InputError, and so does a boolean, string, null or integer too large
     for a float in `bandwidth`, `lambda`, `points` or `alpha`.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise InputError(f"cannot read model file {path}: {exc}") from exc
+    doc = read_json(path, "model file")
     if not isinstance(doc, dict):
         raise InputError(f"malformed model file {path}: expected a JSON object")
     try:

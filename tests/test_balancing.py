@@ -9,6 +9,9 @@ from kernelratio import (
     BalanceRule,
     BoundConstants,
     InputError,
+    KernelFamily,
+    KernelSpec,
+    LabeledDataset,
     LambdaGrid,
     LossFamily,
     SelectionRule,
@@ -464,3 +467,35 @@ class TestSelection:
         with pytest.raises(NumericalError, match="lambda=0.001"):
             select_lambda(ds, LossFamily.KULSIF, kspec, GRID5, SelectionRule.PRACTICAL_MJ)
 
+
+class TestPowerOfTwoScaling:
+    # Scaling every point and the bandwidth by 2**k scales each squared
+    # difference and 2 sigma^2 by 4**k without rounding, so the Gram matrix,
+    # and with it every fit and the selection, stays bitwise the same.
+    FACTORS = [2.0**-6, 2.0**-1, 2.0**3, 2.0**9]
+
+    @pytest.mark.parametrize("kernel_family", list(KernelFamily))
+    @pytest.mark.parametrize("bandwidth", [0.5, 1.0, 3.0])
+    def test_the_gram_matrix_is_unchanged(self, kernel_family, bandwidth):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for m, n, dim in [(2, 3, 1), (5, 5, 2), (10, 12, 3)]:
+                xs = LabeledDataset.from_blocks(rng.normal(0.5, size=(m, dim)), rng.normal(size=(n, dim))).xs
+                gram = gram_matrix(KernelSpec(kernel_family, bandwidth), xs).values
+                for factor in self.FACTORS:
+                    scaled = gram_matrix(KernelSpec(kernel_family, bandwidth * factor), xs * factor).values
+                    assert scaled.tobytes() == gram.tobytes()
+
+    @pytest.mark.parametrize("family", list(LossFamily))
+    def test_every_fit_and_the_choice_are_unchanged(self, family, pair):
+        grid = LambdaGrid(lambda0=1e-3, xi=10.0, l=3)
+        for seed in range(3):
+            ds = sample_pair(pair, 5, 5, seed=seed)
+            fits, report = fit_and_select(ds, family, KernelSpec(), grid, SelectionRule.PRACTICAL_MJ)
+            for factor in (2.0**-3, 2.0**5):
+                scaled = LabeledDataset(xs=ds.xs * factor, ys=ds.ys)
+                scaled_fits, scaled_report = fit_and_select(
+                    scaled, family, KernelSpec(bandwidth=factor), grid, SelectionRule.PRACTICAL_MJ
+                )
+                assert [m.alpha.tobytes() for m, _ in scaled_fits] == [m.alpha.tobytes() for m, _ in fits]
+                assert scaled_report.to_dict() == report.to_dict()

@@ -397,6 +397,26 @@ class TestExperiment:
         second = open(paths["csv"], "rb").read()
         assert first == second
 
+    def test_config_with_a_byte_order_mark_runs_the_same_experiment(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        text = json.dumps(self._config(tmp_path)).encode("utf-8")
+        reports = []
+        for content in (text, b"\xef\xbb\xbf" + text):
+            config_path.write_bytes(content)
+            assert run_cli(["experiment", str(config_path)]) == 0
+            reports.append(open(json.loads(capsys.readouterr().out)["report"], "rb").read())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"])
+    def test_config_that_is_not_utf8_exits_two_naming_the_file(self, tmp_path, capsys, mark):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(mark + b'{"seeds": [0], "output_dir": "\xff"}')
+        assert run_cli(["experiment", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config {config_path}: "
+            "'utf-8' codec can't decode byte 0xff in position 30: invalid start byte\n"
+        )
+
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text('{"losses": []}', encoding="utf-8")

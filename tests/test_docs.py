@@ -63,6 +63,14 @@ def test_no_module_branches_on_a_loss_family():
     assert [name for name, text in texts.items() if family_tuple.search(text)] == []
 
 
+def test_no_module_drops_a_fit_report():
+    # A fit's report says whether it converged; a layer that binds it to _
+    # would use an unconverged fit silently.
+    dropped = re.compile(r"\w+,\s*_\s*=\s*fit\(")
+    modules = sorted((ROOT / "src" / "kernelratio").glob("*.py"))
+    assert [path.name for path in modules if dropped.search(path.read_text(encoding="utf-8"))] == []
+
+
 def readme_module_notes():
     """(module, backticked names in its note) for each entry of README's "Modules:" list."""
     section = README.split("\nModules:\n", 1)[1]

@@ -80,11 +80,14 @@ def test_csv_rows_are_long_format(tiny_report):
     assert rows[0] == "loss,m,n,seed,lambda,mse,chosen"
     assert len(rows) == 1 + len(report["cells"]) * config.grid.l
     chosen_per_cell = {}
+    keys = []
     for row in rows[1:]:
         loss, m, n, seed, lam, mse, chosen = row.split(",")
         key = (loss, m, n, seed)
         chosen_per_cell[key] = chosen_per_cell.get(key, 0) + int(chosen)
+        keys.append((loss, int(m), int(n), int(seed), float(lam)))
     assert all(count == 1 for count in chosen_per_cell.values())
+    assert keys == sorted(keys)
 
 
 def test_config_round_trip(tiny_report):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from kernelratio import (
     sample_pair,
     true_ratio,
 )
-from kernelratio import solver
+from kernelratio import oracle, solver
 from kernelratio.losses import RATIO_FLOOR, loss_value, phi, phi_prime, ratio_map, ratio_map_raw
 from kernelratio.oracle import (
     _h_form_integrals,
@@ -435,7 +436,20 @@ class TestSandwich:
         ref = reference_margin(ctx, LossFamily.SQ, kspec)
         np.testing.assert_array_equal(ref(np.linspace(-1, 1, 5)), np.zeros(5))
 
-    def test_curved_family_reference_fit_runs(self, ctx, kspec):
-        ref = reference_margin(ctx, LossFamily.EXP, kspec, n_ref=40, lambda_ref=1e-3, seed=1)
-        values = ref(np.linspace(0.0, 4.0, 7))
-        assert np.all(np.isfinite(values))
+    @pytest.mark.parametrize("family", [LossFamily.LR, LossFamily.EXP])
+    def test_curved_families_have_no_reference_margin(self, ctx, kspec, family):
+        with pytest.raises(InputError, match=f"^{family.value} has no exact reference margin"):
+            reference_margin(ctx, family, kspec)
+
+    def test_an_unconverged_fit_is_not_scored(self, ctx, pair, kspec, monkeypatch):
+        ds = sample_pair(pair, 3, 3, seed=0)
+        real_fit = oracle.fit
+
+        def unconverged_fit(*args, **kwargs):
+            model, report = real_fit(*args, **kwargs)
+            return model, dataclasses.replace(report, converged=False, grad_norm=0.25)
+
+        monkeypatch.setattr(oracle, "fit", unconverged_fit)
+        ref = reference_margin(ctx, LossFamily.KULSIF, kspec)
+        with pytest.raises(NumericalError, match=r"lambda=0\.1 did not converge \(grad_norm=0\.25\)"):
+            hessian_sandwich_test(ctx, LossFamily.KULSIF, ds, 0.1, ref, 4, seed=0)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -437,6 +438,25 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.points, model.points)
         assert loaded.family is LossFamily.EXP
         assert doc["seed"] == 3
+
+    def test_a_byte_order_mark_loads_the_same_model(self, pair, kspec, tmp_path):
+        ds = sample_pair(pair, 4, 4, seed=3)
+        model, _ = fit(LossFamily.EXP, kspec, ds, 0.1)
+        path = tmp_path / "model.json"
+        save_model(model, str(path), seed=3)
+        plain = load_model(str(path))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked = load_model(str(path))
+        assert marked[1] == plain[1]
+        assert solver.model_to_dict(marked[0]) == solver.model_to_dict(plain[0])
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"])
+    def test_a_file_that_is_not_utf8_is_rejected_naming_it(self, tmp_path, mark):
+        path = tmp_path / "m.json"
+        path.write_bytes(mark + b'{"loss": "\xe9"}')
+        message = f"cannot read model file {path}: 'utf-8' codec can't decode byte 0xe9 in position 10"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+            load_model(str(path))
 
     def test_serialization_is_deterministic(self, pair, kspec, tmp_path):
         ds = sample_pair(pair, 4, 4, seed=3)
