@@ -101,9 +101,11 @@ class LabeledDataset:
     @classmethod
     def from_blocks(cls, xp, xq) -> "LabeledDataset":
         """Pool a P-block and a Q-block, P first."""
-        xp = as_points(xp) if np.size(xp) else np.empty((0, as_points(xq).shape[1]))
+        xp = as_points(xp)
         xq = as_points(xq)
-        if xp.shape[0] and xp.shape[1] != xq.shape[1]:
+        if not xp.shape[0]:
+            xp = np.empty((0, xq.shape[1]))
+        elif xp.shape[1] != xq.shape[1]:
             raise InputError(f"dimension mismatch: P has d={xp.shape[1]}, Q has d={xq.shape[1]}")
         xs = np.vstack([xp, xq])
         ys = np.concatenate([np.ones(xp.shape[0], dtype=np.int64), -np.ones(xq.shape[0], dtype=np.int64)])

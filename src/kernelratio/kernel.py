@@ -20,6 +20,10 @@ import numpy as np
 
 from .errors import InputError
 
+# Kernel block entries per tile: 512 KiB of float64, so a tile stays in a
+# core's L2 cache.  cross_matrix's scratch and margins_at's tiles use it.
+TILE_ENTRIES = 65_536
+
 
 class KernelFamily(enum.Enum):
     ONE_PLUS_GAUSSIAN = "one_plus_gaussian"
@@ -54,6 +58,8 @@ def as_points(xs) -> np.ndarray:
         arr = arr.reshape(-1, 1)
     elif arr.ndim != 2:
         raise InputError(f"points must be at most 2-dimensional, got shape {arr.shape}")
+    if arr.shape[0] and not arr.shape[1]:
+        raise InputError(f"points need at least one coordinate, got shape {arr.shape}")
     return arr
 
 
@@ -84,8 +90,11 @@ def cross_matrix(spec: KernelSpec, left, right) -> np.ndarray:
 
     Built in one (N, M) buffer: squared coordinate differences are summed
     in place, one coordinate at a time, then mapped through the kernel.
-    The sequential sum makes entry (i, j) of cross_matrix(x, x) bitwise
-    equal to entry (j, i), with the diagonal exactly k(x, x).
+    For d > 1 coordinates 2..d are added one block of rows at a time,
+    through a scratch of at most TILE_ENTRIES entries (one row, if a row
+    is longer).  The sequential sum makes entry (i, j) of
+    cross_matrix(x, x) bitwise equal to entry (j, i), with the diagonal
+    exactly k(x, x).
     """
     a = as_points(left)
     b = as_points(right)
@@ -94,10 +103,14 @@ def cross_matrix(spec: KernelSpec, left, right) -> np.ndarray:
     values = np.subtract.outer(a[:, 0], b[:, 0])
     np.square(values, out=values)
     if a.shape[1] > 1:
-        scratch = np.empty_like(values)
-        for k in range(1, a.shape[1]):
-            np.subtract.outer(a[:, k], b[:, k], out=scratch)
-            values += np.square(scratch, out=scratch)
+        rows = max(1, TILE_ENTRIES // max(1, b.shape[0]))
+        scratch = np.empty((min(rows, a.shape[0]), b.shape[0]))
+        for start in range(0, a.shape[0], rows):
+            block = values[start : start + rows]
+            tmp = scratch[: block.shape[0]]
+            for k in range(1, a.shape[1]):
+                np.subtract.outer(a[start : start + rows, k], b[:, k], out=tmp)
+                block += np.square(tmp, out=tmp)
     np.negative(values, out=values)
     # A tiny bandwidth sends far pairs to -inf, and exp(-inf) = 0 is their kernel value.
     with np.errstate(over="ignore"):

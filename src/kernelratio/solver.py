@@ -27,6 +27,7 @@ import numpy as np
 from .data import LabeledDataset, check_json_number, read_json, write_json
 from .errors import InputError, NumericalError
 from .kernel import (
+    TILE_ENTRIES,
     GramMatrix,
     KernelFamily,
     KernelSpec,
@@ -43,10 +44,6 @@ from .losses import (
     margin_terms,
     ratio_map,
 )
-
-# Kernel block entries per margin tile: 512 KiB of float64, so a tile
-# stays in a core's L2 cache while every coefficient vector multiplies it.
-_CHUNK_ENTRIES = 65_536
 
 # Armijo sufficient-decrease constant and the line search's halving budget.
 _ARMIJO_C = 1e-4
@@ -120,8 +117,10 @@ class ClosedFormSystem:
     over the flat rows Z.  With no flat rows (sq) this is the full system.
 
     Everything but lambda is built once, here, so a whole lambda grid shares
-    it: `solve` adds lambda to the diagonal of (1/N) E_S K_SS, solves, and
-    takes it off again, so one system serves one solve at a time.
+    it: the vector K_SZ d0_Z, since K_SZ alpha_Z = -K_SZ d0_Z / (N lambda),
+    and the block (1/N) E_S K_SS.  `solve` adds lambda to the block's
+    diagonal, solves, and takes it off again, so one system serves one
+    solve at a time.
     """
 
     def __init__(self, family: LossFamily, gram, ys) -> None:
@@ -137,7 +136,8 @@ class ClosedFormSystem:
         self.flat = np.flatnonzero(e == 0.0)
         self.curved = np.flatnonzero(e != 0.0)
         self.e_s = e[self.curved]
-        self.k_sz = K[np.ix_(self.curved, self.flat)]
+        # The K_SZ gather is freed before the block below is allocated.
+        self.kz_d0 = K[np.ix_(self.curved, self.flat)] @ self.d0[self.flat]
         # (1/N) E_S K_SS, built in its one buffer; _diagonal is a view of its diagonal.
         self.block = K[np.ix_(self.curved, self.curved)]
         self.block *= self.e_s[:, None]
@@ -157,7 +157,7 @@ class ClosedFormSystem:
         alpha = np.empty(n_total)
         # 0.0 - x, not -x: a zero slope must give +0.0, not -0.0, in the model.
         alpha[flat] = 0.0 - d0[flat] / (n_total * lam)
-        rhs = 0.0 - (d0[curved] + self.e_s * (self.k_sz @ alpha[flat])) / n_total
+        rhs = 0.0 - (d0[curved] - self.e_s * (self.kz_d0 / (n_total * lam))) / n_total
         self._diagonal[:] = self._block_diagonal + lam
         try:
             # + 0.0 turns the -0.0 that a negative LU pivot makes of a zero
@@ -317,7 +317,7 @@ def margins_at(kernel: KernelSpec, points, alphas, xs) -> np.ndarray:
     """Margins at xs of several expansions over the same kernel and points.
 
     Row k holds f_k(x) = sum_j alphas[k][j] k(points_j, x).  The kernel
-    matrix is built in row tiles of _CHUNK_ENTRIES entries or 8 rows,
+    matrix is built in row tiles of TILE_ENTRIES entries or 8 rows,
     whichever is more, each once, and every coefficient vector multiplies
     each tile in turn, so row k is bitwise what the model with
     coefficients alphas[k] predicts on its own.
@@ -329,7 +329,7 @@ def margins_at(kernel: KernelSpec, points, alphas, xs) -> np.ndarray:
     # whole-block matvec (checked for N <= 1000 with BLAS on one thread):
     # dgemv may round a row differently when the block's row count leaves
     # a remainder mod 4.
-    tile = max(8, _CHUNK_ENTRIES // points.shape[0] // 8 * 8)
+    tile = max(8, TILE_ENTRIES // points.shape[0] // 8 * 8)
     for start in range(0, xs.shape[0], tile):
         block = cross_matrix(kernel, xs[start : start + tile], points)
         for row, alpha in zip(out, alphas):

@@ -102,6 +102,10 @@ class TestDatasetInvariants:
         with pytest.raises(InputError, match=message):
             make()
 
+    def test_p_points_without_coordinates_are_rejected_not_dropped(self):
+        with pytest.raises(InputError, match=r"points need at least one coordinate, got shape \(3, 0\)"):
+            LabeledDataset.from_blocks(np.empty((3, 0)), np.empty((2, 0)))
+
     def test_float_labels_of_plus_minus_one_are_read_as_integers(self):
         ds = LabeledDataset(np.zeros((2, 1)), np.array([1.0, -1.0]))
         assert ds.ys.dtype == np.int64 and ds.ys.tolist() == [1, -1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kernelratio import InputError, KernelFamily, KernelSpec, gram_matrix, kernel_eval
+from kernelratio import kernel
 from kernelratio.kernel import cross_matrix
 
 GAUSS = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
@@ -118,6 +120,11 @@ def test_gram_rejects_empty_point_list():
         gram_matrix(OFFSET, np.empty((0, 1)))
 
 
+def test_points_without_coordinates_are_rejected():
+    with pytest.raises(InputError, match=r"points need at least one coordinate, got shape \(2, 0\)"):
+        gram_matrix(KernelSpec(), np.empty((2, 0)))
+
+
 def _broadcast_cross(spec, a, b):
     """The dense (N, M, d) broadcast formula, as a reference."""
     sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
@@ -149,3 +156,38 @@ def test_cross_matrix_matches_the_broadcast_formula(points, family):
     else:
         np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0)
     assert np.array_equal(gram_matrix(spec, a).values, cross_matrix(spec, a, a))
+
+
+@pytest.mark.parametrize("tile", [1, 7, 64])
+@pytest.mark.parametrize("d", range(2, 8))
+def test_tiled_cross_matrix_equals_the_broadcast_formula(tile, d, monkeypatch):
+    monkeypatch.setattr(kernel, "TILE_ENTRIES", tile)
+    rng = np.random.default_rng(10 * tile + d)
+    # 80 columns exceed every tile (one row per block); 13 rows leave a
+    # short last block of 12 (tile 64, 5 columns), 6 (64, 10) or 2 (7, 3) rows.
+    shapes = [(13, 5), (13, 10), (13, 3), (13, 80), (0, 5), (5, 0)]
+    for family in KernelFamily:
+        spec = KernelSpec(family, math.sqrt(d))
+        for n, m in shapes:
+            a, b = rng.uniform(-1.0, 1.0, size=(n, d)), rng.uniform(-1.0, 1.0, size=(m, d))
+            assert np.array_equal(cross_matrix(spec, a, b), _broadcast_cross(spec, a, b))
+
+
+def test_tiled_gram_is_exactly_symmetric_across_blocks(monkeypatch):
+    monkeypatch.setattr(kernel, "TILE_ENTRIES", 64)  # blocks of 3 rows over 20 points
+    pts = np.random.default_rng(3).normal(size=(20, 3))
+    for spec in (OFFSET, GAUSS):
+        values = gram_matrix(spec, pts).values
+        assert np.array_equal(values, values.T)
+        assert all(values[i, i] == kernel_eval(spec, x, x) for i, x in enumerate(pts))
+
+
+def test_a_gram_build_holds_at_most_one_tile_beside_the_matrix():
+    pts = np.random.default_rng(0).normal(size=(1000, 3))
+    tracemalloc.start()
+    try:
+        gram_matrix(OFFSET, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * 1000 * 1000 <= 2**20

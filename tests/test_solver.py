@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,18 @@ class TestClosedForm:
             system.solve(1e-320)
         assert system.block.tobytes() == block
 
+    def test_setup_and_solve_hold_at_most_two_curved_blocks(self, pair, kspec):
+        ds = sample_pair(pair, 200, 200, seed=4)
+        K = gram_matrix(kspec, ds.xs).values
+        n_curved = 200  # kulsif's Q rows
+        tracemalloc.start()
+        try:
+            solver.ClosedFormSystem(LossFamily.KULSIF, K, ds.ys).solve(0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n_curved**2 * 8 + 64 * 1024
+
     def test_fit_rejects_a_system_set_up_for_other_data(self, pair, kspec):
         ds = sample_pair(pair, 6, 7, seed=1)
         gram = gram_matrix(kspec, ds.xs)
@@ -398,7 +411,7 @@ class TestPredict:
         xs = rng.normal(size=(23, dim))
         whole = [cross_matrix(spec, xs, ds.xs) @ model.alpha for model in models]
         if chunk_entries is not None:  # 40 // 13 points: tiles of 8 rows, a short last one
-            monkeypatch.setattr(solver, "_CHUNK_ENTRIES", chunk_entries)
+            monkeypatch.setattr(solver, "TILE_ENTRIES", chunk_entries)
         rows = margins_at(spec, ds.xs, [model.alpha for model in models], xs)
         assert rows.shape == (len(models), xs.shape[0])
         for row, model, reference in zip(rows, models, whole):
@@ -421,7 +434,7 @@ class TestPredict:
         alpha = rng.normal(size=n_points)
         rows = margins_at(spec, points, [alpha], xs)
         assert sum(n_rows for n_rows, _ in tiles) == xs.shape[0]
-        assert all(n_rows * n_cols <= max(solver._CHUNK_ENTRIES, 8 * n_points) for n_rows, n_cols in tiles)
+        assert all(n_rows * n_cols <= max(solver.TILE_ENTRIES, 8 * n_points) for n_rows, n_cols in tiles)
         assert all(n_rows % 8 == 0 for n_rows, _ in tiles[:-1])
         whole = cross_matrix(spec, xs, points) @ alpha
         np.testing.assert_allclose(rows[0], whole, rtol=1e-12, atol=1e-12 * np.max(np.abs(whole)))
@@ -485,6 +498,13 @@ class TestPersistence:
             path.write_text(json.dumps(doc), encoding="utf-8")
             with pytest.raises(InputError):
                 load_model(str(path))
+
+    def test_points_without_coordinates_are_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**VALID_MODEL_DOC, "points": [[], []], "alpha": [1, 2]}), encoding="utf-8")
+        message = f"malformed model file {path}: points need at least one coordinate, got shape (2, 0)"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_model(str(path))
 
     @pytest.mark.parametrize(
         "field, value",
