@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -272,12 +272,7 @@ class SelectionReport:
     def to_dict(self) -> dict:
         return {
             "rule": self.rule.value,
-            "grid": {
-                "lambda0": self.grid.lambda0,
-                "xi": self.grid.xi,
-                "l": self.grid.l,
-                "values": [float(v) for v in self.grid.values],
-            },
+            "grid": {**asdict(self.grid), "values": [float(v) for v in self.grid.values]},
             "chosen_lambda": self.chosen_lambda,
             "chosen_index": self.chosen_index,
             "thresholds_used": list(self.thresholds_used),

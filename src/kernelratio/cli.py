@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .balancing import BoundConstants, LambdaGrid, SelectionRule, rate_exponent, select_lambda
 from .data import (
@@ -42,15 +43,7 @@ _KERNELS = {"one-plus-gaussian": KernelFamily.ONE_PLUS_GAUSSIAN, "gaussian": Ker
 
 
 # The flags that only shape a --synthetic sample, with the values it gives them when unset.
-_SYNTHETIC_DEFAULTS = {
-    "mu_p": DEFAULT_PAIR.mu_p,
-    "sigma_p": DEFAULT_PAIR.sigma_p,
-    "mu_q": DEFAULT_PAIR.mu_q,
-    "sigma_q": DEFAULT_PAIR.sigma_q,
-    "m": 100,
-    "n": 100,
-    "seed": 0,
-}
+_SYNTHETIC_DEFAULTS = {**asdict(DEFAULT_PAIR), "m": 100, "n": 100, "seed": 0}
 
 
 def _add_data_and_estimator_flags(parser: argparse.ArgumentParser) -> None:

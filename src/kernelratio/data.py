@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,21 +32,24 @@ class GaussianPairSpec:
     sigma_q: float = 5.0**0.5
 
     def __post_init__(self) -> None:
-        for name in ("mu_p", "sigma_p", "mu_q", "sigma_q"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             try:
                 finite = math.isfinite(value)
             except (TypeError, OverflowError):
                 finite = False
             if not finite:
-                raise InputError(f"{name} must be a finite number, got {value!r}")
+                raise InputError(f"{f.name} must be a finite number, got {value!r}")
         if not (self.sigma_p > 0.0 and self.sigma_q > 0.0):
             raise InputError("standard deviations must be positive")
         # The oracle integrates over span(); its log ratio must be finite there.
         for x in self.span():
-            z_p = (x - self.mu_p) / self.sigma_p
-            z_q = (x - self.mu_q) / self.sigma_q
-            if not math.isfinite(math.log(self.sigma_q) - math.log(self.sigma_p) - 0.5 * z_p * z_p + 0.5 * z_q * z_q):
+            try:
+                with np.errstate(all="ignore"):
+                    finite = math.isfinite(log_true_ratio(self, x))
+            except (ValueError, OverflowError):  # sigma_q / sigma_p or a sigma**2 left the float range
+                finite = False
+            if not finite:
                 raise InputError(
                     f"the log ratio of P to Q is not finite at x={x!r}, an end of the 8-sigma interval; "
                     f"mu_p={self.mu_p!r}, sigma_p={self.sigma_p!r}, mu_q={self.mu_q!r} "
@@ -59,6 +62,15 @@ class GaussianPairSpec:
         lo = min(self.mu_p - n_sigma * self.sigma_p, self.mu_q - n_sigma * self.sigma_q)
         hi = max(self.mu_p + n_sigma * self.sigma_p, self.mu_q + n_sigma * self.sigma_q)
         return lo, hi
+
+
+def log_true_ratio(pair: GaussianPairSpec, x):
+    x = np.asarray(x, dtype=np.float64)
+    return (
+        math.log(pair.sigma_q / pair.sigma_p)
+        - (x - pair.mu_p) ** 2 / (2.0 * pair.sigma_p**2)
+        + (x - pair.mu_q) ** 2 / (2.0 * pair.sigma_q**2)
+    )
 
 
 #: Well-separated narrow P over a wide Q; a standard covariate-shift
@@ -220,11 +232,12 @@ def check_writable(path: str, *, make_dirs: bool = False) -> None:
     directory or a file this process may not write, and the nearest
     existing ancestor of its directory (the directory itself unless
     make_dirs) must be a directory, or a symlink that resolves to one,
-    that this process may write.
+    that this process may write.  A symlink's directory is its target's,
+    which open() writes through to.
     """
     if not path:
         raise InputError(f"cannot write {path}: the path is empty")
-    existing = os.path.dirname(os.path.abspath(path))
+    existing = os.path.dirname(os.path.realpath(path) if os.path.islink(path) else os.path.abspath(path))
     while make_dirs and not os.path.lexists(existing):
         existing = os.path.dirname(existing)
     if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
@@ -251,12 +264,22 @@ def read_json(path: str, what: str):
     """The JSON document at path; a file that cannot be read raises an InputError naming `what` and path.
 
     A leading UTF-8 byte-order mark is dropped, as RFC 8259 §8.1 lets a parser do.
+    A key given twice in one object is an error, not a silent last-one-wins.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8 or a repeated key
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def write_json(path: str, doc, *, make_dirs: bool = False) -> None:

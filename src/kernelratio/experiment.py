@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,14 +61,9 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {
-            "pair": {
-                "mu_p": self.pair.mu_p,
-                "sigma_p": self.pair.sigma_p,
-                "mu_q": self.pair.mu_q,
-                "sigma_q": self.pair.sigma_q,
-            },
+            "pair": asdict(self.pair),
             "losses": [loss.value for loss in self.losses],
-            "grid": {"lambda0": self.grid.lambda0, "xi": self.grid.xi, "l": self.grid.l},
+            "grid": asdict(self.grid),
             "sample_sizes": [[m, n] for m, n in self.sample_sizes],
             "seeds": list(self.seeds),
             "rule": self.rule.value,

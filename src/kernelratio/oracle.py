@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balancing import hessian_weights
-from .data import GaussianPairSpec, LabeledDataset
+from .data import GaussianPairSpec, LabeledDataset, log_true_ratio
 from .errors import InputError, NumericalError
-from .kernel import KernelSpec, gram_matrix
+from .kernel import KernelSpec, gram_matrix, gram_values
 from .losses import (
     RATIO_FLOOR,
     LossFamily,
@@ -144,15 +144,6 @@ def _normal_pdf(x, mu: float, sigma: float):
 def densities(pair: GaussianPairSpec, x) -> tuple[np.ndarray, np.ndarray]:
     """(p(x), q(x)) for the two Gaussian components."""
     return _normal_pdf(x, pair.mu_p, pair.sigma_p), _normal_pdf(x, pair.mu_q, pair.sigma_q)
-
-
-def log_true_ratio(pair: GaussianPairSpec, x):
-    x = np.asarray(x, dtype=np.float64)
-    return (
-        math.log(pair.sigma_q / pair.sigma_p)
-        - (x - pair.mu_p) ** 2 / (2.0 * pair.sigma_p**2)
-        + (x - pair.mu_q) ** 2 / (2.0 * pair.sigma_q**2)
-    )
 
 
 def true_ratio(pair: GaussianPairSpec, x):
@@ -329,7 +320,7 @@ def hessian_sandwich_test(
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((n_directions, n_total))
 
-    kc = directions @ gram.values  # rows: (K c)^T
+    kc = directions @ gram_values(gram)  # rows: (K c)^T
     rkhs_sq = np.einsum("ij,ij->i", directions, kc)
     emp = np.einsum("ij,j,ij->i", kc, e, kc) / n_total + lam * rkhs_sq
     pop = _h_form_integrals(ctx, family, reference_center, kernel, dataset.xs, directions) + lam * rkhs_sq

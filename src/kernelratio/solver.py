@@ -284,7 +284,7 @@ def fit(
         raise InputError(f"max_iters must be at least 1, got {opts.max_iters}")
     if gram is None:
         gram = gram_matrix(kernel, dataset.xs)
-    K = gram.values
+    K = gram_values(gram)
     if K.shape != (dataset.total, dataset.total):
         raise InputError(f"the Gram matrix has shape {K.shape}, not ({dataset.total}, {dataset.total})")
     ys = dataset.ys

@@ -499,3 +499,29 @@ class TestPowerOfTwoScaling:
                 )
                 assert [m.alpha.tobytes() for m, _ in scaled_fits] == [m.alpha.tobytes() for m, _ in fits]
                 assert scaled_report.to_dict() == report.to_dict()
+
+
+class TestLabelFlip:
+    # Negating every label in place, points kept in their order, maps each
+    # symmetric loss's objective at alpha to its objective at -alpha, bit
+    # for bit, so every grid fit negates exactly and the selection, which
+    # reads only the fits' curvatures and differences, does not move.
+    # KuLSIF is not symmetric under the flip.
+    @pytest.mark.parametrize("family", [f for f in LossFamily if f is not LossFamily.KULSIF])
+    def test_every_fit_negates_and_the_selection_is_unchanged(self, family, pair):
+        grid = LambdaGrid(lambda0=1e-3, xi=10.0, l=3)
+        for kernel_family in KernelFamily:
+            kernel = KernelSpec(kernel_family)
+            for m, n in [(3, 3), (10, 10), (7, 13), (40, 40)]:
+                for seed in range(2):
+                    ds = sample_pair(pair, m, n, seed=seed)
+                    flipped = LabeledDataset(ds.xs, -ds.ys)
+                    gram = gram_matrix(kernel, ds.xs)
+                    fits = fit_grid(family, kernel, ds, grid, gram=gram)
+                    flipped_fits = fit_grid(family, kernel, flipped, grid, gram=gram)
+                    for (model, _), (flipped_model, _) in zip(fits, flipped_fits):
+                        assert np.array_equal(flipped_model.alpha, -model.alpha)
+                    for rule in SelectionRule:
+                        report = select_from_fits(family, gram, ds, grid, fits, rule)
+                        flipped_report = select_from_fits(family, gram, flipped, grid, flipped_fits, rule)
+                        assert flipped_report.to_dict() == report.to_dict()

@@ -449,6 +449,10 @@ class TestExperiment:
             ('{"pair": {"mu_q": -Infinity}}', "mu_q must be a finite number"),
             ('{"pair": {"mu_p": NaN}}', "mu_p must be a finite number"),
             ('{"pair": {"sigma_p": 1e-300}}', "sigma_p=1e-300"),
+            # The oracle's log ratio, which the check evaluates, is not finite:
+            # 2 sigma_p**2 underflows to 0, or sigma_p**2 overflows.
+            ('{"pair": {"mu_p": 0, "sigma_p": 1e-165, "mu_q": 0, "sigma_q": 1e-12}}', "not finite at x=-8e-12, "),
+            ('{"pair": {"mu_p": 0, "sigma_p": 1e200, "mu_q": 0, "sigma_q": 1e200}}', "not finite at x=-8e+200, "),
             ('{"pair": {"sigma_p": -1}}', "pair: standard deviations must be positive"),
             ('{"grid": {"lambda0": 1e-3, "l": 3}}', "grid lacks 'xi'"),
             ('{"grid": {"lambda0": 1.0, "xi": 1e300, "l": 3}}', "grid values must be finite and positive, got inf"),
@@ -463,6 +467,25 @@ class TestExperiment:
         err = capsys.readouterr().err
         section = "pair: " if content.startswith('{"pair"') else ""
         assert err.startswith(f"error: {config_path}: malformed experiment config: {section}") and names in err
+
+    @pytest.mark.parametrize(
+        "content, key",
+        [
+            ('{"seeds": [0], "seeds": [1], "output_dir": "o1", "output_dir": "o2"}', "seeds"),
+            ('{"pair": {"mu_p": 4.0, "mu_p": 3.0}, "output_dir": "o1"}', "mu_p"),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_a_repeated_key_exits_two_naming_it_before_any_fit(self, tmp_path, capsys, monkeypatch, content, key):
+        monkeypatch.chdir(tmp_path)  # where output_dir would land
+        started = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config: started.append(config))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(content, encoding="utf-8")
+        assert run_quiet(["experiment", str(config_path)]) == 2
+        assert started == []
+        assert capsys.readouterr().err == f"error: cannot read config {config_path}: repeated key {key!r}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
 
 class TestRateSweep:
@@ -818,6 +841,26 @@ class TestUnwritableOutput:
         message = f"error: {flag} applies only to --synthetic data; it cannot be given with --p-csv and --q-csv\n"
         assert capsys.readouterr() == ("", message)
         assert sorted(path.name for path in tmp_path.iterdir()) == ["p.csv", "q.csv"]
+
+    @pytest.mark.parametrize("command", ["fit", "select", "rate-sweep"])
+    def test_a_dangling_symlink_as_the_output_file_exits_two_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # open() would write through the link, into a directory that does not exist.
+        started = self._record_fits(monkeypatch)
+        link = tmp_path / "out.json"
+        link.symlink_to(tmp_path / "missing_dir" / "m.json")
+        flag = "--out-csv" if command == "rate-sweep" else "--out"
+        args = {
+            "fit": ["fit", *SYNTH, "--loss", "exp", "--lambda", "1e-3"],
+            "select": ["select", *SYNTH, "--loss", "lr", "--grid", "1e-3:10:5"],
+            "rate-sweep": ["rate-sweep", "--loss", "kulsif", "--sizes", "8", "--seeds", "1"],
+        }[command]
+        assert run_quiet([*args, flag, str(link)]) == 2
+        assert started == []
+        message = f"error: cannot write {link}: {tmp_path / 'missing_dir'} is not a writable directory\n"
+        assert capsys.readouterr() == ("", message)
+        assert list(tmp_path.iterdir()) == [link]
 
     @pytest.mark.parametrize("blocker", ["regular file", "dangling symlink"])
     def test_experiment_under_a_non_directory_exits_two_before_any_fit(self, tmp_path, capsys, monkeypatch, blocker):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kernelratio import GaussianPairSpec, InputError, LabeledDataset, load_two_csv, sample_pair
-from kernelratio.data import dataset_sha256
+from kernelratio import GaussianPairSpec, InputError, LabeledDataset, load_two_csv, oracle, sample_pair
+from kernelratio.data import dataset_sha256, log_true_ratio
 
 
 def test_default_pair(pair):
@@ -21,6 +21,24 @@ def test_default_pair(pair):
 def test_pair_requires_positive_scales(kwargs):
     with pytest.raises(InputError):
         GaussianPairSpec(**kwargs)
+
+
+def test_the_pair_check_and_the_oracle_share_one_log_ratio():
+    assert oracle.log_true_ratio is log_true_ratio
+
+
+_MAGNITUDES = st.integers(-200, 200).map(lambda k: 10.0**k)
+
+
+@given(mu_p=_MAGNITUDES, sigma_p=_MAGNITUDES, mu_q=st.sampled_from([0.0, 2.0, -1e100]), sigma_q=_MAGNITUDES)
+def test_an_accepted_pair_has_a_finite_log_ratio_across_its_span(mu_p, sigma_p, mu_q, sigma_q):
+    try:
+        pair = GaussianPairSpec(mu_p=mu_p, sigma_p=sigma_p, mu_q=mu_q, sigma_q=sigma_q)
+    except InputError as exc:
+        assert "is not finite at x=" in str(exc)
+        return
+    lo, hi = pair.span()
+    assert np.all(np.isfinite(log_true_ratio(pair, np.linspace(lo, hi, 101))))
 
 
 class TestSamplePair:

@@ -71,6 +71,23 @@ def test_no_module_drops_a_fit_report():
     assert [path.name for path in modules if dropped.search(path.read_text(encoding="utf-8"))] == []
 
 
+def test_each_formula_and_field_list_is_written_in_one_module():
+    # Written twice, a formula or a reader drifts: kernel alone opens a
+    # GramMatrix (gram_values takes a plain array too), and data alone
+    # spells the pair's fields (the rest read them from the dataclass).
+    homes = {re.compile(r"\bgram\.values\b"): "kernel.py", re.compile(r'"mu_p":'): "data.py"}
+    modules = sorted((ROOT / "src" / "kernelratio").glob("*.py"))
+    found = [
+        f"{path.name}:{lineno}"
+        for pattern, home in homes.items()
+        for path in modules
+        if path.name != home
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert found == []
+
+
 def readme_module_notes():
     """(module, backticked names in its note) for each entry of README's "Modules:" list."""
     section = README.split("\nModules:\n", 1)[1]

@@ -266,6 +266,18 @@ class TestClosedForm:
 
 
 class TestFit:
+    @pytest.mark.parametrize("family", ALL)
+    def test_a_plain_array_serves_as_the_gram_matrix(self, pair, kspec, family):
+        ds = sample_pair(pair, 6, 7, seed=1)
+        gram = gram_matrix(kspec, ds.xs)
+        grid = LambdaGrid(lambda0=1e-2, xi=10.0, l=2)
+        assert fit(family, kspec, ds, 0.1, gram=gram.values)[0].alpha.tobytes() == (
+            fit(family, kspec, ds, 0.1, gram=gram)[0].alpha.tobytes()
+        )
+        from_array = fit_grid(family, kspec, ds, grid, gram=gram.values)
+        from_gram = fit_grid(family, kspec, ds, grid, gram=gram)
+        assert [m.alpha.tobytes() for m, _ in from_array] == [m.alpha.tobytes() for m, _ in from_gram]
+
     def test_fit_two_point_kulsif_reaches_closed_form(self, kspec):
         ds = two_point_dataset()
         model, report = fit(LossFamily.KULSIF, kspec, ds, 0.1, FitOptions(method="cg"))
@@ -484,6 +496,14 @@ class TestPersistence:
         a, _ = fit(LossFamily.EXP, kspec, ds, 0.1)
         b, _ = fit(LossFamily.EXP, kspec, ds, 0.1)
         assert np.array_equal(a.alpha, b.alpha)
+
+    def test_a_repeated_key_is_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "m.json"
+        text = json.dumps(VALID_MODEL_DOC)
+        path.write_text(text.replace('"alpha": [0.5, -0.5]', '"alpha": [0.5, -0.5], "alpha": [1.0, 2.0]'), encoding="utf-8")
+        message = f"cannot read model file {path}: repeated key 'alpha'"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_model(str(path))
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
