@@ -53,7 +53,7 @@ class GaussianPairSpec:
                 raise InputError(
                     f"the log ratio of P to Q is not finite at x={x!r}, an end of the 8-sigma interval; "
                     f"mu_p={self.mu_p!r}, sigma_p={self.sigma_p!r}, mu_q={self.mu_q!r} "
-                    f"and sigma_q={self.sigma_q!r} are too far apart"
+                    f"and sigma_q={self.sigma_q!r} put it out of the float range"
                 )
 
     def span(self) -> tuple[float, float]:
@@ -140,6 +140,14 @@ def sample_pair(spec: GaussianPairSpec, m: int, n: int, seed: int) -> LabeledDat
     return LabeledDataset.from_blocks(xp.reshape(-1, 1), xq.reshape(-1, 1))
 
 
+def _records(reader, path: str):
+    """The records of a csv.reader; its csv.Error, such as a cell over the size limit, becomes an InputError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_csv(path: str) -> np.ndarray:
     try:
         with open(path, "rb") as fh:
@@ -154,7 +162,8 @@ def _read_csv(path: str) -> np.ndarray:
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}: line {lineno}: not valid UTF-8 text") from None
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = [h.strip() for h in next(reader, [])]
+    records = _records(reader, path)
+    header = [h.strip() for h in next(records, [])]
     if not header:
         raise InputError(f"{path}: line 1: expected header x_1,...,x_d")
     expected = [f"x_{i + 1}" for i in range(len(header))]
@@ -162,7 +171,7 @@ def _read_csv(path: str) -> np.ndarray:
         raise InputError(f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
     d = len(header)
     rows = []
-    for row in reader:
+    for row in records:
         if not row:
             continue
         lineno = reader.line_num  # the record's last physical line
@@ -184,7 +193,7 @@ def load_two_csv(path_p: str, path_q: str) -> LabeledDataset:
     xq = _read_csv(path_q)
     if xq.shape[0] < 1:
         raise InputError(f"{path_q}: needs at least one sample row")
-    if xp.shape[0] and xp.shape[1] != xq.shape[1]:
+    if xp.shape[1] != xq.shape[1]:
         raise InputError(
             f"dimension mismatch: {path_p} has d={xp.shape[1]}, {path_q} has d={xq.shape[1]}"
         )
@@ -269,7 +278,7 @@ def read_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8 or a repeated key
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a repeated key, nesting too deep
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -76,27 +76,34 @@ class QuadratureSpec:
         return nodes, weights
 
 
-def _integrate(integrand, quad: QuadratureSpec) -> np.ndarray:
+def _integrate(integrand, quad: QuadratureSpec, name: str) -> np.ndarray:
     """Nested trapezoid integrals over quad of the rows of integrand(nodes).
 
     `integrand` returns an array of shape (rows, nodes.size); its nodes
     are slices of quad.nodes_weights()'s, bit for bit.  Each row stops at
     its own first converged level, so its value does not depend on the
-    other rows.
+    other rows.  A non-finite value raises a NumericalError naming the
+    `name` integrand and the first node where any row has one.
     """
-    intervals = quad.n_nodes - 1
     stride = 1 << _START_HALVINGS
-    while intervals % stride:
+    while (quad.n_nodes - 1) % stride:
         stride //= 2
-    step = (quad.hi - quad.lo) / intervals
-    finest = np.linspace(quad.lo, quad.hi, quad.n_nodes)
+    finest, weights = quad.nodes_weights()
+    step = weights[1]
+
+    def checked(nodes):
+        values = integrand(nodes)
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            raise NumericalError(f"non-finite {name} integrand at node x={nodes[np.any(bad, axis=0)][0]}")
+        return values
 
     def row_sums(values):
         # One 1-d sum per row, so no row's sum depends on the others.
         return np.array([np.sum(row) for row in values])
 
     nodes = finest[::stride]
-    values = integrand(nodes)
+    values = checked(nodes)
     ends = 0.5 * (values[:, 0] + values[:, -1])
     total = stride * step * (row_sums(values[:, 1:-1]) + ends)
     done = np.zeros(total.shape, dtype=bool)
@@ -106,7 +113,7 @@ def _integrate(integrand, quad: QuadratureSpec) -> np.ndarray:
     while stride > 1 and not done.all():
         midpoints = finest[stride // 2 :: stride]
         stride //= 2
-        refined = 0.5 * total + stride * step * row_sums(integrand(midpoints))
+        refined = 0.5 * total + stride * step * row_sums(checked(midpoints))
         converged = np.abs(refined - total) <= _REL_TOL * np.abs(refined)
         total = np.where(done, total, refined)
         done |= converged
@@ -182,16 +189,11 @@ def population_risks(ctx: OracleContext, family: LossFamily, margins_of) -> np.n
     def integrand(nodes):
         margins = margins_of(nodes)
         p, q = densities(ctx.pair, nodes)
-        # A diverged fit's losses overflow; the check below reports that, not numpy.
+        # A diverged fit's losses overflow; _integrate reports that, not numpy.
         with np.errstate(over="ignore", invalid="ignore"):
-            values = 0.5 * loss_value(family, 1.0, margins) * p + 0.5 * loss_value(family, -1.0, margins) * q
-        bad = ~np.isfinite(values)
-        if np.any(bad):
-            where = nodes[np.any(bad, axis=0)][0]
-            raise NumericalError(f"non-finite risk integrand at node x={where}")
-        return values
+            return 0.5 * loss_value(family, 1.0, margins) * p + 0.5 * loss_value(family, -1.0, margins) * q
 
-    return _integrate(integrand, ctx.quad)
+    return _integrate(integrand, ctx.quad, "risk")
 
 
 def population_risk(ctx: OracleContext, family: LossFamily, f) -> float:
@@ -222,37 +224,25 @@ def bregman_error_direct(ctx: OracleContext, family: LossFamily, model) -> float
         beta = true_ratio(ctx.pair, nodes)
         beta_hat = ratio_map_raw(family, _margins_of(model, nodes))
         _, q = densities(ctx.pair, nodes)
-        keep = np.ones(nodes.shape[0], dtype=bool)
-        if family.pole_at_zero:
-            keep = beta_hat >= RATIO_FLOOR
-        b, bh = beta[keep], beta_hat[keep]
-        with np.errstate(divide="ignore"):
-            kept = (phi(family, b) - phi(family, bh) - phi_prime(family, bh) * (b - bh)) * q[keep]
-        bad = ~np.isfinite(kept)
-        if np.any(bad):
-            where = nodes[keep][bad][0]
-            raise NumericalError(f"non-finite divergence integrand at node x={where}")
-        rows = np.zeros((1, nodes.shape[0]))
-        rows[0, keep] = kept
-        return rows
+        keep = beta_hat >= RATIO_FLOOR if family.pole_at_zero else True
+        # A dropped node may divide by zero or overflow; np.where zeroes it.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            values = (phi(family, beta) - phi(family, beta_hat) - phi_prime(family, beta_hat) * (beta - beta_hat)) * q
+        return np.where(keep, values, 0.0)[None, :]
 
-    return float(_integrate(integrand, ctx.quad)[0])
-
-
-def _h_form_density(ctx, family, center, nodes) -> np.ndarray:
-    """The curvature weight of h(x)^2 in the population form, at the nodes."""
-    center_margins = _margins_of(center, nodes)
-    p, q = densities(ctx.pair, nodes)
-    return 0.5 * loss_d2(family, 1.0, center_margins) * p + 0.5 * loss_d2(family, -1.0, center_margins) * q
+    return float(_integrate(integrand, ctx.quad, "divergence")[0])
 
 
 def _h_form_integrals(ctx, family, center, kernel, points, coeff_rows) -> np.ndarray:
     """Row k: the curvature-weighted integral of h_k^2, h_k = sum_j coeff_rows[k][j] k(points_j, .)."""
 
     def integrand(nodes):
-        return _h_form_density(ctx, family, center, nodes) * margins_at(kernel, points, coeff_rows, nodes) ** 2
+        center_margins = _margins_of(center, nodes)
+        p, q = densities(ctx.pair, nodes)
+        weight = 0.5 * loss_d2(family, 1.0, center_margins) * p + 0.5 * loss_d2(family, -1.0, center_margins) * q
+        return weight * margins_at(kernel, points, coeff_rows, nodes) ** 2
 
-    return _integrate(integrand, ctx.quad)
+    return _integrate(integrand, ctx.quad, "curvature form")
 
 
 def grid_mse(ctx: OracleContext, model: RatioModel, margins=None) -> float:
@@ -270,7 +260,7 @@ def grid_mse(ctx: OracleContext, model: RatioModel, margins=None) -> float:
         return float(np.mean((estimates - true_ratio(ctx.pair, ctx.eval_grid)) ** 2))
 
 
-def reference_margin(ctx: OracleContext, family: LossFamily, kernel: KernelSpec):
+def reference_margin(family: LossFamily):
     """The zero margin, an exact reference center for the quadratic families.
 
     Their curvature does not depend on the margin, so any center gives the

@@ -169,6 +169,28 @@ class TestFit:
         err = capsys.readouterr().err
         assert str(p) in err and "line 3" in err
 
+    @pytest.mark.parametrize(
+        "p_text, message",
+        [
+            ("x_1\n" + "1" * 200_000 + "\n", "{p}: line 2: field larger than field limit (131072)"),
+            ("x_1,x_2\n", "dimension mismatch: {p} has d=2, {q} has d=1"),
+        ],
+        ids=["oversized-cell", "empty-p-of-another-dimension"],
+    )
+    def test_bad_csv_exits_two_with_one_line_before_any_fit(self, tmp_path, capsys, monkeypatch, p_text, message):
+        started = []
+        monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: started.append(args))
+        p = tmp_path / "p.csv"
+        p.write_text(p_text, encoding="utf-8")
+        q = tmp_path / "q.csv"
+        q.write_text("x_1\n1.0\n2.0\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        args = ["fit", "--p-csv", str(p), "--q-csv", str(q), "--loss", "sq", "--lambda", "0.5", "--out", str(out)]
+        assert run_quiet(args) == 2
+        assert started == []
+        assert capsys.readouterr() == ("", f"error: {message.format(p=p, q=q)}\n")
+        assert not out.exists()
+
     def test_extreme_lambda_exits_three_with_strict_json_and_no_numpy_noise(self, tmp_path, capsys):
         p, q = csv_pair(tmp_path)
         with warnings.catch_warnings():
@@ -485,6 +507,18 @@ class TestExperiment:
         assert run_quiet(["experiment", str(config_path)]) == 2
         assert started == []
         assert capsys.readouterr().err == f"error: cannot read config {config_path}: repeated key {key!r}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+    def test_a_deeply_nested_config_exits_two_naming_it_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where output_dir would land
+        started = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config: started.append(config))
+        config_path = tmp_path / "config.json"
+        config_path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert run_quiet(["experiment", str(config_path)]) == 2
+        assert started == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read config {config_path}: maximum recursion depth")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
 

@@ -27,6 +27,15 @@ def test_the_pair_check_and_the_oracle_share_one_log_ratio():
     assert oracle.log_true_ratio is log_true_ratio
 
 
+def test_an_overflowing_pair_is_not_blamed_on_distance():
+    # The two components are identical; only sigma**2 overflows.
+    with pytest.raises(InputError) as info:
+        GaussianPairSpec(mu_p=0.0, sigma_p=1e200, mu_q=0.0, sigma_q=1e200)
+    message = str(info.value)
+    assert message.startswith("the log ratio of P to Q is not finite at x=-8e+200, ")
+    assert message.endswith("sigma_q=1e+200 put it out of the float range") and "far apart" not in message
+
+
 _MAGNITUDES = st.integers(-200, 200).map(lambda k: 10.0**k)
 
 
@@ -195,6 +204,28 @@ class TestCsvLoading:
         self._write(p, ["x_1,x_2", "1,2"])
         self._write(q, ["x_1", "1.0"])
         with pytest.raises(InputError, match="dimension"):
+            load_two_csv(str(p), str(q))
+
+    def test_an_empty_p_file_must_still_match_q_in_dimension(self, tmp_path):
+        p = tmp_path / "p.csv"
+        q = tmp_path / "q.csv"
+        self._write(q, ["x_1,x_2,x_3", "1,2,3"])
+        self._write(p, ["x_1,x_2"])
+        with pytest.raises(InputError, match=r"^dimension mismatch: .*p\.csv has d=2, .*q\.csv has d=3$"):
+            load_two_csv(str(p), str(q))
+        self._write(p, ["x_1,x_2,x_3"])
+        ds = load_two_csv(str(p), str(q))
+        assert ds.m == 0 and ds.xs.shape == (1, 3)
+
+    def test_a_cell_over_the_csv_field_limit_names_its_line(self, tmp_path):
+        p = tmp_path / "p.csv"
+        q = tmp_path / "q.csv"
+        self._write(p, ["x_1", "1" * 200_000])
+        self._write(q, ["x_1", "0.1"])
+        with pytest.raises(InputError, match=r"p\.csv: line 2: field larger than field limit \(131072\)$"):
+            load_two_csv(str(p), str(q))
+        self._write(p, ["x_1" + "1" * 200_000])  # in the header
+        with pytest.raises(InputError, match=r"p\.csv: line 1: field larger than field limit"):
             load_two_csv(str(p), str(q))
 
     def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):

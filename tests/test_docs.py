@@ -73,9 +73,14 @@ def test_no_module_drops_a_fit_report():
 
 def test_each_formula_and_field_list_is_written_in_one_module():
     # Written twice, a formula or a reader drifts: kernel alone opens a
-    # GramMatrix (gram_values takes a plain array too), and data alone
-    # spells the pair's fields (the rest read them from the dataclass).
-    homes = {re.compile(r"\bgram\.values\b"): "kernel.py", re.compile(r'"mu_p":'): "data.py"}
+    # GramMatrix (gram_values takes a plain array too), data alone spells
+    # the pair's fields (the rest read them from the dataclass), and
+    # oracle's _integrate alone reports a non-finite integrand, once.
+    homes = {
+        re.compile(r"\bgram\.values\b"): "kernel.py",
+        re.compile(r'"mu_p":'): "data.py",
+        re.compile("integrand at node"): "oracle.py",
+    }
     modules = sorted((ROOT / "src" / "kernelratio").glob("*.py"))
     found = [
         f"{path.name}:{lineno}"
@@ -86,6 +91,7 @@ def test_each_formula_and_field_list_is_written_in_one_module():
         if pattern.search(line)
     ]
     assert found == []
+    assert sum(path.read_text(encoding="utf-8").count("integrand at node") for path in modules) == 1
 
 
 def readme_module_notes():

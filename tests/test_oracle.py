@@ -161,8 +161,8 @@ class TestNestedQuadrature:
     def test_rows_stopping_at_different_levels_keep_their_values(self):
         quad = QuadratureSpec(-10.0, 10.0, 20001)
         rows = [lambda x: np.exp(-0.5 * x * x), lambda x: np.exp(-0.5 * (x / 0.01) ** 2)]
-        together = _integrate(lambda x: np.stack([row(x) for row in rows]), quad)
-        alone = [_integrate(lambda x, row=row: row(x)[None, :], quad)[0] for row in rows]
+        together = _integrate(lambda x: np.stack([row(x) for row in rows]), quad, "test")
+        alone = [_integrate(lambda x, row=row: row(x)[None, :], quad, "test")[0] for row in rows]
         assert together.tolist() == alone
         assert together == pytest.approx([math.sqrt(2.0 * math.pi), 0.01 * math.sqrt(2.0 * math.pi)], rel=1e-12)
 
@@ -209,9 +209,21 @@ class TestNestedQuadrature:
 
     def test_never_evaluates_more_than_the_finest_rule(self, ctx):
         seen = []
-        _integrate(noise_rows(seen, rows=3), ctx.quad)
+        _integrate(noise_rows(seen, rows=3), ctx.quad, "noise")
         assert [level.size for level in seen] == [1251, 1250, 2500, 5000, 10000]
         assert sum(level.size for level in seen) == ctx.quad.n_nodes
+
+    def test_non_finite_value_names_the_integrand_and_its_first_node(self):
+        quad = QuadratureSpec(0.0, 16.0, 17)
+
+        def integrand(nodes):
+            rows = np.stack([nodes * nodes, nodes * nodes])  # no level converges
+            rows[0, nodes == 13.0] = np.nan  # both among the last level's midpoints
+            rows[1, nodes == 11.0] = np.inf
+            return rows
+
+        with pytest.raises(NumericalError, match=r"^non-finite test integrand at node x=11\.0$"):
+            _integrate(integrand, quad, "test")
 
     @given(
         lo=st.floats(-1e3, 1e3),
@@ -221,7 +233,7 @@ class TestNestedQuadrature:
     def test_levels_partition_the_finest_nodes(self, lo, width, n_nodes):
         quad = QuadratureSpec(lo, lo + width, n_nodes)
         seen = []
-        _integrate(noise_rows(seen), quad)
+        _integrate(noise_rows(seen), quad, "noise")
         union = np.sort(np.concatenate(seen))
         finest, _ = quad.nodes_weights()
         assert np.array_equal(union, finest)
@@ -346,6 +358,13 @@ class TestBregmanRoutes:
         expected = float(weights[keep] @ (bregman * densities(pair, nodes[keep])[1]))
         assert bregman_error_direct(ctx, LossFamily.EXP, model) == pytest.approx(expected, rel=1e-12)
 
+    def test_non_finite_divergence_integrand_names_the_node(self, ctx):
+        start = ctx.quad.nodes_weights()[0][::16]  # the first level's nodes
+        first = start[start > 1.0][0]
+        bad = lambda xs: np.where(xs > 1.0, np.nan, 0.0)
+        with pytest.raises(NumericalError, match=rf"^non-finite divergence integrand at node x={first}$"):
+            bregman_error_direct(ctx, LossFamily.KULSIF, bad)
+
 
 class TestPopulationHForm:
     def test_zero_coefficients(self, ctx, pair, kspec):
@@ -419,29 +438,35 @@ class TestGridMse:
 
 
 class TestSandwich:
-    def test_tiny_dataset_is_diagnostic_only(self, ctx, pair, kspec):
+    def test_tiny_dataset_is_diagnostic_only(self, ctx, pair):
         ds = sample_pair(pair, 1, 1, seed=0)
-        ref = reference_margin(ctx, LossFamily.KULSIF, kspec)
+        ref = reference_margin(LossFamily.KULSIF)
         report = hessian_sandwich_test(ctx, LossFamily.KULSIF, ds, 0.1, ref, 16, seed=0)
         assert report.n_directions == 16
         assert 0.0 <= report.fraction_pass <= 1.0
 
-    def test_direction_count_validated(self, ctx, pair, kspec):
+    def test_direction_count_validated(self, ctx, pair):
         ds = sample_pair(pair, 2, 2, seed=0)
-        ref = reference_margin(ctx, LossFamily.KULSIF, kspec)
+        ref = reference_margin(LossFamily.KULSIF)
         with pytest.raises(InputError):
             hessian_sandwich_test(ctx, LossFamily.KULSIF, ds, 0.1, ref, 0, seed=0)
 
-    def test_reference_margin_for_quadratic_families_is_zero(self, ctx, kspec):
-        ref = reference_margin(ctx, LossFamily.SQ, kspec)
+    def test_reference_margin_for_quadratic_families_is_zero(self):
+        ref = reference_margin(LossFamily.SQ)
         np.testing.assert_array_equal(ref(np.linspace(-1, 1, 5)), np.zeros(5))
 
     @pytest.mark.parametrize("family", [LossFamily.LR, LossFamily.EXP])
-    def test_curved_families_have_no_reference_margin(self, ctx, kspec, family):
+    def test_curved_families_have_no_reference_margin(self, family):
         with pytest.raises(InputError, match=f"^{family.value} has no exact reference margin"):
-            reference_margin(ctx, family, kspec)
+            reference_margin(family)
 
-    def test_an_unconverged_fit_is_not_scored(self, ctx, pair, kspec, monkeypatch):
+    def test_non_finite_curvature_form_raises_naming_the_node(self, ctx, pair):
+        ds = sample_pair(pair, 3, 3, seed=0)
+        bad = lambda xs: np.full(np.shape(xs), np.nan)
+        with pytest.raises(NumericalError, match=f"^non-finite curvature form integrand at node x={ctx.quad.lo}$"):
+            hessian_sandwich_test(ctx, LossFamily.LR, ds, 0.1, bad, 4, seed=0)
+
+    def test_an_unconverged_fit_is_not_scored(self, ctx, pair, monkeypatch):
         ds = sample_pair(pair, 3, 3, seed=0)
         real_fit = oracle.fit
 
@@ -450,6 +475,6 @@ class TestSandwich:
             return model, dataclasses.replace(report, converged=False, grad_norm=0.25)
 
         monkeypatch.setattr(oracle, "fit", unconverged_fit)
-        ref = reference_margin(ctx, LossFamily.KULSIF, kspec)
+        ref = reference_margin(LossFamily.KULSIF)
         with pytest.raises(NumericalError, match=r"lambda=0\.1 did not converge \(grad_norm=0\.25\)"):
             hessian_sandwich_test(ctx, LossFamily.KULSIF, ds, 0.1, ref, 4, seed=0)

@@ -483,6 +483,13 @@ class TestPersistence:
         with pytest.raises(InputError, match=f"^{re.escape(message)}"):
             load_model(str(path))
 
+    def test_a_deeply_nested_file_is_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"points": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        message = f"cannot read model file {path}: maximum recursion depth exceeded"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+            load_model(str(path))
+
     def test_serialization_is_deterministic(self, pair, kspec, tmp_path):
         ds = sample_pair(pair, 4, 4, seed=3)
         model, _ = fit(LossFamily.EXP, kspec, ds, 0.1)
