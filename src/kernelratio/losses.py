@@ -9,19 +9,20 @@ Each family bundles:
 * the ratio map g(v) = Psi^{-1}(v) / (1 - Psi^{-1}(v)) turning a margin
   into a density-ratio value, so g(Psi(u)) = u / (1 - u);
 * a convex scalar generator phi on ratio values whose pointwise Bregman
-  divergence, integrated against the denominator measure, equals twice the
-  excess classification risk of the margin function.
+  divergence D at t = g(v), integrated against the denominator measure,
+  equals twice the excess classification risk of the margin function; D is
+  written in the margin, free of sq's pole in g and exp's pole in phi'.
 
 Families (v is the margin, t a ratio value, s(t) the logistic function):
 
     kulsif  ell(-1,v)=v^2/2, ell(1,v)=-v   Psi(u)=u/(1-u)   g(v)=v
-            phi(t)=(t-1)^2/2, divergence (beta-t)^2/2
+            phi(t)=(t-1)^2/2, D=(beta-v)^2/2
     lr      ell(y,v)=log(1+e^{-yv})        Psi(u)=logit(u)  g(v)=e^v
-            phi(t)=t log t-(1+t)log(1+t)
+            phi(t)=t log t-(1+t)log(1+t), D=(1+beta)log(1+e^v)-beta v+phi(beta)
     exp     ell(y,v)=e^{-yv}               Psi(u)=logit(u)/2, g(v)=e^{2v}
-            phi(t)=-2 sqrt(t), divergence (sqrt(beta)-sqrt(t))^2/sqrt(t)
+            phi(t)=-2 sqrt(t), D=(sqrt(beta)-e^v)^2 e^{-v}
     sq      ell(y,v)=(1-yv)^2              Psi(u)=2u-1      g(v)=(1+v)/(1-v)
-            phi(t)=4/(1+t), divergence 4(beta-t)^2/((1+beta)(1+t)^2)
+            phi(t)=4/(1+t), D=(1+beta)(v-(beta-1)/(beta+1))^2
 
 Each family's formulas and facts are written once, in its record of the
 `_FAMILIES` table: the one dispatch point, where every function looks it up.
@@ -47,10 +48,6 @@ _EXP_ARG_MAX = 700.0
 # Margin ceiling for the sq ratio map, which has a pole at v = 1.
 SQ_MARGIN_CLAMP = 1e-8
 
-# Model ratios below this are excluded from generator evaluations whose
-# derivative has a pole at zero (exp family).
-RATIO_FLOOR = 1e-12
-
 
 class LossFamily(enum.Enum):
     KULSIF = "kulsif"
@@ -62,11 +59,6 @@ class LossFamily(enum.Enum):
     def quadratic(self) -> bool:
         """Whether the loss is quadratic in the margin: ell'' does not vary with it, ell''' is zero."""
         return _FAMILIES[self].quadratic
-
-    @property
-    def pole_at_zero(self) -> bool:
-        """Whether the generator derivative has a pole at ratio zero."""
-        return _FAMILIES[self].pole_at_zero
 
 
 def _safe_exp(t):
@@ -137,23 +129,27 @@ def _sq_ratio(v):
     return (1.0 + vc) / (1.0 - vc)
 
 
+def _lr_phi(t):
+    return np.where(t > 0.0, t * np.log(np.maximum(t, np.finfo(float).tiny)), 0.0) - (1.0 + t) * np.log1p(t)
+
+
 def _lr_phi_prime(t):
     with np.errstate(divide="ignore"):
         return np.log(t) - np.log1p(t)
 
 
 class _Family(NamedTuple):
-    """One family's formulas, on float64 arrays, and its two facts."""
+    """One family's formulas, on float64 arrays, and its one fact."""
 
     loss: Callable  # (y, v) -> ell(y, v)
     terms: Callable  # (y, v, -y) -> MarginTerms
     d3: Callable  # (y, v) -> ell'''(y, v)
     link: Callable  # u in (0, 1) -> Psi(u)
-    ratio: Callable  # v -> g(v), unfloored
+    ratio: Callable  # v -> g(v), unfloored, sq's pole clamped
     phi: Callable  # t -> phi(t)
     phi_prime: Callable  # t -> phi'(t)
+    divergence: Callable  # (beta, v) -> D(beta, v), phi's Bregman divergence at t = g(v)
     quadratic: bool  # ell'' does not depend on the margin
-    pole_at_zero: bool  # phi' has a pole at t = 0
 
 
 _FAMILIES = {
@@ -165,8 +161,8 @@ _FAMILIES = {
         ratio=lambda v: v + 0.0,
         phi=lambda t: 0.5 * ((t - 1.0) * (t - 1.0)),
         phi_prime=lambda t: t - 1.0,
+        divergence=lambda beta, v: 0.5 * ((beta - v) * (beta - v)),
         quadratic=True,
-        pole_at_zero=False,
     ),
     LossFamily.LR: _Family(
         loss=lambda y, v: np.logaddexp(0.0, -y * v),
@@ -174,11 +170,10 @@ _FAMILIES = {
         d3=_lr_d3,
         link=lambda u: np.log(u) - np.log1p(-u),
         ratio=_safe_exp,
-        phi=lambda t: np.where(t > 0.0, t * np.log(np.maximum(t, np.finfo(float).tiny)), 0.0)
-        - (1.0 + t) * np.log1p(t),
+        phi=_lr_phi,
         phi_prime=_lr_phi_prime,
+        divergence=lambda beta, v: (1.0 + beta) * np.logaddexp(0.0, v) - beta * v + _lr_phi(beta),
         quadratic=False,
-        pole_at_zero=False,
     ),
     LossFamily.EXP: _Family(
         loss=lambda y, v: _safe_exp(-y * v),
@@ -188,8 +183,9 @@ _FAMILIES = {
         ratio=lambda v: _safe_exp(2.0 * v),
         phi=lambda t: -2.0 * np.sqrt(t),
         phi_prime=lambda t: -1.0 / np.sqrt(t),
+        # (sqrt(beta) - e^v)^2 e^{-v}, squared last: finite while |v| < 709, not only v < 354
+        divergence=lambda beta, v: np.square(np.sqrt(beta) * np.exp(-0.5 * v) - np.exp(0.5 * v)),
         quadratic=False,
-        pole_at_zero=True,
     ),
     LossFamily.SQ: _Family(
         loss=lambda y, v: (1.0 - y * v) * (1.0 - y * v),
@@ -199,8 +195,8 @@ _FAMILIES = {
         ratio=_sq_ratio,
         phi=lambda t: 4.0 / (1.0 + t),
         phi_prime=lambda t: -4.0 / ((1.0 + t) * (1.0 + t)),
+        divergence=lambda beta, v: (1.0 + beta) * np.square(v - (beta - 1.0) / (beta + 1.0)),
         quadratic=True,
-        pole_at_zero=False,
     ),
 }
 
@@ -248,18 +244,9 @@ def link(family: LossFamily, u):
     return float(values) if values.ndim == 0 else values
 
 
-def ratio_map_raw(family: LossFamily, v):
-    """The exact map g(v) = Psi^{-1}(v) / (1 - Psi^{-1}(v)), unflooring.
-
-    Used inside divergence computations, where negative kulsif/sq outputs
-    are meaningful.  The sq pole at v = 1 is clamped.
-    """
-    return _FAMILIES[family].ratio(np.asarray(v, dtype=np.float64))
-
-
 def ratio_map(family: LossFamily, v):
-    """Margin-to-ratio map used at the prediction surface; floored at 0."""
-    return np.maximum(ratio_map_raw(family, v), 0.0)
+    """The map g(v) = Psi^{-1}(v) / (1 - Psi^{-1}(v)), floored at 0; sq's pole at v = 1 is clamped."""
+    return np.maximum(_FAMILIES[family].ratio(np.asarray(v, dtype=np.float64)), 0.0)
 
 
 def phi(family: LossFamily, t):
@@ -273,3 +260,8 @@ def phi(family: LossFamily, t):
 
 def phi_prime(family: LossFamily, t):
     return _FAMILIES[family].phi_prime(np.asarray(t, dtype=np.float64))
+
+
+def divergence(family: LossFamily, beta, v):
+    """phi's Bregman divergence between the ratio beta and g(v), written in the margin v."""
+    return _FAMILIES[family].divergence(np.asarray(beta, dtype=np.float64), np.asarray(v, dtype=np.float64))

@@ -21,7 +21,7 @@ starting level's sum against the sum over every other one of its nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,17 +29,7 @@ from .balancing import hessian_weights
 from .data import GaussianPairSpec, LabeledDataset, log_true_ratio
 from .errors import InputError, NumericalError
 from .kernel import KernelSpec, gram_matrix, gram_values
-from .losses import (
-    RATIO_FLOOR,
-    LossFamily,
-    link,
-    loss_d2,
-    loss_value,
-    phi,
-    phi_prime,
-    ratio_map,
-    ratio_map_raw,
-)
+from .losses import LossFamily, divergence, link, loss_d2, loss_value, ratio_map
 from .solver import RatioModel, fit, margins_at, predict_margin
 
 _ETA_FLOOR = 1e-300
@@ -51,6 +41,9 @@ _START_HALVINGS = 4
 #: A row stops at the first level whose sum moved by at most this much,
 #: relative, from the previous level's.
 _REL_TOL = 1e-12
+#: The trapezoid error on a Gaussian of width sigma at step h is about
+#: 2 exp(-2 pi^2 sigma^2 / h^2), which is 1e-12 at h = 0.83 sigma.
+_MAX_STEP_PER_SIGMA = 0.83
 
 
 @dataclass(frozen=True)
@@ -67,12 +60,16 @@ class QuadratureSpec:
         if self.n_nodes % 2 == 0:
             raise InputError("trapezoid node count must be odd so refinements nest")
 
+    @property
+    def step(self) -> float:
+        """The finest rule's node spacing."""
+        return (self.hi - self.lo) / (self.n_nodes - 1)
+
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """The finest composite trapezoid rule on [lo, hi]: nodes and weights."""
         nodes = np.linspace(self.lo, self.hi, self.n_nodes)
-        h = (self.hi - self.lo) / (self.n_nodes - 1)
-        weights = np.full(self.n_nodes, h)
-        weights[0] = weights[-1] = 0.5 * h
+        weights = np.full(self.n_nodes, self.step)
+        weights[0] = weights[-1] = 0.5 * self.step
         return nodes, weights
 
 
@@ -88,8 +85,7 @@ def _integrate(integrand, quad: QuadratureSpec, name: str) -> np.ndarray:
     stride = 1 << _START_HALVINGS
     while (quad.n_nodes - 1) % stride:
         stride //= 2
-    finest, weights = quad.nodes_weights()
-    step = weights[1]
+    finest, step = quad.nodes_weights()[0], quad.step
 
     def checked(nodes):
         values = integrand(nodes)
@@ -138,9 +134,18 @@ class OracleContext:
     def default(cls, pair: GaussianPairSpec) -> "OracleContext":
         """The 20,001-node rule over `pair.span()`, where each component's tail
         mass is < 1e-14, and 500 scoring points from 3 sigma below Q's mean
-        to 3 sigma above P's."""
+        to 3 sigma above P's.  A pair the rule cannot resolve, its step more
+        than 0.83 times the narrower sigma, raises InputError naming it."""
+        quad = QuadratureSpec(*pair.span())
+        narrower = min(pair.sigma_p, pair.sigma_q)
+        if quad.step > _MAX_STEP_PER_SIGMA * narrower:
+            raise InputError(
+                f"the oracle's {quad.n_nodes:,}-node rule has step {quad.step:.3g}, more than "
+                f"{_MAX_STEP_PER_SIGMA} x the narrower sigma {narrower!r}, so it cannot resolve the pair "
+                + ", ".join(f"{name}={value!r}" for name, value in asdict(pair).items())
+            )
         lo, hi = sorted((pair.mu_q - 3.0 * pair.sigma_q, pair.mu_p + 3.0 * pair.sigma_p))
-        return cls(pair=pair, quad=QuadratureSpec(*pair.span()), eval_grid=np.linspace(lo, hi, 500))
+        return cls(pair=pair, quad=quad, eval_grid=np.linspace(lo, hi, 500))
 
 
 def _normal_pdf(x, mu: float, sigma: float):
@@ -212,23 +217,17 @@ def bregman_error_via_risk(ctx: OracleContext, family: LossFamily, model) -> flo
 
 
 def bregman_error_direct(ctx: OracleContext, family: LossFamily, model) -> float:
-    """Divergence by direct quadrature of the generator's Bregman integrand.
+    """Divergence by direct quadrature of the family's pointwise Bregman divergence.
 
-    Evaluates phi(beta) - phi(beta_hat) - phi'(beta_hat)(beta - beta_hat)
-    against q, with beta_hat the model's raw (unfloored) ratio.  For the
-    exp family, nodes where beta_hat falls below RATIO_FLOOR are excluded
-    (the generator derivative has a pole at zero).
+    Integrates losses.divergence(beta, v) against q, with beta the true
+    ratio and v the model's margin.  The formula is written in the margin
+    and is finite for every finite v, so no node is dropped; this route
+    shares only the margins with `bregman_error_via_risk`.
     """
 
     def integrand(nodes):
-        beta = true_ratio(ctx.pair, nodes)
-        beta_hat = ratio_map_raw(family, _margins_of(model, nodes))
         _, q = densities(ctx.pair, nodes)
-        keep = beta_hat >= RATIO_FLOOR if family.pole_at_zero else True
-        # A dropped node may divide by zero or overflow; np.where zeroes it.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            values = (phi(family, beta) - phi(family, beta_hat) - phi_prime(family, beta_hat) * (beta - beta_hat)) * q
-        return np.where(keep, values, 0.0)[None, :]
+        return (divergence(family, true_ratio(ctx.pair, nodes), _margins_of(model, nodes)) * q)[None, :]
 
     return float(_integrate(integrand, ctx.quad, "divergence")[0])
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kernelratio import InputError, SelectionRule, load_model
-from kernelratio import cli
+from kernelratio import cli, experiment
 from kernelratio.cli import _parse_grid, build_parser, main
 from kernelratio.experiment import ExperimentConfig
 
@@ -519,6 +519,22 @@ class TestExperiment:
         assert started == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot read config {config_path}: maximum recursion depth")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+    def test_a_pair_the_oracle_cannot_resolve_exits_two_naming_it_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # The 20,001-node rule over +-8 sigma of Q steps 0.08, eight sigma_p,
+        # far too coarse to integrate p.
+        started = []
+        monkeypatch.setattr(experiment, "run_cell", lambda *args: started.append(args))
+        config = self._config(tmp_path)
+        config.update(pair={"mu_p": 0.3, "sigma_p": 0.01, "mu_q": 0.0, "sigma_q": 100.0}, sample_sizes=[[20, 20]])
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_quiet(["experiment", str(config_path)]) == 2
+        assert started == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the oracle's 20,001-node rule has step 0.08, ")
+        assert err[0].endswith("cannot resolve the pair mu_p=0.3, sigma_p=0.01, mu_q=0.0, sigma_q=100.0")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -29,7 +29,7 @@ from kernelratio import (
     true_ratio,
 )
 from kernelratio import oracle, solver
-from kernelratio.losses import RATIO_FLOOR, loss_value, phi, phi_prime, ratio_map, ratio_map_raw
+from kernelratio.losses import loss_value, ratio_map
 from kernelratio.oracle import (
     _h_form_integrals,
     _integrate,
@@ -345,18 +345,40 @@ class TestBregmanRoutes:
         model = fitted_model(pair, kspec, LossFamily.EXP, seed=2, lam=0.05)
         assert bregman_error_direct(ctx, LossFamily.EXP, model) >= 0.0
 
-    def test_exp_excludes_the_nodes_below_the_ratio_floor(self, ctx, pair):
-        # A bump of -10 at x = 3 sends beta_hat below RATIO_FLOOR on 7.8% of
-        # the nodes, carrying 0.43 of Q's mass; with them the sum is ~9e7.
-        model = RatioModel(KernelSpec(), [[3.0]], [-10.0], 0.1, LossFamily.EXP)
-        nodes, weights = ctx.quad.nodes_weights()
-        beta, beta_hat = true_ratio(pair, nodes), ratio_map_raw(LossFamily.EXP, predict_margin(model, nodes))
-        keep = beta_hat >= RATIO_FLOOR
-        assert 0.05 < np.mean(~keep) < 0.1
-        b, bh = beta[keep], beta_hat[keep]
-        bregman = phi(LossFamily.EXP, b) - phi(LossFamily.EXP, bh) - phi_prime(LossFamily.EXP, bh) * (b - bh)
-        expected = float(weights[keep] @ (bregman * densities(pair, nodes[keep])[1]))
-        assert bregman_error_direct(ctx, LossFamily.EXP, model) == pytest.approx(expected, rel=1e-12)
+    @pytest.mark.parametrize(
+        "family, coeff, value",
+        [(LossFamily.LR, 40.0, 54.228), (LossFamily.EXP, -10.0, 9.06e7), (LossFamily.EXP, -30.0, 1.134e25)],
+    )
+    def test_routes_agree_on_a_bump_at_three(self, ctx, family, coeff, value):
+        # lr's margins reach 80, where phi(g(v)) and phi'(g(v)) cancel, and
+        # exp's ratio e^{2v} falls below 1e-12, near phi''s pole at zero, on
+        # 7.8% and 100% of the nodes.
+        model = RatioModel(KernelSpec(), [[3.0]], [coeff], 0.1, family)
+        direct = bregman_error_direct(ctx, family, model)
+        assert direct == pytest.approx(bregman_error_via_risk(ctx, family, model), rel=1e-12)
+        assert direct == pytest.approx(value, rel=1e-3)
+
+    def test_routes_agree_on_an_sq_fit_past_the_ratio_pole(self, ctx, pair, kspec):
+        # The sq ratio g(v) = (1 + v)/(1 - v) has a pole at margin 1, which
+        # this fit's margins pass.
+        model = fitted_model(pair, kspec, LossFamily.SQ, seed=13, m=3, n=3, lam=1e-3)
+        assert np.max(predict_margin(model, ctx.quad.nodes_weights()[0])) > 1.0
+        direct = bregman_error_direct(ctx, LossFamily.SQ, model)
+        assert direct == pytest.approx(bregman_error_via_risk(ctx, LossFamily.SQ, model), rel=1e-12)
+        assert direct == pytest.approx(21.375, rel=1e-4)
+
+    @pytest.mark.parametrize("family", ALL)
+    @given(bumps=st.lists(st.tuples(st.floats(-2.0, 8.0), st.floats(-30.0, 30.0)), min_size=1, max_size=3))
+    @example(bumps=[(3.0, 30.0)])  # lr margins to 60, sq margins past 1
+    @example(bumps=[(3.0, -30.0)])  # exp ratios below 1e-12 on every node
+    @settings(max_examples=25)
+    def test_routes_agree_on_any_small_model(self, ctx, family, bumps):
+        # Acceptance 03's tolerance, on models whose margins leave every
+        # family's comfortable range.
+        points, coeffs = zip(*bumps)
+        model = RatioModel(KernelSpec(), [[x] for x in points], list(coeffs), 0.1, family)
+        via = bregman_error_via_risk(ctx, family, model)
+        assert abs(bregman_error_direct(ctx, family, model) - via) <= 1e-4 * max(1.0, abs(via))
 
     def test_non_finite_divergence_integrand_names_the_node(self, ctx):
         start = ctx.quad.nodes_weights()[0][::16]  # the first level's nodes
