@@ -10,7 +10,6 @@ quadrature oracle.
 from .balancing import (
     BalanceRule,
     BoundConstants,
-    HessianWeights,
     LambdaGrid,
     SelectionReport,
     SelectionRule,
@@ -61,7 +60,6 @@ __all__ = [
     "FitReport",
     "GaussianPairSpec",
     "GramMatrix",
-    "HessianWeights",
     "InputError",
     "KernelFamily",
     "KernelSpec",

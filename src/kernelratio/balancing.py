@@ -83,23 +83,25 @@ class LambdaGrid:
         return cls(lambda0=first / xi, xi=xi, l=l)
 
 
-@dataclass(frozen=True)
-class HessianWeights:
-    """Diagonal of per-sample loss curvatures at a model's margins."""
+def _vector(values, n_total: int, what: str) -> np.ndarray:
+    vector = np.asarray(values, dtype=np.float64)
+    if vector.shape != (n_total,):
+        raise InputError(f"{what} of shape {vector.shape} does not match the kernel matrix ({n_total} points)")
+    return vector
 
-    e: np.ndarray
 
-    def __post_init__(self) -> None:
-        e = np.asarray(self.e, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "e", e)
-        if np.any(e < 0.0):
-            raise InputError("curvature weights must be nonnegative")
+def _weights(e, n_total: int) -> np.ndarray:
+    """The one check of curvature weights: N nonnegative float64 values (a diverged fit's inf, NaN pass)."""
+    e = _vector(e, n_total, "curvature weights")
+    if np.any(e < 0.0):
+        raise InputError("curvature weights must be nonnegative")
+    return e
 
 
 def hessian_weights(
     family: LossFamily, model: RatioModel, dataset: LabeledDataset, gram: GramMatrix
-) -> HessianWeights:
-    """e_i = ell''(y_i, f(x_i)) at the model's training margins.
+) -> np.ndarray:
+    """e_i = ell''(y_i, f(x_i)) at the model's training margins, a length-N float64 vector.
 
     kulsif: (1 - y_i)/2 exactly (label-only); exp: e^{-y_i f(x_i)};
     lr: s(1-s) at s = logistic(y_i f(x_i)); sq: the constant 2.
@@ -111,48 +113,55 @@ def hessian_weights(
         margins = np.zeros(dataset.total)
     else:
         margins = gram_values(gram) @ model.alpha
-    e = loss_d2(family, dataset.ys.astype(np.float64), margins)
-    return HessianWeights(e=e)
+    return loss_d2(family, dataset.ys.astype(np.float64), margins)
 
 
-def empirical_h_norm(gram, weights: HessianWeights, alpha, beta, lambda_t: float) -> float:
-    """(1/N)(a-b)^T K E K (a-b) + lambda_t (a-b)^T K (a-b), computed exactly."""
+def empirical_h_norm(gram, weights, alpha, beta, lambda_t: float) -> float:
+    """(1/N)(a-b)^T K E K (a-b) + lambda_t (a-b)^T K (a-b), computed exactly.
+
+    `weights`, E's diagonal, is the length-N vector of nonnegative curvatures;
+    `_weights` checks it, and `alpha`, `beta` must have length N too.
+    """
     if not (lambda_t > 0.0 and np.isfinite(lambda_t)):
         raise InputError(f"lambda_t must be positive, got {lambda_t}")
     K = gram_values(gram)
-    delta = np.asarray(alpha, dtype=np.float64) - np.asarray(beta, dtype=np.float64)
-    if delta.shape[0] != K.shape[0] or weights.e.shape[0] != K.shape[0]:
-        raise InputError("coefficient/weight length does not match the kernel matrix")
-    kd = K @ delta
     n_total = K.shape[0]
+    e = _weights(weights, n_total)
+    delta = _vector(alpha, n_total, "alpha") - _vector(beta, n_total, "beta")
+    kd = K @ delta
     # A diverged fit overflows the form to inf or nan, which the caller gets;
     # numpy's overflow warning would only be noise on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
-        return float((kd @ (weights.e * kd)) / n_total + lambda_t * (delta @ kd))
+        return float((kd @ (e * kd)) / n_total + lambda_t * (delta @ kd))
 
 
-def hessian_trace(gram, weights: HessianWeights, lam: float = 0.0) -> float:
+def hessian_trace(gram, weights, lam: float = 0.0) -> float:
     """Trace of the empirical curvature operator on the representer span.
 
-    The finite-rank part contributes (1/N) sum_i e_i K_ii; with lam > 0
-    the lam * identity part adds N * lam (the span is N-dimensional).
+    `weights` is the length-N vector of nonnegative curvatures (checked by
+    `_weights`).  The finite-rank part contributes (1/N) sum_i e_i K_ii;
+    lam >= 0, finite, adds N * lam (the span is N-dimensional).
     Basis-independent: equals the trace of the coefficient map
     (1/N) E K + lam I.
     """
+    if not (lam >= 0.0 and np.isfinite(lam)):
+        raise InputError(f"lam must be nonnegative and finite, got {lam}")
     K = gram_values(gram)
     n_total = K.shape[0]
-    return float(np.mean(weights.e * np.diag(K)) + n_total * lam)
+    return float(np.mean(_weights(weights, n_total) * np.diag(K)) + n_total * lam)
 
 
-def curvature_operator_norm(gram, weights: HessianWeights) -> float:
+def curvature_operator_norm(gram, weights) -> float:
     """Spectral norm of (1/N) E K; no selection rule reads it.
 
-    Rows and columns with e_i = 0 add only zero eigenvalues, so only the
-    rest is decomposed (for kulsif, the Q block).
+    `weights` is the length-N vector of nonnegative curvatures (checked by
+    `_weights`).  Rows and columns with e_i = 0 add only zero eigenvalues,
+    so only the rest is decomposed (for kulsif, the Q block).
     """
     K = gram_values(gram)
-    keep = np.flatnonzero(weights.e)
-    root = np.sqrt(weights.e[keep])
+    e = _weights(weights, K.shape[0])
+    keep = np.flatnonzero(e)
+    root = np.sqrt(e[keep])
     sym = root[:, None] * K[np.ix_(keep, keep)] * root[None, :] / K.shape[0]
     return float(np.max(np.abs(np.linalg.eigvalsh(sym)), initial=0.0))
 

@@ -303,7 +303,7 @@ def hessian_sandwich_test(
     model, report = fit(family, kernel, dataset, lam, gram=gram)
     if not report.converged:
         raise NumericalError(f"the fit at lambda={lam} did not converge (grad_norm={report.grad_norm})")
-    e = hessian_weights(family, model, dataset, gram).e
+    e = hessian_weights(family, model, dataset, gram)
     n_total = dataset.total
 
     rng = np.random.default_rng(seed)

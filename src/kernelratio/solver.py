@@ -20,7 +20,7 @@ Two solve paths:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class FitReport:
     method: str  # "NonlinearCG" | "ClosedForm"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,7 @@ def test_06_empirical_norm_matrix_vs_operator_form():
                     sum(delta[j] * gram.values[i, j] for j in range(n_total))
                     for i in range(n_total)
                 ]
-                expanded = sum(weights.e[i] * h_at[i] ** 2 for i in range(n_total)) / n_total
+                expanded = sum(weights[i] * h_at[i] ** 2 for i in range(n_total)) / n_total
                 expanded += lam * sum(
                     delta[i] * delta[j] * gram.values[i, j]
                     for i in range(n_total)

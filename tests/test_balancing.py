@@ -28,7 +28,6 @@ from kernelratio import (
     select_lambda,
 )
 from kernelratio.balancing import (
-    HessianWeights,
     balance_eta,
     choose_max_qualifying,
     curvature_operator_norm,
@@ -64,13 +63,13 @@ class TestLambdaGrid:
             LambdaGrid(**kwargs)
 
 
-class TestHessianWeights:
+class TestCurvatureWeights:
     def test_kulsif_weights_are_label_indicators(self, pair, kspec):
         ds = sample_pair(pair, 4, 6, seed=0)
         model, _ = fit(LossFamily.KULSIF, kspec, ds, 0.1)
         w = hessian_weights(LossFamily.KULSIF, model, ds, gram_matrix(kspec, ds.xs))
-        np.testing.assert_array_equal(w.e, 0.5 * (1.0 - ds.ys))
-        assert set(np.unique(w.e)) == {0.0, 1.0}
+        np.testing.assert_array_equal(w, 0.5 * (1.0 - ds.ys))
+        assert set(np.unique(w)) == {0.0, 1.0}
 
     def test_kulsif_weights_are_model_independent(self, pair, kspec):
         ds = sample_pair(pair, 4, 6, seed=0)
@@ -79,19 +78,19 @@ class TestHessianWeights:
         gram = gram_matrix(kspec, ds.xs)
         w1 = hessian_weights(LossFamily.KULSIF, m1, ds, gram)
         w2 = hessian_weights(LossFamily.KULSIF, m2, ds, gram)
-        np.testing.assert_array_equal(w1.e, w2.e)
+        np.testing.assert_array_equal(w1, w2)
 
     def test_exp_weights_at_zero_coefficients(self, pair, kspec):
         ds = sample_pair(pair, 3, 3, seed=1)
         model, _ = fit(LossFamily.EXP, kspec, ds, 1e9)  # effectively alpha = 0
         w = hessian_weights(LossFamily.EXP, model, ds, gram_matrix(kspec, ds.xs))
-        np.testing.assert_allclose(w.e, 1.0, atol=1e-6)
+        np.testing.assert_allclose(w, 1.0, atol=1e-6)
 
     def test_lr_weights_at_zero_are_quarter(self, pair, kspec):
         ds = sample_pair(pair, 3, 3, seed=1)
         model, _ = fit(LossFamily.LR, kspec, ds, 1e9)
         w = hessian_weights(LossFamily.LR, model, ds, gram_matrix(kspec, ds.xs))
-        np.testing.assert_allclose(w.e, 0.25, atol=1e-6)
+        np.testing.assert_allclose(w, 0.25, atol=1e-6)
 
     @pytest.mark.parametrize("family", list(LossFamily))
     def test_gram_margins_equal_predicted_margins_bitwise(self, family, pair, kspec):
@@ -100,14 +99,14 @@ class TestHessianWeights:
         model, _ = fit(family, kspec, ds, 0.01, gram=gram)
         with_gram = hessian_weights(family, model, ds, gram)
         predicted = predict_margin(model, ds.xs)
-        assert np.array_equal(with_gram.e, loss_d2(family, ds.ys.astype(np.float64), predicted))
-        assert np.array_equal(hessian_weights(family, model, ds, gram.values).e, with_gram.e)
+        assert np.array_equal(with_gram, loss_d2(family, ds.ys.astype(np.float64), predicted))
+        assert np.array_equal(hessian_weights(family, model, ds, gram.values), with_gram)
 
     def test_sq_weights_are_two(self, pair, kspec):
         ds = sample_pair(pair, 3, 3, seed=1)
         model, _ = fit(LossFamily.SQ, kspec, ds, 0.5)
         w = hessian_weights(LossFamily.SQ, model, ds, gram_matrix(kspec, ds.xs))
-        np.testing.assert_array_equal(w.e, np.full(ds.total, 2.0))
+        np.testing.assert_array_equal(w, np.full(ds.total, 2.0))
 
     @pytest.mark.parametrize("family", list(LossFamily))
     def test_weights_equal_ell2_at_the_k_alpha_margins_bitwise(self, family, pair, kspec):
@@ -117,7 +116,59 @@ class TestHessianWeights:
         ys = ds.ys.astype(np.float64)
         for model, _ in fit_grid(family, kspec, ds, GRID5, gram=gram):
             expected = loss_d2(family, ys, gram.values @ model.alpha).tobytes()
-            assert hessian_weights(family, model, ds, gram).e.tobytes() == expected
+            weights = hessian_weights(family, model, ds, gram)
+            assert type(weights) is np.ndarray and weights.dtype == np.float64
+            assert weights.shape == (ds.total,) and weights.tobytes() == expected
+
+
+# Each function that takes curvature weights, called on a 3-point Gram matrix.
+WEIGHTED_CALLS = [
+    pytest.param(lambda gram, e: empirical_h_norm(gram, e, np.ones(3), np.zeros(3), 0.1), id="empirical_h_norm"),
+    pytest.param(lambda gram, e: hessian_trace(gram, e, 0.1), id="hessian_trace"),
+    pytest.param(lambda gram, e: curvature_operator_norm(gram, e), id="curvature_operator_norm"),
+]
+
+
+class TestCurvatureVectorCheck:
+    # The Gram matrix of x = 0, 1, 2 under the default kernel.  Before the
+    # one check, a mis-sized vector broadcast to a wrong number here.
+    @pytest.fixture
+    def gram(self, kspec):
+        return gram_matrix(kspec, [0.0, 1.0, 2.0])
+
+    def test_a_short_coefficient_vector_does_not_broadcast(self, gram):
+        with pytest.raises(InputError, match="beta of shape .1,. does not match the kernel matrix"):
+            empirical_h_norm(gram, np.ones(3), np.ones(3), [0.5], 0.1)
+        with pytest.raises(InputError, match="alpha of shape .4,. does not match the kernel matrix"):
+            empirical_h_norm(gram, np.ones(3), np.ones(4), np.ones(3), 0.1)
+
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    @pytest.mark.parametrize("call", WEIGHTED_CALLS)
+    def test_weights_of_another_length_raise_input_error(self, call, length, gram):
+        with pytest.raises(InputError, match="curvature weights of shape .* does not match the kernel matrix"):
+            call(gram, np.ones(length))
+
+    @pytest.mark.parametrize("call", WEIGHTED_CALLS)
+    def test_a_negative_weight_raises_input_error(self, call, gram):
+        with pytest.raises(InputError, match="curvature weights must be nonnegative"):
+            call(gram, [1.0, -1e-300, 1.0])
+        with pytest.raises(InputError, match="does not match the kernel matrix"):
+            call(gram, np.ones((3, 1)))  # only a flat vector of length N is a weight vector
+        call(gram, [1.0, 0.0, 2.0])
+
+    def test_inf_and_nan_weights_pass_through(self, gram):
+        # A diverged exp fit makes them, and selection still chooses.
+        assert empirical_h_norm(gram, [1.0, math.inf, 1.0], np.ones(3), np.zeros(3), 0.1) == math.inf
+        assert math.isnan(empirical_h_norm(gram, [1.0, math.nan, 1.0], np.ones(3), np.zeros(3), 0.1))
+        assert hessian_trace(gram, [1.0, math.inf, 1.0]) == math.inf
+        assert math.isnan(hessian_trace(gram, [math.nan, 1.0, 1.0]))
+
+    def test_hessian_trace_rejects_a_negative_or_non_finite_lambda(self, gram):
+        for lam in (-5.0, -1e-300, math.inf, math.nan):
+            with pytest.raises(InputError, match="lam must be nonnegative and finite"):
+                hessian_trace(gram, np.ones(3), lam)
+        assert hessian_trace(gram, np.ones(3), 0.0) == hessian_trace(gram, np.ones(3))
+        assert hessian_trace(gram, np.ones(3), 0.1) == pytest.approx(2.3, rel=1e-15)
 
 
 class TestEmpiricalNorm:
@@ -143,9 +194,7 @@ class TestEmpiricalNorm:
 
     def test_zero_weights_leave_pure_rkhs_term(self, pair, kspec):
         ds, gram, _ = self._setup(pair, kspec)
-        from kernelratio.balancing import HessianWeights
-
-        zero = HessianWeights(e=np.zeros(ds.total))
+        zero = np.zeros(ds.total)
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=ds.total), rng.normal(size=ds.total)
         delta = a - b
@@ -171,7 +220,7 @@ class TestEmpiricalNorm:
         delta = a - b
         n_total = ds.total
         h_at = [sum(delta[j] * gram.values[i, j] for j in range(n_total)) for i in range(n_total)]
-        by_hand = sum(weights.e[i] * h_at[i] ** 2 for i in range(n_total)) / n_total
+        by_hand = sum(weights[i] * h_at[i] ** 2 for i in range(n_total)) / n_total
         by_hand += lam * sum(
             delta[i] * delta[j] * gram.values[i, j] for i in range(n_total) for j in range(n_total)
         )
@@ -186,7 +235,7 @@ class TestEmpiricalNorm:
         with pytest.raises(InputError, match="does not match the kernel matrix"):
             empirical_h_norm(gram, weights, alpha[:-1], alpha[:-1], 0.1)
         with pytest.raises(InputError, match="does not match the kernel matrix"):
-            empirical_h_norm(gram, HessianWeights(e=weights.e[:-1]), alpha, alpha, 0.1)
+            empirical_h_norm(gram, weights[:-1], alpha, alpha, 0.1)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50)
@@ -202,11 +251,9 @@ class TestEmpiricalNorm:
 
 class TestTrace:
     def test_zero_weights(self, pair, kspec):
-        from kernelratio.balancing import HessianWeights
-
         ds = sample_pair(pair, 2, 2, seed=0)
         gram = gram_matrix(kspec, ds.xs)
-        assert hessian_trace(gram, HessianWeights(e=np.zeros(4))) == 0.0
+        assert hessian_trace(gram, np.zeros(4)) == 0.0
 
     def test_kulsif_balanced_trace_is_one(self, pair, kspec):
         ds = sample_pair(pair, 5, 5, seed=0)
@@ -246,10 +293,10 @@ class TestTrace:
         for family in (LossFamily.KULSIF, LossFamily.EXP):
             model, _ = fit(family, kspec, ds, 0.1)
             w = hessian_weights(family, model, ds, gram)
-            root = np.sqrt(w.e)
+            root = np.sqrt(w)
             full = np.linalg.eigvalsh(root[:, None] * gram.values * root[None, :] / ds.total)
             assert curvature_operator_norm(gram, w) == pytest.approx(np.max(np.abs(full)), rel=1e-13)
-        assert curvature_operator_norm(gram, HessianWeights(e=np.zeros(ds.total))) == 0.0
+        assert curvature_operator_norm(gram, np.zeros(ds.total)) == 0.0
 
     @pytest.mark.parametrize("rule", [SelectionRule.PRACTICAL_MJ, SelectionRule.THEORETICAL_ETA_S])
     @pytest.mark.parametrize("family", [LossFamily.KULSIF, LossFamily.EXP])

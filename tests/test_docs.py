@@ -75,11 +75,13 @@ def test_each_formula_and_field_list_is_written_in_one_module():
     # Written twice, a formula or a reader drifts: kernel alone opens a
     # GramMatrix (gram_values takes a plain array too), data alone spells
     # the pair's fields (the rest read them from the dataclass), and
-    # oracle's _integrate alone reports a non-finite integrand, once.
+    # oracle's _integrate alone reports a non-finite integrand, once, and
+    # balancing's _weights alone checks a curvature weight's sign, once.
     homes = {
         re.compile(r"\bgram\.values\b"): "kernel.py",
         re.compile(r'"mu_p":'): "data.py",
         re.compile("integrand at node"): "oracle.py",
+        re.compile("curvature weights must be nonnegative"): "balancing.py",
     }
     modules = sorted((ROOT / "src" / "kernelratio").glob("*.py"))
     found = [
@@ -91,7 +93,8 @@ def test_each_formula_and_field_list_is_written_in_one_module():
         if pattern.search(line)
     ]
     assert found == []
-    assert sum(path.read_text(encoding="utf-8").count("integrand at node") for path in modules) == 1
+    for message in ("integrand at node", "curvature weights must be nonnegative"):
+        assert sum(path.read_text(encoding="utf-8").count(message) for path in modules) == 1
 
 
 def readme_module_notes():

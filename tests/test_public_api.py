@@ -9,7 +9,6 @@ PUBLIC_API = [
     "FitReport",
     "GaussianPairSpec",
     "GramMatrix",
-    "HessianWeights",
     "InputError",
     "KernelFamily",
     "KernelSpec",

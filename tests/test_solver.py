@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -277,6 +278,15 @@ class TestFit:
         from_array = fit_grid(family, kspec, ds, grid, gram=gram.values)
         from_gram = fit_grid(family, kspec, ds, grid, gram=gram)
         assert [m.alpha.tobytes() for m, _ in from_array] == [m.alpha.tobytes() for m, _ in from_gram]
+
+    @pytest.mark.parametrize("family, method", [(LossFamily.EXP, "NonlinearCG"), (LossFamily.KULSIF, "ClosedForm")])
+    def test_report_to_dict_is_asdict_in_keys_order_and_values(self, family, method, pair, kspec):
+        _, report = fit(family, kspec, sample_pair(pair, 5, 5, seed=2), 0.1)
+        assert report.method == method
+        plain, deep = report.to_dict(), dataclasses.asdict(report)
+        assert list(plain.items()) == list(deep.items())
+        assert [type(value) for value in plain.values()] == [type(value) for value in deep.values()]
+        assert json.dumps(plain) == json.dumps(deep)
 
     def test_fit_two_point_kulsif_reaches_closed_form(self, kspec):
         ds = two_point_dataset()
