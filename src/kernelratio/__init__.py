@@ -25,7 +25,7 @@ from .balancing import (
 from .data import DEFAULT_PAIR, GaussianPairSpec, LabeledDataset, load_two_csv, sample_pair
 from .errors import InputError, NumericalError
 from .kernel import GramMatrix, KernelFamily, KernelSpec, gram_matrix, kernel_eval
-from .losses import LossFamily, link, ratio_map
+from .losses import LossFamily, ratio_map
 from .oracle import (
     OracleContext,
     QuadratureSpec,
@@ -85,7 +85,6 @@ __all__ = [
     "hessian_trace",
     "hessian_weights",
     "kernel_eval",
-    "link",
     "load_model",
     "load_two_csv",
     "margins_at",

@@ -155,11 +155,15 @@ def curvature_operator_norm(gram, weights) -> float:
     """Spectral norm of (1/N) E K; no selection rule reads it.
 
     `weights` is the length-N vector of nonnegative curvatures (checked by
-    `_weights`).  Rows and columns with e_i = 0 add only zero eigenvalues,
-    so only the rest is decomposed (for kulsif, the Q block).
+    `_weights`); a non-finite one raises NumericalError naming it.  Rows and
+    columns with e_i = 0 add only zero eigenvalues, so only the rest is
+    decomposed (for kulsif, the Q block).
     """
     K = gram_values(gram)
     e = _weights(weights, K.shape[0])
+    bad = np.flatnonzero(~np.isfinite(e))
+    if bad.size:
+        raise NumericalError(f"curvature weight {bad[0]} is {e[bad[0]]}, so the operator norm is undefined")
     keep = np.flatnonzero(e)
     root = np.sqrt(e[keep])
     sym = root[:, None] * K[np.ix_(keep, keep)] * root[None, :] / K.shape[0]
@@ -337,10 +341,20 @@ def select_from_fits(
     rule: SelectionRule,
     consts: BoundConstants | None = None,
 ) -> SelectionReport:
-    """Run the balancing selection over precomputed grid fits."""
+    """Run the balancing selection over precomputed grid fits.
+
+    Fit k must be a `family` fit made at the grid's k-th lambda, as
+    `fit_grid` makes them; otherwise InputError names the first that is not.
+    """
     values = grid.values
     if len(fits) != len(values):
         raise InputError(f"got {len(fits)} fits for a grid of length {len(values)}")
+    for k, ((model, _), lam) in enumerate(zip(fits, values), 1):
+        if model.lam != float(lam) or model.family is not family:
+            raise InputError(
+                f"fit {k} is {model.family.value} at lambda={model.lam!r}; "
+                f"the selection needs {family.value} at the grid's lambda={float(lam)!r}"
+            )
     n_total = dataset.total
     consts = consts or BoundConstants()
 

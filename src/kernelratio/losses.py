@@ -4,24 +4,23 @@ Each family bundles:
 
 * a classification loss ell(y, v) on labels y in {-1, +1} and margins v,
   with analytic derivatives in v up to third order;
-* an invertible link Psi mapping a class-posterior probability u in (0, 1)
-  to the optimal margin, so the best classifier is Psi(P(y=1|x));
-* the ratio map g(v) = Psi^{-1}(v) / (1 - Psi^{-1}(v)) turning a margin
-  into a density-ratio value, so g(Psi(u)) = u / (1 - u);
+* the ratio map g(v) turning a margin into a density-ratio value, and its
+  inverse m(r) = g^{-1}(e^r) written in the log ratio r, so the optimal
+  margin at x is m(log beta(x));
 * a convex scalar generator phi on ratio values whose pointwise Bregman
   divergence D at t = g(v), integrated against the denominator measure,
   equals twice the excess classification risk of the margin function; D is
   written in the margin, free of sq's pole in g and exp's pole in phi'.
 
-Families (v is the margin, t a ratio value, s(t) the logistic function):
+Families (v is the margin, r a log ratio, t a ratio value):
 
-    kulsif  ell(-1,v)=v^2/2, ell(1,v)=-v   Psi(u)=u/(1-u)   g(v)=v
+    kulsif  ell(-1,v)=v^2/2, ell(1,v)=-v   m(r)=e^r         g(v)=v
             phi(t)=(t-1)^2/2, D=(beta-v)^2/2
-    lr      ell(y,v)=log(1+e^{-yv})        Psi(u)=logit(u)  g(v)=e^v
+    lr      ell(y,v)=log(1+e^{-yv})        m(r)=r           g(v)=e^v
             phi(t)=t log t-(1+t)log(1+t), D=(1+beta)log(1+e^v)-beta v+phi(beta)
-    exp     ell(y,v)=e^{-yv}               Psi(u)=logit(u)/2, g(v)=e^{2v}
+    exp     ell(y,v)=e^{-yv}               m(r)=r/2         g(v)=e^{2v}
             phi(t)=-2 sqrt(t), D=(sqrt(beta)-e^v)^2 e^{-v}
-    sq      ell(y,v)=(1-yv)^2              Psi(u)=2u-1      g(v)=(1+v)/(1-v)
+    sq      ell(y,v)=(1-yv)^2              m(r)=tanh(r/2)   g(v)=(1+v)/(1-v)
             phi(t)=4/(1+t), D=(1+beta)(v-(beta-1)/(beta+1))^2
 
 Each family's formulas and facts are written once, in its record of the
@@ -38,8 +37,6 @@ import enum
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-from .errors import InputError
 
 # Exponent ceiling: keeps exp() finite so a line search can reject huge
 # steps by comparison instead of dying on overflow.
@@ -59,6 +56,11 @@ class LossFamily(enum.Enum):
     def quadratic(self) -> bool:
         """Whether the loss is quadratic in the margin: ell'' does not vary with it, ell''' is zero."""
         return _FAMILIES[self].quadratic
+
+    @property
+    def needs_finite_chi2(self) -> bool:
+        """Whether the optimal margin is beta itself, so the risk and divergence need E_q[beta^2] < inf."""
+        return _FAMILIES[self].needs_finite_chi2
 
 
 def _safe_exp(t):
@@ -129,6 +131,12 @@ def _sq_ratio(v):
     return (1.0 + vc) / (1.0 - vc)
 
 
+def _kulsif_margin(r):
+    # Past r = 709.78 the optimal margin is inf; the oracle reports that, not numpy.
+    with np.errstate(over="ignore"):
+        return np.exp(r)
+
+
 def _lr_phi(t):
     return np.where(t > 0.0, t * np.log(np.maximum(t, np.finfo(float).tiny)), 0.0) - (1.0 + t) * np.log1p(t)
 
@@ -139,17 +147,18 @@ def _lr_phi_prime(t):
 
 
 class _Family(NamedTuple):
-    """One family's formulas, on float64 arrays, and its one fact."""
+    """One family's formulas, on float64 arrays, and its two facts."""
 
     loss: Callable  # (y, v) -> ell(y, v)
     terms: Callable  # (y, v, -y) -> MarginTerms
     d3: Callable  # (y, v) -> ell'''(y, v)
-    link: Callable  # u in (0, 1) -> Psi(u)
+    margin: Callable  # r -> m(r) = g^{-1}(e^r), the optimal margin at log ratio r
     ratio: Callable  # v -> g(v), unfloored, sq's pole clamped
     phi: Callable  # t -> phi(t)
     phi_prime: Callable  # t -> phi'(t)
     divergence: Callable  # (beta, v) -> D(beta, v), phi's Bregman divergence at t = g(v)
     quadratic: bool  # ell'' does not depend on the margin
+    needs_finite_chi2: bool  # the optimal margin is beta: the risk needs E_q[beta^2] < inf
 
 
 _FAMILIES = {
@@ -157,46 +166,50 @@ _FAMILIES = {
         loss=lambda y, v: np.where(y > 0, -v, 0.5 * v * v),
         terms=_kulsif_terms,
         d3=_zero_d3,
-        link=lambda u: u / (1.0 - u),
+        margin=_kulsif_margin,
         ratio=lambda v: v + 0.0,
         phi=lambda t: 0.5 * ((t - 1.0) * (t - 1.0)),
         phi_prime=lambda t: t - 1.0,
         divergence=lambda beta, v: 0.5 * ((beta - v) * (beta - v)),
         quadratic=True,
+        needs_finite_chi2=True,
     ),
     LossFamily.LR: _Family(
         loss=lambda y, v: np.logaddexp(0.0, -y * v),
         terms=_lr_terms,
         d3=_lr_d3,
-        link=lambda u: np.log(u) - np.log1p(-u),
+        margin=lambda r: r + 0.0,
         ratio=_safe_exp,
         phi=_lr_phi,
         phi_prime=_lr_phi_prime,
         divergence=lambda beta, v: (1.0 + beta) * np.logaddexp(0.0, v) - beta * v + _lr_phi(beta),
         quadratic=False,
+        needs_finite_chi2=False,
     ),
     LossFamily.EXP: _Family(
         loss=lambda y, v: _safe_exp(-y * v),
         terms=_exp_terms,
         d3=lambda y, v: _exp_terms(y, v, -y).d1,  # the third derivative equals the first
-        link=lambda u: 0.5 * (np.log(u) - np.log1p(-u)),
+        margin=lambda r: 0.5 * r,
         ratio=lambda v: _safe_exp(2.0 * v),
         phi=lambda t: -2.0 * np.sqrt(t),
         phi_prime=lambda t: -1.0 / np.sqrt(t),
         # (sqrt(beta) - e^v)^2 e^{-v}, squared last: finite while |v| < 709, not only v < 354
         divergence=lambda beta, v: np.square(np.sqrt(beta) * np.exp(-0.5 * v) - np.exp(0.5 * v)),
         quadratic=False,
+        needs_finite_chi2=False,
     ),
     LossFamily.SQ: _Family(
         loss=lambda y, v: (1.0 - y * v) * (1.0 - y * v),
         terms=_sq_terms,
         d3=_zero_d3,
-        link=lambda u: 2.0 * u - 1.0,
+        margin=lambda r: np.tanh(0.5 * r),
         ratio=_sq_ratio,
         phi=lambda t: 4.0 / (1.0 + t),
         phi_prime=lambda t: -4.0 / ((1.0 + t) * (1.0 + t)),
         divergence=lambda beta, v: (1.0 + beta) * np.square(v - (beta - 1.0) / (beta + 1.0)),
         quadratic=True,
+        needs_finite_chi2=False,
     ),
 }
 
@@ -234,18 +247,13 @@ def loss_d3(family: LossFamily, y, v):
     return _FAMILIES[family].d3(np.asarray(y, dtype=np.float64), np.asarray(v, dtype=np.float64))
 
 
-def link(family: LossFamily, u):
-    """Map posterior probabilities u in (0, 1) to optimal margins, elementwise."""
-    u = np.asarray(u, dtype=np.float64)
-    inside = (u > 0.0) & (u < 1.0)
-    if not np.all(inside):
-        raise InputError(f"link argument must lie in (0, 1), got {u[~inside].flat[0]}")
-    values = _FAMILIES[family].link(u)
-    return float(values) if values.ndim == 0 else values
+def optimal_margin(family: LossFamily, r):
+    """The margin m(r) = g^{-1}(e^r) whose ratio is e^r, at log ratios r; kulsif's e^r may be inf."""
+    return _FAMILIES[family].margin(np.asarray(r, dtype=np.float64))
 
 
 def ratio_map(family: LossFamily, v):
-    """The map g(v) = Psi^{-1}(v) / (1 - Psi^{-1}(v)), floored at 0; sq's pole at v = 1 is clamped."""
+    """The map g(v) from margins to ratio values, floored at 0; sq's pole at v = 1 is clamped."""
     return np.maximum(_FAMILIES[family].ratio(np.asarray(v, dtype=np.float64)), 0.0)
 
 

@@ -29,11 +29,8 @@ from .balancing import hessian_weights
 from .data import GaussianPairSpec, LabeledDataset, log_true_ratio
 from .errors import InputError, NumericalError
 from .kernel import KernelSpec, gram_matrix, gram_values
-from .losses import LossFamily, divergence, link, loss_d2, loss_value, ratio_map
+from .losses import LossFamily, divergence, loss_d2, loss_value, optimal_margin, ratio_map
 from .solver import RatioModel, fit, margins_at, predict_margin
-
-_ETA_FLOOR = 1e-300
-_ETA_CEIL = 1.0 - 1e-16
 
 #: The nested rule starts 2**_START_HALVINGS times coarser than the finest
 #: rule, or as coarse as the finest interval count allows.
@@ -140,12 +137,16 @@ class OracleContext:
         narrower = min(pair.sigma_p, pair.sigma_q)
         if quad.step > _MAX_STEP_PER_SIGMA * narrower:
             raise InputError(
-                f"the oracle's {quad.n_nodes:,}-node rule has step {quad.step:.3g}, more than "
-                f"{_MAX_STEP_PER_SIGMA} x the narrower sigma {narrower!r}, so it cannot resolve the pair "
-                + ", ".join(f"{name}={value!r}" for name, value in asdict(pair).items())
+                f"the oracle's {quad.n_nodes:,}-node rule has step {quad.step:.3g}, more than {_MAX_STEP_PER_SIGMA} x "
+                f"the narrower sigma {narrower!r}, so it cannot resolve the pair {_fields(pair)}"
             )
         lo, hi = sorted((pair.mu_q - 3.0 * pair.sigma_q, pair.mu_p + 3.0 * pair.sigma_p))
         return cls(pair=pair, quad=quad, eval_grid=np.linspace(lo, hi, 500))
+
+
+def _fields(pair: GaussianPairSpec) -> str:
+    """The pair's fields as name=value, comma-separated, for a message."""
+    return ", ".join(f"{name}={value!r}" for name, value in asdict(pair).items())
 
 
 def _normal_pdf(x, mu: float, sigma: float):
@@ -174,14 +175,21 @@ def _margins_of(f, xs: np.ndarray) -> np.ndarray:
 
 
 def bayes_margin(ctx: OracleContext, family: LossFamily, x):
-    """Optimal margin Psi(eta(x)) at the posterior eta = p/(p+q).
+    """Optimal margin g^{-1}(beta(x)), the family's inverse ratio map at the log ratio."""
+    return optimal_margin(family, log_true_ratio(ctx.pair, x))
 
-    Computed through eta = logistic(log ratio), clamped away from {0, 1}
-    so the links stay finite in the far tails.
+
+def _check_finite_chi2(ctx: OracleContext, family: LossFamily) -> None:
+    """Raise InputError if the family's risk needs E_q[beta^2] = int p^2/q and the pair makes it infinite.
+
+    For Gaussians, int p^2/q is finite exactly when sigma_p^2 < 2 sigma_q^2.
     """
-    log_beta = log_true_ratio(ctx.pair, np.asarray(x, dtype=np.float64))
-    eta = 1.0 / (1.0 + np.exp(-np.clip(log_beta, -709.0, 709.0)))
-    return link(family, np.clip(eta, _ETA_FLOOR, _ETA_CEIL))
+    pair = ctx.pair
+    if family.needs_finite_chi2 and not pair.sigma_p**2 < 2.0 * pair.sigma_q**2:
+        raise InputError(
+            f"{family.value}'s Bayes risk and divergence need a finite E_q[beta^2], so sigma_p^2 < 2 sigma_q^2, "
+            f"which fails for the pair {_fields(pair)}"
+        )
 
 
 def population_risks(ctx: OracleContext, family: LossFamily, margins_of) -> np.ndarray:
@@ -207,7 +215,8 @@ def population_risk(ctx: OracleContext, family: LossFamily, f) -> float:
 
 
 def bayes_risk(ctx: OracleContext, family: LossFamily) -> float:
-    """Risk of the optimal margin function."""
+    """Risk of the optimal margin function; InputError where `_check_finite_chi2` finds it infinite."""
+    _check_finite_chi2(ctx, family)
     return float(population_risks(ctx, family, lambda nodes: bayes_margin(ctx, family, nodes)[None, :])[0])
 
 
@@ -222,8 +231,10 @@ def bregman_error_direct(ctx: OracleContext, family: LossFamily, model) -> float
     Integrates losses.divergence(beta, v) against q, with beta the true
     ratio and v the model's margin.  The formula is written in the margin
     and is finite for every finite v, so no node is dropped; this route
-    shares only the margins with `bregman_error_via_risk`.
+    shares only the margins with `bregman_error_via_risk`.  A pair on which
+    the divergence needs an infinite E_q[beta^2] raises InputError.
     """
+    _check_finite_chi2(ctx, family)
 
     def integrand(nodes):
         _, q = densities(ctx.pair, nodes)
@@ -232,13 +243,13 @@ def bregman_error_direct(ctx: OracleContext, family: LossFamily, model) -> float
     return float(_integrate(integrand, ctx.quad, "divergence")[0])
 
 
-def _h_form_integrals(ctx, family, center, kernel, points, coeff_rows) -> np.ndarray:
-    """Row k: the curvature-weighted integral of h_k^2, h_k = sum_j coeff_rows[k][j] k(points_j, .)."""
+def _h_form_integrals(ctx, family, kernel, points, coeff_rows) -> np.ndarray:
+    """Row k: the Bayes-margin curvature-weighted integral of h_k^2, h_k = sum_j coeff_rows[k][j] k(points_j, .)."""
 
     def integrand(nodes):
-        center_margins = _margins_of(center, nodes)
+        center = bayes_margin(ctx, family, nodes)
         p, q = densities(ctx.pair, nodes)
-        weight = 0.5 * loss_d2(family, 1.0, center_margins) * p + 0.5 * loss_d2(family, -1.0, center_margins) * q
+        weight = 0.5 * loss_d2(family, 1.0, center) * p + 0.5 * loss_d2(family, -1.0, center) * q
         return weight * margins_at(kernel, points, coeff_rows, nodes) ** 2
 
     return _integrate(integrand, ctx.quad, "curvature form")
@@ -259,18 +270,6 @@ def grid_mse(ctx: OracleContext, model: RatioModel, margins=None) -> float:
         return float(np.mean((estimates - true_ratio(ctx.pair, ctx.eval_grid)) ** 2))
 
 
-def reference_margin(family: LossFamily):
-    """The zero margin, an exact reference center for the quadratic families.
-
-    Their curvature does not depend on the margin, so any center gives the
-    same population form.  A curved family has no exact center: pass
-    `hessian_sandwich_test` a margin function instead.
-    """
-    if not family.quadratic:
-        raise InputError(f"{family.value} has no exact reference margin; pass a margin function instead")
-    return lambda xs: np.zeros(np.shape(np.asarray(xs, dtype=np.float64).reshape(-1))[0])
-
-
 @dataclass(frozen=True)
 class SandwichReport:
     fraction_pass: float
@@ -283,7 +282,6 @@ def hessian_sandwich_test(
     family: LossFamily,
     dataset: LabeledDataset,
     lam: float,
-    reference_center,
     n_directions: int,
     seed: int,
 ) -> SandwichReport:
@@ -292,7 +290,7 @@ def hessian_sandwich_test(
     For standard normal coefficient vectors c (nonzero with probability one),
     tests   emp(c) <= 6 pop(c)   and   6 pop(c) <= 48 emp(c),
     where emp(c) = (1/N) c^T K E K c + lam c^T K c at the fitted model and
-    pop(c) is the population form at the reference center, under the
+    pop(c) is the population form at the Bayes margin, under the
     default kernel.  Returns the fraction of directions passing both.  A fit
     that did not converge raises NumericalError rather than being scored.
     """
@@ -312,7 +310,7 @@ def hessian_sandwich_test(
     kc = directions @ gram_values(gram)  # rows: (K c)^T
     rkhs_sq = np.einsum("ij,ij->i", directions, kc)
     emp = np.einsum("ij,j,ij->i", kc, e, kc) / n_total + lam * rkhs_sq
-    pop = _h_form_integrals(ctx, family, reference_center, kernel, dataset.xs, directions) + lam * rkhs_sq
+    pop = _h_form_integrals(ctx, family, kernel, dataset.xs, directions) + lam * rkhs_sq
 
     both = (emp <= 6.0 * pop) & (6.0 * pop <= 48.0 * emp)
     n_pass = int(np.sum(both))

@@ -14,6 +14,7 @@ from kernelratio import (
     LabeledDataset,
     LambdaGrid,
     LossFamily,
+    NumericalError,
     SelectionRule,
     a_term,
     balance_lambda,
@@ -155,6 +156,12 @@ class TestCurvatureVectorCheck:
         with pytest.raises(InputError, match="does not match the kernel matrix"):
             call(gram, np.ones((3, 1)))  # only a flat vector of length N is a weight vector
         call(gram, [1.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_curvature_operator_norm_names_a_non_finite_weight(self, gram, bad):
+        # eigvalsh would raise numpy's "Eigenvalues did not converge".
+        with pytest.raises(NumericalError, match=f"^curvature weight 1 is {bad}, so the operator norm is undefined$"):
+            curvature_operator_norm(gram, [1.0, bad, 1.0])
 
     def test_inf_and_nan_weights_pass_through(self, gram):
         # A diverged exp fit makes them, and selection still chooses.
@@ -411,6 +418,25 @@ class TestSelection:
         fits = fit_grid(LossFamily.KULSIF, kspec, ds, GRID5, gram=gram)
         with pytest.raises(InputError, match="got 4 fits for a grid of length 5"):
             select_from_fits(LossFamily.KULSIF, gram, ds, GRID5, fits[:-1], SelectionRule.PRACTICAL_MJ)
+
+    def test_fit_k_must_be_made_at_the_grid_s_kth_lambda(self, pair, kspec):
+        ds = sample_pair(pair, 3, 3, seed=0)
+        gram = gram_matrix(kspec, ds.xs)
+        fits = fit_grid(LossFamily.EXP, kspec, ds, GRID5, gram=gram)
+        shifted = LambdaGrid(1e-1, 10.0, 5)
+        message = r"^fit 1 is exp at lambda=0\.001; the selection needs exp at the grid's lambda=1\.0$"
+        with pytest.raises(InputError, match=message):
+            select_from_fits(LossFamily.EXP, gram, ds, shifted, fits, SelectionRule.PRACTICAL_MJ)
+        reordered = [fits[0], fits[2], fits[1], *fits[3:]]
+        with pytest.raises(InputError, match=r"^fit 2 is exp at lambda=0\.1; "):
+            select_from_fits(LossFamily.EXP, gram, ds, GRID5, reordered, SelectionRule.PRACTICAL_MJ)
+
+    def test_fits_must_be_of_the_selected_family(self, pair, kspec):
+        ds = sample_pair(pair, 3, 3, seed=0)
+        gram = gram_matrix(kspec, ds.xs)
+        fits = fit_grid(LossFamily.EXP, kspec, ds, GRID5, gram=gram)
+        with pytest.raises(InputError, match=r"^fit 1 is exp at lambda=0\.001; the selection needs lr at "):
+            select_from_fits(LossFamily.LR, gram, ds, GRID5, fits, SelectionRule.PRACTICAL_MJ)
 
     def test_all_pass_chooses_largest(self):
         norms = {(i, j): 0.0 for i in range(2, 6) for j in range(1, i)}

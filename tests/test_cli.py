@@ -538,6 +538,38 @@ class TestExperiment:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
 
+    @pytest.mark.parametrize(
+        "pair, code, message",
+        [
+            (
+                {"mu_p": 0.0, "sigma_p": 2.0, "mu_q": 0.0, "sigma_q": 1.0},
+                2,
+                "error: kulsif's Bayes risk and divergence need a finite E_q[beta^2], so sigma_p^2 < 2 sigma_q^2, "
+                "which fails for the pair mu_p=0.0, sigma_p=2.0, mu_q=0.0, sigma_q=1.0",
+            ),
+            (
+                {"mu_p": 0.0, "sigma_p": 2.0, "mu_q": -100.0, "sigma_q": 2.0},
+                3,
+                "numerical error: non-finite risk integrand at node x=-35.744",
+            ),
+        ],
+        ids=["infinite chi2", "optimal margin past the float range"],
+    )
+    def test_a_kulsif_bayes_risk_that_is_not_finite_exits_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, pair, code, message
+    ):
+        started = []
+        monkeypatch.setattr(experiment, "run_cell", lambda *args: started.append(args))
+        config = self._config(tmp_path)
+        config.update(pair=pair, sample_sizes=[[20, 20]], seeds=[0])
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_quiet(["experiment", str(config_path)]) == code
+        assert started == []
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+
 class TestRateSweep:
     def test_default_grid_text_is_the_default_grid(self):
         # rate-sweep echoes the flag's text, so the default is kept as text;

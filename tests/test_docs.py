@@ -75,12 +75,15 @@ def test_each_formula_and_field_list_is_written_in_one_module():
     # Written twice, a formula or a reader drifts: kernel alone opens a
     # GramMatrix (gram_values takes a plain array too), data alone spells
     # the pair's fields (the rest read them from the dataclass), and
-    # oracle's _integrate alone reports a non-finite integrand, once, and
-    # balancing's _weights alone checks a curvature weight's sign, once.
+    # oracle's _integrate alone reports a non-finite integrand, once,
+    # oracle's _check_finite_chi2 alone rejects a pair with an infinite
+    # E_q[beta^2], once, and balancing's _weights alone checks a curvature
+    # weight's sign, once.
     homes = {
         re.compile(r"\bgram\.values\b"): "kernel.py",
         re.compile(r'"mu_p":'): "data.py",
         re.compile("integrand at node"): "oracle.py",
+        re.compile(r"need a finite E_q\[beta\^2\]"): "oracle.py",
         re.compile("curvature weights must be nonnegative"): "balancing.py",
     }
     modules = sorted((ROOT / "src" / "kernelratio").glob("*.py"))
@@ -93,7 +96,7 @@ def test_each_formula_and_field_list_is_written_in_one_module():
         if pattern.search(line)
     ]
     assert found == []
-    for message in ("integrand at node", "curvature weights must be nonnegative"):
+    for message in ("integrand at node", "need a finite E_q[beta^2]", "curvature weights must be nonnegative"):
         assert sum(path.read_text(encoding="utf-8").count(message) for path in modules) == 1
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernelratio import InputError, LossFamily, link
+from kernelratio import LossFamily
 from kernelratio.losses import (
     divergence,
     loss_d1,
@@ -13,6 +13,7 @@ from kernelratio.losses import (
     loss_d3,
     loss_value,
     margin_terms,
+    optimal_margin,
     phi,
     phi_prime,
     ratio_map,
@@ -133,7 +134,7 @@ class TestMarginTerms:
                 st.floats(-800.0, 800.0, allow_nan=False),  # margin
                 st.floats(-800.0, 800.0, allow_nan=False),  # margin step
                 st.floats(0.0, 1e6, allow_nan=False),  # ratio
-                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),  # posterior
+                st.floats(-800.0, 800.0, allow_nan=False),  # log ratio, past kulsif's overflow at 709.78
             ),
             min_size=1,
             max_size=8,
@@ -144,7 +145,7 @@ class TestMarginTerms:
     @example(family=LossFamily.SQ, points=ROUNDING_POINTS)
     @settings(max_examples=400)
     def test_scalar_call_equals_its_element_of_the_array_call(self, family, points):
-        y, v, dv, t, u = (np.array(column) for column in zip(*points))
+        y, v, dv, t, r = (np.array(column) for column in zip(*points))
         per_point = [
             (lambda *a: loss_value(family, *a), (y, v)),
             (lambda *a: loss_d1(family, *a), (y, v)),
@@ -155,7 +156,7 @@ class TestMarginTerms:
             (lambda *a: phi(family, *a), (t,)),
             (lambda *a: phi_prime(family, *a), (t,)),
             (lambda *a: divergence(family, *a), (t, v)),
-            (lambda *a: link(family, *a), (u,)),
+            (lambda *a: optimal_margin(family, *a), (r,)),
         ]
         with np.errstate(all="ignore"):  # huge steps and t = 0 poles give inf in both
             for func, args in per_point:
@@ -165,33 +166,28 @@ class TestMarginTerms:
                     assert one.tobytes() == whole[i].tobytes(), (func, args, i)
 
 
-class TestLinks:
-    def test_lr_link_is_zero_at_half(self):
-        assert link(LossFamily.LR, 0.5) == 0.0
+class TestOptimalMargin:
+    def test_every_family_at_log_ratio_zero(self):
+        # beta = 1: the densities cross.
+        assert [float(optimal_margin(family, 0.0)) for family in ALL] == [1.0, 0.0, 0.0, 0.0]
 
-    def test_kulsif_link_at_half(self):
-        assert link(LossFamily.KULSIF, 0.5) == 1.0
+    def test_exp_halves_the_log_ratio(self):
+        assert optimal_margin(LossFamily.EXP, 2.0) == 1.0
 
-    def test_exp_link_hits_one(self):
-        u = math.exp(2.0) / (1.0 + math.exp(2.0))
-        assert link(LossFamily.EXP, u) == pytest.approx(1.0, rel=1e-12)
+    def test_sq_is_tanh_of_half_the_log_ratio(self):
+        # tanh(log(3) / 2) = (3 - 1) / (3 + 1)
+        assert optimal_margin(LossFamily.SQ, math.log(3.0)) == pytest.approx(0.5, rel=1e-15)
 
-    def test_sq_link_is_affine(self):
-        assert link(LossFamily.SQ, 0.75) == 0.5
+    def test_kulsif_overflows_to_inf_without_a_warning(self):
+        with np.errstate(over="raise"):
+            assert optimal_margin(LossFamily.KULSIF, 710.0) == math.inf
 
     @pytest.mark.parametrize("family", ALL)
     def test_array_and_scalar_calls_agree(self, family):
-        us = np.arange(0.01, 1.0, 0.01)
-        margins = link(family, us)
-        for u, v in zip(us, margins):
-            assert v == link(family, float(u))  # array and scalar agree exactly
-
-    @pytest.mark.parametrize("u", [0.0, 1.0, -0.3, 1.7])
-    def test_link_domain_validation(self, u):
-        with pytest.raises(InputError):
-            link(LossFamily.LR, u)
-        with pytest.raises(InputError):
-            link(LossFamily.LR, np.array([0.2, u, 0.7]))
+        rs = np.linspace(-6.9, 6.9, 139)
+        margins = optimal_margin(family, rs)
+        for r, v in zip(rs, margins):
+            assert v == optimal_margin(family, float(r))  # array and scalar agree exactly
 
 
 class TestRatioMap:
@@ -215,11 +211,11 @@ class TestRatioMap:
         assert np.isfinite(ratio_map(LossFamily.SQ, 5.0))
 
     @pytest.mark.parametrize("family", ALL)
-    @given(u=st.floats(1e-3, 1.0 - 1e-3))
-    def test_ratio_map_inverts_link_to_posterior_odds(self, family, u):
-        # g(Psi(u)) = u / (1 - u); the sq link 2u - 1 loses up to eps / (2u)
-        # and eps / (2(1 - u)) relative, hence u stays 1e-3 away from 0 and 1.
-        assert ratio_map(family, link(family, u)) == pytest.approx(u / (1.0 - u), rel=1e-12)
+    @given(r=st.floats(-6.9, 6.9))
+    def test_ratio_map_inverts_the_optimal_margin(self, family, r):
+        # g(m(r)) = e^r; sq's 1 - tanh(r/2) loses up to eps / (1 - v)
+        # relative, about 1e-13 at the ends of [-6.9, 6.9] (ratios 1e-3 to 1e3).
+        assert ratio_map(family, optimal_margin(family, r)) == pytest.approx(math.exp(r), rel=1e-12)
 
 
 def generator(family, t):
@@ -264,8 +260,8 @@ class TestGenerator:
 
 class TestSelfConcordance:
     def test_quadratic_families_have_zero_third_derivative(self):
-        # The closed form, hessian_weights and reference_margin read ell'' at
-        # margin 0 for a quadratic family: it must hold at every margin.
+        # The closed form and hessian_weights read ell'' at margin 0 for a
+        # quadratic family: it must hold at every margin.
         grid = np.linspace(-5.0, 5.0, 101)
         for family in LossFamily:
             for y in (-1, 1):

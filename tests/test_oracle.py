@@ -36,7 +36,6 @@ from kernelratio.oracle import (
     bayes_risk,
     densities,
     population_risks,
-    reference_margin,
 )
 from kernelratio.solver import RatioModel, predict_margin
 
@@ -294,7 +293,7 @@ class TestBayesMargin:
         beta = true_ratio(pair, xs)
         recovered = ratio_map(family, bayes_margin(ctx, family, xs))
         if family is LossFamily.SQ:
-            # The affine link compresses tiny ratios into margins that
+            # tanh(r/2) compresses tiny ratios into margins that
             # round to -1, so the round trip only resolves beta above
             # float granularity; check relative accuracy there and
             # absolute smallness below.
@@ -303,6 +302,40 @@ class TestBayesMargin:
             assert np.all(recovered[~resolvable] <= 1e-6)
         else:
             np.testing.assert_allclose(recovered, beta, rtol=1e-9)
+
+
+class TestInfiniteBayesRisk:
+    # P twice as wide as Q: E_q[beta^2] = int p^2/q diverges, and kulsif's
+    # optimal margin is beta itself.
+    CHI2_PAIR = GaussianPairSpec(mu_p=0.0, sigma_p=2.0, mu_q=0.0, sigma_q=1.0)
+
+    def test_kulsif_rejects_a_pair_with_infinite_chi2_naming_it(self):
+        ctx = OracleContext.default(self.CHI2_PAIR)
+        zero = lambda xs: np.zeros(np.shape(xs))
+        message = (
+            r"^kulsif's Bayes risk and divergence need a finite E_q\[beta\^2\], so sigma_p\^2 < 2 sigma_q\^2, "
+            r"which fails for the pair mu_p=0\.0, sigma_p=2\.0, mu_q=0\.0, sigma_q=1\.0$"
+        )
+        with pytest.raises(InputError, match=message):
+            bayes_risk(ctx, LossFamily.KULSIF)
+        for route in (bregman_error_direct, bregman_error_via_risk):
+            with pytest.raises(InputError, match=message):
+                route(ctx, LossFamily.KULSIF, zero)
+
+    @pytest.mark.parametrize("family", [LossFamily.LR, LossFamily.EXP, LossFamily.SQ])
+    def test_the_other_families_score_the_same_pair(self, family):
+        ctx = OracleContext.default(self.CHI2_PAIR)
+        zero = lambda xs: np.zeros(np.shape(xs))
+        via = bregman_error_via_risk(ctx, family, zero)
+        assert math.isfinite(bayes_risk(ctx, family))
+        assert bregman_error_direct(ctx, family, zero) == pytest.approx(via, rel=1e-9)
+
+    def test_a_kulsif_margin_past_the_float_range_names_the_risk_node(self):
+        # The log ratio is 25x + 1250, so beta overflows above x = -21.6,
+        # and its square in the Q-weighted loss from x = -35.7 on.
+        ctx = OracleContext.default(GaussianPairSpec(mu_p=0.0, sigma_p=2.0, mu_q=-100.0, sigma_q=2.0))
+        with pytest.raises(NumericalError, match=r"^non-finite risk integrand at node x=-35\.744$"):
+            bayes_risk(ctx, LossFamily.KULSIF)
 
 
 class TestBregmanRoutes:
@@ -391,8 +424,7 @@ class TestBregmanRoutes:
 class TestPopulationHForm:
     def test_zero_coefficients(self, ctx, pair, kspec):
         ds = sample_pair(pair, 4, 4, seed=0)
-        zero_center = lambda xs: np.zeros(np.shape(np.asarray(xs))[0])
-        value = _h_form_integrals(ctx, LossFamily.KULSIF, zero_center, kspec, ds.xs, [np.zeros(ds.total)])[0]
+        value = _h_form_integrals(ctx, LossFamily.KULSIF, kspec, ds.xs, [np.zeros(ds.total)])[0]
         assert value == 0.0
 
     def test_kulsif_form_is_q_weighted_l2_plus_rkhs(self, ctx, pair, kspec):
@@ -400,8 +432,7 @@ class TestPopulationHForm:
         rng = np.random.default_rng(0)
         coeffs = rng.normal(size=ds.total)
         lam = 0.3
-        zero_center = lambda xs: np.zeros(np.shape(np.asarray(xs))[0])
-        value = _h_form_integrals(ctx, LossFamily.KULSIF, zero_center, kspec, ds.xs, [coeffs])[0]
+        value = _h_form_integrals(ctx, LossFamily.KULSIF, kspec, ds.xs, [coeffs])[0]
         value += lam * float(coeffs @ (gram_matrix(kspec, ds.xs).values @ coeffs))
 
         from kernelratio.kernel import cross_matrix
@@ -418,11 +449,10 @@ class TestPopulationHForm:
     @pytest.mark.parametrize("family", [LossFamily.KULSIF, LossFamily.EXP])
     def test_rows_share_one_kernel_pass_yet_equal_one_row_calls(self, ctx, pair, kspec, family):
         ds = sample_pair(pair, 6, 6, seed=2)
-        center = fitted_model(pair, kspec, family)
         rows = np.random.default_rng(5).normal(size=(4, ds.total))
-        joint = _h_form_integrals(ctx, family, center, kspec, ds.xs, rows)
+        joint = _h_form_integrals(ctx, family, kspec, ds.xs, rows)
         for k, row in enumerate(rows):
-            assert joint[k] == _h_form_integrals(ctx, family, center, kspec, ds.xs, [row])[0]
+            assert joint[k] == _h_form_integrals(ctx, family, kspec, ds.xs, [row])[0]
 
 
 class TestGridMse:
@@ -462,31 +492,20 @@ class TestGridMse:
 class TestSandwich:
     def test_tiny_dataset_is_diagnostic_only(self, ctx, pair):
         ds = sample_pair(pair, 1, 1, seed=0)
-        ref = reference_margin(LossFamily.KULSIF)
-        report = hessian_sandwich_test(ctx, LossFamily.KULSIF, ds, 0.1, ref, 16, seed=0)
+        report = hessian_sandwich_test(ctx, LossFamily.KULSIF, ds, 0.1, 16, seed=0)
         assert report.n_directions == 16
         assert 0.0 <= report.fraction_pass <= 1.0
 
     def test_direction_count_validated(self, ctx, pair):
         ds = sample_pair(pair, 2, 2, seed=0)
-        ref = reference_margin(LossFamily.KULSIF)
         with pytest.raises(InputError):
-            hessian_sandwich_test(ctx, LossFamily.KULSIF, ds, 0.1, ref, 0, seed=0)
+            hessian_sandwich_test(ctx, LossFamily.KULSIF, ds, 0.1, 0, seed=0)
 
-    def test_reference_margin_for_quadratic_families_is_zero(self):
-        ref = reference_margin(LossFamily.SQ)
-        np.testing.assert_array_equal(ref(np.linspace(-1, 1, 5)), np.zeros(5))
-
-    @pytest.mark.parametrize("family", [LossFamily.LR, LossFamily.EXP])
-    def test_curved_families_have_no_reference_margin(self, family):
-        with pytest.raises(InputError, match=f"^{family.value} has no exact reference margin"):
-            reference_margin(family)
-
-    def test_non_finite_curvature_form_raises_naming_the_node(self, ctx, pair):
+    def test_non_finite_curvature_form_raises_naming_the_node(self, ctx, pair, monkeypatch):
         ds = sample_pair(pair, 3, 3, seed=0)
-        bad = lambda xs: np.full(np.shape(xs), np.nan)
+        monkeypatch.setattr(oracle, "bayes_margin", lambda ctx, family, xs: np.full(np.shape(xs), np.nan))
         with pytest.raises(NumericalError, match=f"^non-finite curvature form integrand at node x={ctx.quad.lo}$"):
-            hessian_sandwich_test(ctx, LossFamily.LR, ds, 0.1, bad, 4, seed=0)
+            hessian_sandwich_test(ctx, LossFamily.LR, ds, 0.1, 4, seed=0)
 
     def test_an_unconverged_fit_is_not_scored(self, ctx, pair, monkeypatch):
         ds = sample_pair(pair, 3, 3, seed=0)
@@ -497,6 +516,5 @@ class TestSandwich:
             return model, dataclasses.replace(report, converged=False, grad_norm=0.25)
 
         monkeypatch.setattr(oracle, "fit", unconverged_fit)
-        ref = reference_margin(LossFamily.KULSIF)
         with pytest.raises(NumericalError, match=r"lambda=0\.1 did not converge \(grad_norm=0\.25\)"):
-            hessian_sandwich_test(ctx, LossFamily.KULSIF, ds, 0.1, ref, 4, seed=0)
+            hessian_sandwich_test(ctx, LossFamily.KULSIF, ds, 0.1, 4, seed=0)

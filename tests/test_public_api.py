@@ -34,7 +34,6 @@ PUBLIC_API = [
     "hessian_trace",
     "hessian_weights",
     "kernel_eval",
-    "link",
     "load_model",
     "load_two_csv",
     "margins_at",

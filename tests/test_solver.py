@@ -313,6 +313,23 @@ class TestFit:
         assert closed.method == "ClosedForm"
         assert abs(closed.objective - iterated.objective) <= 1e-9
 
+    @pytest.mark.parametrize("family", [LossFamily.LR, LossFamily.EXP])
+    @pytest.mark.parametrize("lam, seed", [(1e-2, 0), (1e-1, 1), (1e-1, 2)])
+    def test_permuting_within_blocks_leaves_the_margin_function(self, family, lam, seed, pair, kspec):
+        # K is ill-conditioned, so alpha is no invariant: a permuted fit's
+        # alpha moved by up to 4.1% at this tolerance, over seeds 0-5 and
+        # both lambdas.  Its margins moved by at most 1.5e-6 relative.
+        ds = sample_pair(pair, 12, 15, seed=seed)
+        rng = np.random.default_rng(seed)
+        order = np.concatenate([rng.permutation(ds.m), ds.m + rng.permutation(ds.n)])
+        opts = FitOptions(tol_grad=1e-12 * ds.total, max_iters=30000)
+        model, report = fit(family, kspec, ds, lam, opts)
+        permuted, permuted_report = fit(family, kspec, LabeledDataset(ds.xs[order], ds.ys[order]), lam, opts)
+        assert report.converged and permuted_report.converged
+        xs = np.linspace(-2.0, 8.0, 101)
+        margins = predict_margin(model, xs)
+        assert np.max(np.abs(predict_margin(permuted, xs) - margins)) <= 1e-5 * np.max(np.abs(margins))
+
     def test_sq_equivalence_at_moderate_lambda_is_tight(self, pair, kspec):
         ds = sample_pair(pair, 10, 10, seed=4)
         _, closed = fit(LossFamily.SQ, kspec, ds, 0.01)
