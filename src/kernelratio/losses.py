@@ -29,6 +29,11 @@ Each family's formulas and facts are written once, in its record of the
 kulsif and sq are quadratic in the margin (zero third derivative); lr and
 exp satisfy |ell'''| <= ell'' pointwise, the scalar form of generalized
 self-concordance.
+
+No exponent is capped: past the float range lr's and exp's exponentials are
+inf, which the consumers report.  The line search halves a step whose loss
+change is inf, the oracle raises NumericalError naming the integrand and the
+node, and an infinite MSE is written as null or inf.
 """
 
 from __future__ import annotations
@@ -37,10 +42,6 @@ import enum
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-# Exponent ceiling: keeps exp() finite so a line search can reject huge
-# steps by comparison instead of dying on overflow.
-_EXP_ARG_MAX = 700.0
 
 # Margin ceiling for the sq ratio map, which has a pole at v = 1.
 SQ_MARGIN_CLAMP = 1e-8
@@ -61,10 +62,6 @@ class LossFamily(enum.Enum):
     def needs_finite_chi2(self) -> bool:
         """Whether the optimal margin is beta itself, so the risk and divergence need E_q[beta^2] < inf."""
         return _FAMILIES[self].needs_finite_chi2
-
-
-def _safe_exp(t):
-    return np.exp(np.minimum(t, _EXP_ARG_MAX))
 
 
 def _sigmoid_parts(t):
@@ -97,13 +94,13 @@ def _lr_terms(y, v, ny):
     return MarginTerms(
         ny * s,
         p / (one_p * one_p),
-        lambda dv: np.log1p(s * np.expm1(np.minimum(ny * dv, _EXP_ARG_MAX))),
+        lambda dv: np.log1p(s * np.expm1(ny * dv)),
     )
 
 
 def _exp_terms(y, v, ny):
-    w = _safe_exp(ny * v)
-    return MarginTerms(ny * w, w, lambda dv: w * np.expm1(np.minimum(ny * dv, _EXP_ARG_MAX)))
+    w = np.exp(ny * v)
+    return MarginTerms(ny * w, w, lambda dv: w * np.expm1(ny * dv))
 
 
 def _sq_terms(y, v, ny):
@@ -129,12 +126,6 @@ def _lr_d3(y, v):
 def _sq_ratio(v):
     vc = np.minimum(v, 1.0 - SQ_MARGIN_CLAMP)
     return (1.0 + vc) / (1.0 - vc)
-
-
-def _kulsif_margin(r):
-    # Past r = 709.78 the optimal margin is inf; the oracle reports that, not numpy.
-    with np.errstate(over="ignore"):
-        return np.exp(r)
 
 
 def _lr_phi(t):
@@ -166,7 +157,7 @@ _FAMILIES = {
         loss=lambda y, v: np.where(y > 0, -v, 0.5 * v * v),
         terms=_kulsif_terms,
         d3=_zero_d3,
-        margin=_kulsif_margin,
+        margin=np.exp,
         ratio=lambda v: v + 0.0,
         phi=lambda t: 0.5 * ((t - 1.0) * (t - 1.0)),
         phi_prime=lambda t: t - 1.0,
@@ -179,7 +170,7 @@ _FAMILIES = {
         terms=_lr_terms,
         d3=_lr_d3,
         margin=lambda r: r + 0.0,
-        ratio=_safe_exp,
+        ratio=np.exp,
         phi=_lr_phi,
         phi_prime=_lr_phi_prime,
         divergence=lambda beta, v: (1.0 + beta) * np.logaddexp(0.0, v) - beta * v + _lr_phi(beta),
@@ -187,11 +178,11 @@ _FAMILIES = {
         needs_finite_chi2=False,
     ),
     LossFamily.EXP: _Family(
-        loss=lambda y, v: _safe_exp(-y * v),
+        loss=lambda y, v: np.exp(-y * v),
         terms=_exp_terms,
         d3=lambda y, v: _exp_terms(y, v, -y).d1,  # the third derivative equals the first
         margin=lambda r: 0.5 * r,
-        ratio=lambda v: _safe_exp(2.0 * v),
+        ratio=lambda v: np.exp(2.0 * v),
         phi=lambda t: -2.0 * np.sqrt(t),
         phi_prime=lambda t: -1.0 / np.sqrt(t),
         # (sqrt(beta) - e^v)^2 e^{-v}, squared last: finite while |v| < 709, not only v < 354
@@ -222,7 +213,7 @@ def margin_terms(family: LossFamily, y, v, neg_y=None) -> MarginTerms:
     """The margin derivatives and loss change at (y, v), from the family's record.
 
     The one home of the margin formulas.  The shared exponential is
-    evaluated once: w = e^{-yv} (exponent capped) for exp, and
+    evaluated once: w = e^{-yv} for exp, and
     p = e^{-|yv|} with s = logistic(-yv) for lr.  delta(dv) is
     ell(y, v + dv) - ell(y, v) in a cancellation-free form (exact
     expansions for the quadratic families, expm1/log1p identities for exp
@@ -249,12 +240,14 @@ def loss_d3(family: LossFamily, y, v):
 
 def optimal_margin(family: LossFamily, r):
     """The margin m(r) = g^{-1}(e^r) whose ratio is e^r, at log ratios r; kulsif's e^r may be inf."""
-    return _FAMILIES[family].margin(np.asarray(r, dtype=np.float64))
+    with np.errstate(over="ignore"):
+        return _FAMILIES[family].margin(np.asarray(r, dtype=np.float64))
 
 
 def ratio_map(family: LossFamily, v):
-    """The map g(v) from margins to ratio values, floored at 0; sq's pole at v = 1 is clamped."""
-    return np.maximum(_FAMILIES[family].ratio(np.asarray(v, dtype=np.float64)), 0.0)
+    """The map g(v) from margins to ratios, floored at 0; sq's pole at v = 1 is clamped, lr and exp may give inf."""
+    with np.errstate(over="ignore"):
+        return np.maximum(_FAMILIES[family].ratio(np.asarray(v, dtype=np.float64)), 0.0)
 
 
 def phi(family: LossFamily, t):

@@ -192,6 +192,18 @@ def _check_finite_chi2(ctx: OracleContext, family: LossFamily) -> None:
         )
 
 
+def _label_mean(per_label, p, q):
+    """0.5 per_label(+1) p + 0.5 per_label(-1) q at each node, the half/half label model's mean.
+
+    An overflow stays inf, for _integrate to report without numpy's warning,
+    except against a density that underflowed to 0, which adds 0: at exp's
+    optimal margin that product is sqrt(pq) < 1e-80.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos, neg = 0.5 * per_label(1.0), 0.5 * per_label(-1.0)
+        return np.where(p > 0.0, pos * p, 0.0) + np.where(q > 0.0, neg * q, 0.0)
+
+
 def population_risks(ctx: OracleContext, family: LossFamily, margins_of) -> np.ndarray:
     """Risks of several margin functions, given jointly as their margins.
 
@@ -202,9 +214,7 @@ def population_risks(ctx: OracleContext, family: LossFamily, margins_of) -> np.n
     def integrand(nodes):
         margins = margins_of(nodes)
         p, q = densities(ctx.pair, nodes)
-        # A diverged fit's losses overflow; _integrate reports that, not numpy.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return 0.5 * loss_value(family, 1.0, margins) * p + 0.5 * loss_value(family, -1.0, margins) * q
+        return _label_mean(lambda y: loss_value(family, y, margins), p, q)
 
     return _integrate(integrand, ctx.quad, "risk")
 
@@ -238,7 +248,8 @@ def bregman_error_direct(ctx: OracleContext, family: LossFamily, model) -> float
 
     def integrand(nodes):
         _, q = densities(ctx.pair, nodes)
-        return (divergence(family, true_ratio(ctx.pair, nodes), _margins_of(model, nodes)) * q)[None, :]
+        with np.errstate(over="ignore"):  # a diverged fit's divergence overflows; _integrate reports that
+            return (divergence(family, true_ratio(ctx.pair, nodes), _margins_of(model, nodes)) * q)[None, :]
 
     return float(_integrate(integrand, ctx.quad, "divergence")[0])
 
@@ -249,7 +260,7 @@ def _h_form_integrals(ctx, family, kernel, points, coeff_rows) -> np.ndarray:
     def integrand(nodes):
         center = bayes_margin(ctx, family, nodes)
         p, q = densities(ctx.pair, nodes)
-        weight = 0.5 * loss_d2(family, 1.0, center) * p + 0.5 * loss_d2(family, -1.0, center) * q
+        weight = _label_mean(lambda y: loss_d2(family, y, center), p, q)
         return weight * margins_at(kernel, points, coeff_rows, nodes) ** 2
 
     return _integrate(integrand, ctx.quad, "curvature form")

@@ -172,6 +172,7 @@ class ClosedFormSystem:
         return alpha
 
 
+@np.errstate(over="ignore")  # a trial step whose loss change overflows to inf fails Armijo and is halved
 def _fit_cg(family, K, ys, lam, opts):
     n_total = ys.shape[0]
     neg_ys = -ys

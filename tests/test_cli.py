@@ -376,16 +376,20 @@ class TestExperiment:
         chosen_flags = [line.rsplit(",", 1)[1] for line in csv_lines[1:]]
         assert set(chosen_flags) <= {"0", "1"}
 
-    def test_stdout_summarizes_top2_rate_and_unconverged_fits(self, tmp_path, capsys):
+    def _unconverged_config(self, tmp_path, loss):
+        """A config path whose three fits at lambda0 = 1e-13 CG leaves unconverged (lr and exp)."""
         config = self._config(tmp_path)
         config.update(
-            losses=["exp"], grid={"lambda0": 1e-13, "xi": 10.0, "l": 3}, sample_sizes=[[10, 10]], seeds=[0]
+            losses=[loss], grid={"lambda0": 1e-13, "xi": 10.0, "l": 3}, sample_sizes=[[10, 10]], seeds=[0]
         )
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
+        return str(config_path)
+
+    def test_stdout_summarizes_top2_rate_and_unconverged_fits(self, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            assert run_cli(["experiment", str(config_path)]) == 0
+            assert run_cli(["experiment", self._unconverged_config(tmp_path, "lr")]) == 0
         captured = capsys.readouterr()
         summary = json.loads(captured.out)
         # The overflowing squared errors warn neither on stderr nor at all.
@@ -404,9 +408,18 @@ class TestExperiment:
         # the CSV, and the choice ranks last, so it is no top-2 hit.
         assert cell["mse"] == [None, None, None]
         assert cell["chosen_rank_by_mse"] == 3
-        assert summary["top2_rate"] == [{"loss": "exp", "m": 10, "n": 10, "rate": 0.0}]
+        assert summary["top2_rate"] == [{"loss": "lr", "m": 10, "n": 10, "rate": 0.0}]
         csv_mses = [line.split(",")[5] for line in open(summary["csv"]).read().splitlines()[1:]]
         assert csv_mses == ["inf", "inf", "inf"]
+
+    def test_a_risk_past_the_float_range_exits_three_with_one_line(self, tmp_path, capsys):
+        # The lr fixture above with exp: its diverged fits' losses leave the
+        # float range on the quadrature nodes, so no risk can be scored.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(["experiment", self._unconverged_config(tmp_path, "exp")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical error: non-finite risk integrand at node x=")
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -605,9 +618,11 @@ class TestRateSweep:
         assert lines[0] == "N,median_error"
         assert len(lines) == 2
 
+    # CG leaves 9 of these fits unconverged, for lr and exp alike.
+    UNCONVERGED = ["rate-sweep", "--sizes", "20,40", "--seeds", "2", "--grid", "1e-12:10:3"]
+
     def test_unconverged_fits_are_named_on_stderr(self, capsys):
-        args = ["rate-sweep", "--loss", "exp", "--sizes", "20,40", "--seeds", "2", "--grid", "1e-12:10:3"]
-        assert run_cli(args) == 0  # every size and seed still chose a lambda
+        assert run_cli([*self.UNCONVERGED, "--loss", "lr"]) == 0  # every size and seed still chose a lambda
         captured = capsys.readouterr()
         assert list(json.loads(captured.out)["median_error"]) == ["20", "40"]
         err = captured.err.splitlines()
@@ -615,6 +630,15 @@ class TestRateSweep:
         named = err[0].removeprefix("warning: fit did not converge at ").split("; ")
         assert len(named) == len(set(named)) == 9
         assert all(entry.startswith(("N=20 seed=", "N=40 seed=")) for entry in named)
+
+    def test_a_risk_past_the_float_range_exits_three_with_one_line(self, capsys):
+        # The lr fixture above with exp: its diverged fits' losses leave the
+        # float range on the quadrature nodes, so no risk can be scored.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli([*self.UNCONVERGED, "--loss", "exp"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical error: non-finite risk integrand at node x=")
 
     @pytest.mark.parametrize("sizes", ["10,abc", "", ",", "8,8"])
     def test_bad_sizes_exit_two(self, sizes, capsys):

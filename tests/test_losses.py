@@ -101,7 +101,7 @@ class TestMarginTerms:
     @settings(max_examples=400)
     def test_views_equal_margin_terms_bitwise(self, family, scalar_label, data):
         n = data.draw(st.integers(1, 8))
-        # Past +-700 the exponent cap acts; -0.0 and 0.0 both occur.
+        # Past +-709.78 lr and exp overflow to inf, uncapped; -0.0 and 0.0 both occur.
         margins = st.lists(st.floats(-800.0, 800.0, allow_nan=False), min_size=n, max_size=n)
         v, dv = np.array(data.draw(margins)), np.array(data.draw(margins))
         labels = st.sampled_from([-1.0, 1.0])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,19 @@ class TestPopulationRisk:
         with pytest.raises(NumericalError, match="node"):
             population_risk(ctx, LossFamily.KULSIF, bad)
 
+    def test_exp_loss_overflowing_where_a_density_has_no_mass_adds_nothing(self):
+        # Under a narrow P, the optimal exp margin's loss and curvature
+        # e^{-v} = sqrt(q/p) overflow in Q's tails, where p has underflowed
+        # to 0.  The Bayes risk is still int sqrt(pq), the Bhattacharyya
+        # coefficient sqrt(2 sigma_p sigma_q / (sigma_p^2 + sigma_q^2)).
+        pair = GaussianPairSpec(mu_p=0.0, sigma_p=0.1, mu_q=0.0, sigma_q=1.0)
+        ctx = OracleContext.default(pair)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert bayes_risk(ctx, LossFamily.EXP) == pytest.approx(math.sqrt(0.2 / 1.01), rel=1e-12)
+            report = hessian_sandwich_test(ctx, LossFamily.EXP, sample_pair(pair, 5, 5, seed=0), 0.1, 4, 0)
+        assert report.n_directions == 4
+
     def test_bayes_margin_minimizes_risk(self, ctx):
         # Perturbing the optimal margin can only increase the risk.
         for family in ALL:
@@ -412,6 +426,20 @@ class TestBregmanRoutes:
         model = RatioModel(KernelSpec(), [[x] for x in points], list(coeffs), 0.1, family)
         via = bregman_error_via_risk(ctx, family, model)
         assert abs(bregman_error_direct(ctx, family, model) - via) <= 1e-4 * max(1.0, abs(via))
+
+    def test_a_risk_past_the_float_range_raises_on_both_routes(self, ctx):
+        # exp's loss and divergence at this bump leave the float range from
+        # margin 709.78 on, first at node 2.77; at a bump of 300 both routes
+        # still give the same finite value.
+        bump = lambda height: RatioModel(KernelSpec(), [[3.0]], [height], 0.1, LossFamily.EXP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            via = bregman_error_via_risk(ctx, LossFamily.EXP, bump(300.0))
+            assert bregman_error_direct(ctx, LossFamily.EXP, bump(300.0)) == pytest.approx(via, rel=1e-12)
+            for route, integrand in ((bregman_error_via_risk, "risk"), (bregman_error_direct, "divergence")):
+                message = rf"^non-finite {integrand} integrand at node x=2\.772785093023927$"
+                with pytest.raises(NumericalError, match=message):
+                    route(ctx, LossFamily.EXP, bump(360.0))
 
     def test_non_finite_divergence_integrand_names_the_node(self, ctx):
         start = ctx.quad.nodes_weights()[0][::16]  # the first level's nodes

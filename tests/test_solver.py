@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from kernelratio import (
     LambdaGrid,
     LossFamily,
     NumericalError,
+    RatioModel,
     fit,
     gram_matrix,
     load_model,
@@ -24,6 +26,7 @@ from kernelratio import (
     objective_and_gradient,
     predict_margin,
     predict_ratio,
+    ratio_map,
     sample_pair,
     save_model,
 )
@@ -398,6 +401,24 @@ class TestFit:
 
 
 class TestPredict:
+    @given(
+        family_margin=st.one_of(
+            st.tuples(st.just(LossFamily.LR), st.floats(710.0, 2000.0)),
+            st.tuples(st.just(LossFamily.EXP), st.floats(355.0, 2000.0)),
+        )
+    )
+    def test_a_ratio_past_the_float_range_is_inf(self, family_margin):
+        # g(v) = e^v (lr) or e^{2v} (exp) leaves the float range past
+        # 709.78: the ratio is inf, not capped at a finite value, and numpy
+        # stays quiet.
+        family, v = family_margin
+        # A one-point Gaussian-kernel model whose margin at its point is v exactly.
+        model = RatioModel(KernelSpec(KernelFamily.GAUSSIAN, 1.0), np.zeros((1, 1)), np.array([v]), 0.1, family)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert ratio_map(family, v) == math.inf
+            assert predict_ratio(model, 0.0) == math.inf
+
     def test_zero_model_ratios(self, pair, kspec):
         ds = sample_pair(pair, 3, 3, seed=0)
         for family, expected in ((LossFamily.LR, 1.0), (LossFamily.KULSIF, 0.0)):
