@@ -262,8 +262,9 @@ def _output_paths(output_dir: str) -> tuple[str, str]:
 
 
 def check_output_dir(output_dir: str) -> None:
-    """Raise InputError if output_dir can be neither made nor written; create nothing."""
-    check_writable(_output_paths(output_dir)[0], make_dirs=True)
+    """Raise InputError if output_dir or a file in it can be neither made nor written; create nothing."""
+    for path in _output_paths(output_dir):
+        check_writable(path, make_dirs=True)
 
 
 def write_experiment_outputs(report: dict, output_dir: str) -> tuple[str, str]:

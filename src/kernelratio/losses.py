@@ -137,6 +137,17 @@ def _lr_phi_prime(t):
         return np.log(t) - np.log1p(t)
 
 
+def _exp_divergence(beta, v):
+    """(sqrt(beta) - e^v)^2 e^{-v}, squared last: finite while |v| < 709, not only v < 354.
+
+    A zero beta adds nothing to the sqrt(beta) e^{-v/2} term, also where
+    e^{-v/2} overflows and the product would be 0 * inf.
+    """
+    with np.errstate(invalid="ignore"):
+        scaled = np.where(beta == 0.0, 0.0, np.sqrt(beta) * np.exp(-0.5 * v))
+    return np.square(scaled - np.exp(0.5 * v))
+
+
 class _Family(NamedTuple):
     """One family's formulas, on float64 arrays, and its two facts."""
 
@@ -185,8 +196,7 @@ _FAMILIES = {
         ratio=lambda v: np.exp(2.0 * v),
         phi=lambda t: -2.0 * np.sqrt(t),
         phi_prime=lambda t: -1.0 / np.sqrt(t),
-        # (sqrt(beta) - e^v)^2 e^{-v}, squared last: finite while |v| < 709, not only v < 354
-        divergence=lambda beta, v: np.square(np.sqrt(beta) * np.exp(-0.5 * v) - np.exp(0.5 * v)),
+        divergence=_exp_divergence,
         quadratic=False,
         needs_finite_chi2=False,
     ),

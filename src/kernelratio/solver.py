@@ -92,16 +92,20 @@ class FitOptions:
     max_iters: int = 5000
 
 
+@np.errstate(over="ignore", invalid="ignore")  # past the float range J is inf or nan, which a report shows
+def _objective(family: LossFamily, ys, alpha, margins, lam: float) -> float:
+    """J(alpha) at margins K alpha."""
+    return float(np.mean(loss_value(family, ys, margins)) + 0.5 * lam * (alpha @ margins))
+
+
 def objective_and_gradient(family: LossFamily, gram, ys, alpha, lam: float):
     """Objective value and gradient at alpha; margins are K alpha."""
     K = gram_values(gram)
     ys = np.asarray(ys, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
-    n_total = ys.shape[0]
     margins = K @ alpha
-    value = float(np.mean(loss_value(family, ys, margins)) + 0.5 * lam * (alpha @ margins))
-    grad = K @ (loss_d1(family, ys, margins) / n_total + lam * alpha)
-    return value, grad
+    grad = K @ (loss_d1(family, ys, margins) / ys.shape[0] + lam * alpha)
+    return _objective(family, ys, alpha, margins, lam), grad
 
 
 class ClosedFormSystem:
@@ -186,14 +190,10 @@ def _fit_cg(family, K, ys, lam, opts):
     gg = float(grad.dot(grad))
     step = 1.0
     iterations = 0
-    converged = False
 
-    for iteration in range(1, opts.max_iters + 1):
-        if math.sqrt(gg) <= opts.tol_grad:
-            converged = True
-            break
-        iterations = iteration
-
+    # not <=: a NaN gradient norm keeps iterating, up to the cap.
+    while iterations < opts.max_iters and not math.sqrt(gg) <= opts.tol_grad:
+        iterations += 1
         slope = float(grad.dot(direction))
         if slope >= 0.0:  # non-descent: restart on steepest descent
             direction = -grad
@@ -212,20 +212,16 @@ def _fit_cg(family, K, ys, lam, opts):
             t = 2.0 * step
         t = min(max(t, 1e-16), 1e12)
 
-        accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             # Objective change from stepping t along the direction.
             t_kd = t * kd
             loss_part = float(np.add.reduce(terms.delta(t_kd)) / n_total)
             delta = loss_part + lam * (t * reg1 + 0.5 * t * t * reg2)
             if delta <= _ARMIJO_C * t * slope:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            raise NumericalError(
-                f"line search failed after {_MAX_HALVINGS} halvings at iteration {iteration}"
-            )
+        else:
+            raise NumericalError(f"line search failed after {_MAX_HALVINGS} halvings at iteration {iterations}")
 
         alpha = alpha + t * direction
         margins = margins + t_kd
@@ -241,20 +237,14 @@ def _fit_cg(family, K, ys, lam, opts):
         # curved losses get Powell's orthogonality-loss restart plus a
         # long periodic backstop.
         if not family.quadratic and (
-            abs(float(grad_new.dot(grad))) >= 0.2 * gg_new or iteration % (10 * n_total) == 0
+            abs(float(grad_new.dot(grad))) >= 0.2 * gg_new or iterations % (10 * n_total) == 0
         ):
             beta = 0.0
         direction = beta * direction - grad_new  # equals -grad_new + beta * direction bit for bit
         grad = grad_new
         gg = gg_new
 
-    return alpha, FitReport(
-        iterations=iterations,
-        grad_norm=math.sqrt(gg),
-        objective=float(np.mean(loss_value(family, ys, margins)) + 0.5 * lam * (alpha @ margins)),
-        converged=converged,
-        method="NonlinearCG",
-    )
+    return alpha, margins, iterations, math.sqrt(gg)
 
 
 def fit(
@@ -272,7 +262,8 @@ def fit(
     The closed-form path is the default for the margin-quadratic families,
     CG for the rest.  `system`, the closed form set up for family over
     `gram` and the dataset's labels, lets a grid of fits share that setup.
-    Non-convergence is reported, never silent.
+    Non-convergence is reported, never silent: the fit converged when its
+    final gradient norm is at most opts.tol_grad (1e-8 N by default).
     """
     if not (lam > 0.0 and np.isfinite(lam)):
         raise InputError(f"lambda must be positive, got {lam}")
@@ -295,21 +286,17 @@ def fit(
             system = ClosedFormSystem(family, K, ys)
         elif not system.serves(family, K, ys):
             raise InputError("the closed-form system was set up for another family, Gram matrix or labels")
-        alpha = system.solve(lam)
+        alpha, iterations, method = system.solve(lam), 0, "ClosedForm"
         # At extreme lambda the coefficients are huge: the objective and the
         # gradient norm then overflow to inf or nan, which the report shows.
         with np.errstate(over="ignore", invalid="ignore"):
-            value, grad = objective_and_gradient(family, K, ys, alpha, lam)
-            grad_norm = float(np.linalg.norm(grad))
-        report = FitReport(
-            iterations=0,
-            grad_norm=grad_norm,
-            objective=value,
-            converged=grad_norm <= opts.tol_grad,
-            method="ClosedForm",
-        )
+            margins = K @ alpha
+            grad_norm = float(np.linalg.norm(K @ (loss_d1(family, ys, margins) / dataset.total + lam * alpha)))
     else:
-        alpha, report = _fit_cg(family, K, ys.astype(np.float64), lam, opts)
+        alpha, margins, iterations, grad_norm = _fit_cg(family, K, ys.astype(np.float64), lam, opts)
+        method = "NonlinearCG"
+    objective = _objective(family, ys, alpha, margins, lam)
+    report = FitReport(iterations, grad_norm, objective, converged=grad_norm <= opts.tol_grad, method=method)
     model = RatioModel(kernel=kernel, points=dataset.xs, alpha=alpha, lam=lam, family=family)
     return model, report
 
@@ -325,6 +312,11 @@ def margins_at(kernel: KernelSpec, points, alphas, xs) -> np.ndarray:
     """
     points = as_points(points)
     xs = as_points(xs)
+    if points.shape[0] < 1:
+        raise InputError("an expansion needs at least one point")
+    for k, alpha in enumerate(alphas):
+        if np.shape(alpha) != (points.shape[0],):
+            raise InputError(f"alphas[{k}] has shape {np.shape(alpha)}, not ({points.shape[0]},) for the points")
     out = np.empty((len(alphas), xs.shape[0]))
     # A multiple of 8 rows keeps tiled margins bitwise equal to one
     # whole-block matvec (checked for N <= 1000 with BLAS on one thread):

@@ -898,6 +898,18 @@ class TestUnwritableOutput:
         assert capsys.readouterr() == ("", f"error: cannot write {tmp_path}: it is not a writable file\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_experiment_with_a_directory_as_results_csv_exits_two_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        started = self._record_fits(monkeypatch)
+        csv_path = tmp_path / "od" / "results.csv"
+        csv_path.mkdir(parents=True)
+        config = {"losses": ["kulsif"], "sample_sizes": [[3, 3]], "seeds": [0], "output_dir": str(csv_path.parent)}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_quiet(["experiment", str(config_path)]) == 2
+        assert started == []
+        assert capsys.readouterr() == ("", f"error: cannot write {csv_path}: it is not a writable file\n")
+        assert list(csv_path.parent.iterdir()) == [csv_path]  # no report.json
+
     @pytest.mark.parametrize("command", ["fit", "select", "rate-sweep"])
     def test_an_empty_output_path_exits_two_before_any_fit(self, tmp_path, capsys, monkeypatch, command):
         started = self._record_fits(monkeypatch)

@@ -78,13 +78,16 @@ def test_each_formula_and_field_list_is_written_in_one_module():
     # oracle's _integrate alone reports a non-finite integrand, once,
     # oracle's _check_finite_chi2 alone rejects a pair with an infinite
     # E_q[beta^2], once, and balancing's _weights alone checks a curvature
-    # weight's sign, once.
+    # weight's sign, once.  solver's fit alone builds a FitReport, once, for
+    # both solve paths, and solver's _objective alone writes the objective.
     homes = {
         re.compile(r"\bgram\.values\b"): "kernel.py",
         re.compile(r'"mu_p":'): "data.py",
         re.compile("integrand at node"): "oracle.py",
         re.compile(r"need a finite E_q\[beta\^2\]"): "oracle.py",
         re.compile("curvature weights must be nonnegative"): "balancing.py",
+        re.compile(r"\bFitReport\("): "solver.py",
+        re.compile(r"0\.5 \* lam \* \(alpha @ margins\)"): "solver.py",
     }
     modules = sorted((ROOT / "src" / "kernelratio").glob("*.py"))
     found = [
@@ -96,8 +99,15 @@ def test_each_formula_and_field_list_is_written_in_one_module():
         if pattern.search(line)
     ]
     assert found == []
-    for message in ("integrand at node", "need a finite E_q[beta^2]", "curvature weights must be nonnegative"):
-        assert sum(path.read_text(encoding="utf-8").count(message) for path in modules) == 1
+    once = (
+        "integrand at node",
+        "need a finite E_q[beta^2]",
+        "curvature weights must be nonnegative",
+        "FitReport(",
+        "0.5 * lam * (alpha @ margins)",
+    )
+    for text in once:
+        assert sum(path.read_text(encoding="utf-8").count(text) for path in modules) == 1, text
 
 
 def readme_module_notes():

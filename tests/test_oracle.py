@@ -358,6 +358,16 @@ class TestBregmanRoutes:
         center = lambda xs: bayes_margin(ctx, family, xs)
         assert abs(bregman_error_direct(ctx, family, center)) <= 1e-10
 
+    def test_exp_divergence_is_zero_at_its_optimal_margin_under_a_narrow_p(self):
+        # In Q's tails the true ratio underflows to 0 while the optimal
+        # margin's e^{-v/2} overflows: that term adds nothing, not 0 * inf.
+        ctx = OracleContext.default(GaussianPairSpec(mu_p=0.0, sigma_p=0.1, mu_q=0.0, sigma_q=1.0))
+        center = lambda xs: bayes_margin(ctx, LossFamily.EXP, xs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert abs(bregman_error_direct(ctx, LossFamily.EXP, center)) <= 1e-10
+            assert bregman_error_via_risk(ctx, LossFamily.EXP, center) == 0.0
+
     @pytest.mark.parametrize("family", ALL)
     def test_nonnegative_and_routes_agree(self, family, ctx, pair, kspec):
         model = fitted_model(pair, kspec, family, seed=3, lam=0.08)
