@@ -358,57 +358,46 @@ def select_from_fits(
     n_total = dataset.total
     consts = consts or BoundConstants()
 
-    weights = [hessian_weights(family, model, dataset, gram) for model, _ in fits]
-    traces = [hessian_trace(gram, w, float(lam)) for w, lam in zip(weights, values)]
-
-    thresholds = []
+    # One row per grid value: (lambda, alpha, curvature weights, threshold).
+    rows = []
     per_lambda = []
-    for idx, lam in enumerate(values):
-        lam = float(lam)
-        entry = {
-            "lambda": lam,
-            "trace": traces[idx],
-            "fit": fits[idx][1].to_dict(),
-        }
+    for (model, report), lam in zip(fits, map(float, values)):
+        weights = hessian_weights(family, model, dataset, gram)
+        trace = hessian_trace(gram, weights, lam)
+        entry = {"lambda": lam, "trace": trace, "fit": report.to_dict()}
         if rule is SelectionRule.PRACTICAL_MJ:
-            m_j = traces[idx] ** -2
-            threshold = m_j / (lam * n_total)
-            entry["m_j"] = m_j
+            entry["m_j"] = trace**-2
+            threshold = entry["m_j"] / (lam * n_total)
         else:
-            s_j = s_term(BalanceRule.FAST_RATE, consts, n_total, lam)
-            threshold = 48.0 * balance_eta(BalanceRule.FAST_RATE, consts) * s_j
-            entry["s_j"] = s_j
-        thresholds.append(threshold)
+            entry["s_j"] = s_term(BalanceRule.FAST_RATE, consts, n_total, lam)
+            threshold = 48.0 * balance_eta(BalanceRule.FAST_RATE, consts) * entry["s_j"]
+        rows.append((lam, model.alpha, weights, threshold))
         per_lambda.append(entry)
 
     pairwise = []
     norms = {}
-    for i in range(2, len(values) + 1):
-        for j in range(1, i):
-            value = empirical_h_norm(
-                gram, weights[j - 1], fits[i - 1][0].alpha, fits[j - 1][0].alpha, float(values[j - 1])
-            )
+    for i, (lambda_i, alpha_i, _, _) in enumerate(rows, 1):
+        for j, (lambda_j, alpha_j, weights_j, threshold_j) in enumerate(rows[: i - 1], 1):
+            value = empirical_h_norm(gram, weights_j, alpha_i, alpha_j, lambda_j)
             norms[(i, j)] = value
             pairwise.append(
                 {
                     "i": i,
                     "j": j,
-                    "lambda_i": float(values[i - 1]),
-                    "lambda_j": float(values[j - 1]),
+                    "lambda_i": lambda_i,
+                    "lambda_j": lambda_j,
                     "norm_sq": value,
-                    "threshold": thresholds[j - 1],
-                    "pass": value <= thresholds[j - 1],
+                    "threshold": threshold_j,
+                    "pass": value <= threshold_j,
                 }
             )
+    thresholds = [threshold for *_, threshold in rows]
     chosen = choose_max_qualifying(norms, thresholds)
 
     params = {"rule": rule.value, "n_total": n_total}
     if rule is SelectionRule.THEORETICAL_ETA_S:
-        params.update(
-            {"delta": consts.delta, "q0": consts.q0, "capacity_alpha": consts.capacity_alpha}
-        )
-    else:
-        params["capacity_alpha"] = consts.capacity_alpha
+        params.update({"delta": consts.delta, "q0": consts.q0})
+    params["capacity_alpha"] = consts.capacity_alpha
     return SelectionReport(
         chosen_lambda=float(values[chosen - 1]),
         chosen_index=chosen,

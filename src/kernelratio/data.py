@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import InputError
-from .kernel import as_points
+from .kernel import as_points, check_point_count
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,7 @@ def sample_pair(spec: GaussianPairSpec, m: int, n: int, seed: int) -> LabeledDat
         raise InputError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
+    check_point_count(m + n)
     rng = np.random.default_rng(int(seed))
     xp = rng.normal(spec.mu_p, spec.sigma_p, size=m)
     xq = rng.normal(spec.mu_q, spec.sigma_q, size=n)
@@ -168,7 +169,9 @@ def _read_csv(path: str) -> np.ndarray:
         raise InputError(f"{path}: line 1: expected header x_1,...,x_d")
     expected = [f"x_{i + 1}" for i in range(len(header))]
     if header != expected:
-        raise InputError(f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
+        # A quoted field can swallow line breaks; repr's escapes keep the message on one line.
+        got = "".join(c if c.isprintable() else repr(c)[1:-1] for c in ",".join(header))
+        raise InputError(f"{path}: header must be {','.join(expected)}, got {got}")
     d = len(header)
     rows = []
     for row in records:

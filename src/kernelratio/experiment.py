@@ -19,7 +19,7 @@ import numpy as np
 from .balancing import BoundConstants, LambdaGrid, SelectionRule, fit_and_select
 from .data import DEFAULT_PAIR, GaussianPairSpec, check_json_number, check_writable, read_json, sample_pair, write_json, write_text
 from .errors import InputError
-from .kernel import KernelFamily, KernelSpec
+from .kernel import KernelFamily, KernelSpec, check_point_count
 from .losses import LossFamily
 from .oracle import OracleContext, bayes_risk, grid_mse, population_risk, population_risks
 from .solver import margins_at
@@ -46,6 +46,7 @@ class ExperimentConfig:
         for m, n in self.sample_sizes:
             if m < 0 or n < 1:
                 raise InputError(f"invalid sample size (m={m}, n={n})")
+            check_point_count(m + n)
         if any(seed < 0 for seed in self.seeds):
             raise InputError(f"seeds must be nonnegative, got {min(self.seeds)}")
         # A repeated entry would run its cells again and count them twice.
@@ -297,6 +298,7 @@ def run_rate_sweep(
             raise InputError(f"size {smaller} is given more than once")
     if any(s < 2 for s in sizes):
         raise InputError("each size must be at least 2 (one sample per class)")
+    check_point_count(sizes[-1])
     if n_seeds < 1:
         raise InputError("need at least one seed")
 

@@ -24,6 +24,10 @@ from .errors import InputError
 # core's L2 cache.  cross_matrix's scratch and margins_at's tiles use it.
 TILE_ENTRIES = 65_536
 
+# The largest pooled sample size N, 2^17: its N x N float64 kernel matrix
+# takes 128 GiB, so no larger sample is drawn or asked of numpy.
+MAX_POINTS = 131_072
+
 
 class KernelFamily(enum.Enum):
     ONE_PLUS_GAUSSIAN = "one_plus_gaussian"
@@ -47,6 +51,12 @@ class KernelSpec:
             raise InputError(
                 f"bandwidth must be a positive real with 2 * bandwidth**2 in the float range, got {self.bandwidth}"
             )
+
+
+def check_point_count(n_total: int) -> None:
+    """Raise InputError if a pooled sample of n_total points is over MAX_POINTS."""
+    if n_total > MAX_POINTS:
+        raise InputError(f"a pooled sample of {n_total} points is over the limit of {MAX_POINTS}")
 
 
 def as_points(xs) -> np.ndarray:
@@ -78,7 +88,8 @@ def kernel_eval(spec: KernelSpec, x, x_prime) -> float:
     b = _as_vector(x_prime)
     if a.shape != b.shape:
         raise InputError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    sq = float(np.sum((a - b) ** 2))
+    with np.errstate(over="ignore"):  # far points: inf, and exp(-inf) = 0 below
+        sq = float(np.sum((a - b) ** 2))
     value = np.exp(-sq / (2.0 * spec.bandwidth**2))
     if spec.family is KernelFamily.ONE_PLUS_GAUSSIAN:
         value = 1.0 + value
@@ -100,20 +111,21 @@ def cross_matrix(spec: KernelSpec, left, right) -> np.ndarray:
     b = as_points(right)
     if a.shape[1] != b.shape[1]:
         raise InputError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    values = np.subtract.outer(a[:, 0], b[:, 0])
-    np.square(values, out=values)
-    if a.shape[1] > 1:
-        rows = max(1, TILE_ENTRIES // max(1, b.shape[0]))
-        scratch = np.empty((min(rows, a.shape[0]), b.shape[0]))
-        for start in range(0, a.shape[0], rows):
-            block = values[start : start + rows]
-            tmp = scratch[: block.shape[0]]
-            for k in range(1, a.shape[1]):
-                np.subtract.outer(a[start : start + rows, k], b[:, k], out=tmp)
-                block += np.square(tmp, out=tmp)
-    np.negative(values, out=values)
-    # A tiny bandwidth sends far pairs to -inf, and exp(-inf) = 0 is their kernel value.
+    # Far coordinates or a tiny bandwidth send a pair's scaled squared
+    # distance to inf, and exp(-inf) = 0 is their kernel value.
     with np.errstate(over="ignore"):
+        values = np.subtract.outer(a[:, 0], b[:, 0])
+        np.square(values, out=values)
+        if a.shape[1] > 1:
+            rows = max(1, TILE_ENTRIES // max(1, b.shape[0]))
+            scratch = np.empty((min(rows, a.shape[0]), b.shape[0]))
+            for start in range(0, a.shape[0], rows):
+                block = values[start : start + rows]
+                tmp = scratch[: block.shape[0]]
+                for k in range(1, a.shape[1]):
+                    np.subtract.outer(a[start : start + rows, k], b[:, k], out=tmp)
+                    block += np.square(tmp, out=tmp)
+        np.negative(values, out=values)
         np.divide(values, 2.0 * spec.bandwidth**2, out=values)
     np.exp(values, out=values)
     if spec.family is KernelFamily.ONE_PLUS_GAUSSIAN:
@@ -142,5 +154,6 @@ def gram_matrix(spec: KernelSpec, points) -> GramMatrix:
     pts = as_points(points)
     if pts.shape[0] < 1:
         raise InputError("gram_matrix needs at least one point")
+    check_point_count(pts.shape[0])
     values = cross_matrix(spec, pts, pts)
     return GramMatrix(values=values)

@@ -323,10 +323,12 @@ def margins_at(kernel: KernelSpec, points, alphas, xs) -> np.ndarray:
     # dgemv may round a row differently when the block's row count leaves
     # a remainder mod 4.
     tile = max(8, TILE_ENTRIES // points.shape[0] // 8 * 8)
-    for start in range(0, xs.shape[0], tile):
-        block = cross_matrix(kernel, xs[start : start + tile], points)
-        for row, alpha in zip(out, alphas):
-            row[start : start + tile] = block @ alpha
+    # Huge coefficients overflow a margin to inf, which the caller gets.
+    with np.errstate(over="ignore"):
+        for start in range(0, xs.shape[0], tile):
+            block = cross_matrix(kernel, xs[start : start + tile], points)
+            for row, alpha in zip(out, alphas):
+                row[start : start + tile] = block @ alpha
     return out
 
 

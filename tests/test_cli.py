@@ -1,12 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernelratio import InputError, SelectionRule, load_model
-from kernelratio import cli, experiment
+from kernelratio import InputError, LossFamily, SelectionRule, load_model
+from kernelratio import cli, experiment, kernel
 from kernelratio.cli import _parse_grid, build_parser, main
 from kernelratio.experiment import ExperimentConfig
 
@@ -174,8 +180,10 @@ class TestFit:
         [
             ("x_1\n" + "1" * 200_000 + "\n", "{p}: line 2: field larger than field limit (131072)"),
             ("x_1,x_2\n", "dimension mismatch: {p} has d=2, {q} has d=1"),
+            ('x_1,x_2,"x_3\n1,2,3\r\n4,5,6\n', r"{p}: header must be x_1,x_2,x_3, got x_1,x_2,x_3\n1,2,3\r\n4,5,6"),
+            ("value\n1.0\n", "{p}: header must be x_1, got value"),
         ],
-        ids=["oversized-cell", "empty-p-of-another-dimension"],
+        ids=["oversized-cell", "empty-p-of-another-dimension", "header-quote-swallows-rows", "plain-bad-header"],
     )
     def test_bad_csv_exits_two_with_one_line_before_any_fit(self, tmp_path, capsys, monkeypatch, p_text, message):
         started = []
@@ -237,10 +245,17 @@ class TestSelect:
         assert len(report["pairwise"]) == 10
         assert chosen in report["grid"]["values"]
 
-    def test_report_layout(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "rule, threshold_key, params",
+        [
+            ("mj", "m_j", ["rule", "n_total", "capacity_alpha"]),
+            ("eta-s", "s_j", ["rule", "n_total", "delta", "q0", "capacity_alpha"]),
+        ],
+    )
+    def test_report_layout(self, tmp_path, capsys, rule, threshold_key, params):
         out = tmp_path / "selection.json"
         args = ["select", "--synthetic", "--m", "10", "--n", "10", "--loss", "lr", "--grid", "1e-2:10:3"]
-        assert run_cli(args + ["--out", str(out)]) == 0
+        assert run_cli(args + ["--rule", rule, "--out", str(out)]) == 0
         capsys.readouterr()
         report = json.loads(out.read_text())
         assert [(e["i"], e["j"]) for e in report["pairwise"]] == [(2, 1), (3, 1), (3, 2)]
@@ -248,7 +263,9 @@ class TestSelect:
             assert list(entry) == ["i", "j", "lambda_i", "lambda_j", "norm_sq", "threshold", "pass"]
             assert entry["pass"] is (entry["norm_sq"] <= entry["threshold"])
         for entry in report["per_lambda"]:
+            assert list(entry) == ["lambda", "trace", "fit", threshold_key]
             assert list(entry["fit"]) == ["iterations", "grad_norm", "objective", "converged", "method"]
+        assert list(report["params"]) == params
 
     def test_eta_s_records_default_delta(self, tmp_path, capsys):
         out = tmp_path / "selection.json"
@@ -747,6 +764,50 @@ class TestOutOfRangeInput:
         assert capsys.readouterr().err.splitlines() == ["fit did not converge (grad_norm=inf)"]
         assert all(map(np.isfinite, strict_json(out.read_text())["alpha"]))
 
+    @pytest.mark.parametrize(
+        "args, size",
+        [
+            (["rate-sweep", "--loss", "lr", "--sizes", "2000000", "--seeds", "1"], 2_000_000),
+            (["select", "--synthetic", "--m", "3000000", "--n", "5", "--loss", "lr", "--grid", "1e-2:10:2"], 3_000_005),
+            (["fit", "--synthetic", "--m", HUGE, "--n", "1", "--loss", "lr", "--lambda", "0.1", "--out", "m.json"], int(HUGE) + 1),
+            (["experiment", "config.json"], 2_000_000),
+            (["fit", "--p-csv", "p.csv", "--q-csv", "q.csv", "--loss", "lr", "--lambda", "0.1", "--out", "m.json"], 131_073),
+        ],
+        ids=["rate-sweep", "select", "fit-huge-m", "experiment", "fit-csv"],
+    )
+    def test_a_sample_over_the_point_bound_exits_two_naming_its_size_before_any_allocation(
+        self, tmp_path, capsys, monkeypatch, args, size
+    ):
+        # Neither the sample nor its kernel matrix may be allocated: at sizes
+        # like these numpy asks for terabytes.
+        monkeypatch.chdir(tmp_path)
+
+        def allocate(*args, **kwargs):
+            pytest.fail("allocated the sample or its kernel matrix")
+
+        monkeypatch.setattr(kernel, "cross_matrix", allocate)
+        monkeypatch.setattr(np.random, "default_rng", allocate)
+        config = {"sample_sizes": [[1_000_000, 1_000_000]], "seeds": [0], "output_dir": "out"}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        (tmp_path / "p.csv").write_text("x_1\n" + "0.5\n" * 65_537, encoding="utf-8")
+        (tmp_path / "q.csv").write_text("x_1\n" + "0.0\n" * 65_536, encoding="utf-8")
+        assert run_quiet(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(f"a pooled sample of {size} points is over the limit of 131072")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "p.csv", "q.csv"]
+
+    @pytest.mark.parametrize("loss", ["kulsif", "lr", "exp", "sq"])
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_far_coordinates_run_without_warnings(self, tmp_path, capsys, command, loss):
+        # Both coordinates of some pairs differ by about 2e200, whose square
+        # overflows: their kernel value is the offset, 1.
+        p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+        p.write_text("x_1,x_2\n1e200,-1e200\n-1e200,3\n", encoding="utf-8")
+        q.write_text("x_1,x_2\n1e200,1\n-1e200,-1e200\n0.5,0\n", encoding="utf-8")
+        extra = ["--lambda", "0.1", "--out", str(tmp_path / "m.json")] if command == "fit" else ["--grid", "1e-3:10:5"]
+        assert run_quiet([command, "--p-csv", str(p), "--q-csv", str(q), "--loss", loss, *extra]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("bandwidth", ["1e200", "1e-170", "1e-162"])
     @pytest.mark.parametrize("command", ["fit", "select"])
     def test_bandwidth_out_of_range_exits_two_naming_it(self, tmp_path, capsys, command, bandwidth):
@@ -1000,3 +1061,91 @@ class TestUnwritableOutput:
             assert (tmp_path / "blocker").read_text(encoding="utf-8") == "kept"
         else:
             assert not (tmp_path / "nowhere").exists()
+
+
+def run_contract(args):
+    """Run the CLI quietly and check the file boundary's contract.
+
+    The exit code is 0, 2 or 3, no exception or warning escapes, and a
+    failure says why in exactly one stderr line.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_quiet(args)
+    assert code in (0, 2, 3)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+# Small integers keep a valid mutant cheap to run; the huge ones are over the point bound.
+_CONFIG_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.integers(-2, 4)
+    | st.sampled_from([131_073, 10**6, 10**400, "exp", "lr", "eta-s", "gaussian"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=6,
+)
+_SMALL_CONFIG = {
+    "losses": ["kulsif"],
+    "grid": {"lambda0": 1e-3, "xi": 10.0, "l": 2},
+    "sample_sizes": [[3, 3]],
+    "seeds": [0],
+}
+
+
+@st.composite
+def _configs(draw):
+    """A small valid experiment config with one section, or one value in it, replaced."""
+    doc = {**ExperimentConfig().to_dict(), **_SMALL_CONFIG}
+    section = draw(st.sampled_from(sorted(key for key in doc if key != "output_dir")))
+    if isinstance(doc[section], dict) and draw(st.booleans()):
+        doc[section] = {**doc[section], draw(st.sampled_from(sorted(doc[section]))): draw(_CONFIG_VALUES)}
+    else:
+        doc[section] = draw(_CONFIG_VALUES)
+    return doc
+
+
+@settings(max_examples=40)
+@given(doc=_configs())
+def test_fuzzed_experiment_configs_keep_the_exit_contract(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**doc, "output_dir": os.path.join(tmp, "out")}, fh)
+        run_contract(["experiment", path])
+
+
+_CSV_CELLS = st.sampled_from(["0", "1e200", "-1e200", "1.7976931348623157e308", "-1e308", "5e-324"]) | st.floats(
+    allow_nan=False, allow_infinity=False
+).map(repr)
+_CSV_JUNK = st.text(st.sampled_from(list('x_12,"\n\r .e-\x00é ')), max_size=12)
+
+
+@st.composite
+def _csv_texts(draw, d):
+    """A valid d-column CSV file of far and near coordinates, with maybe one line replaced by junk."""
+    lines = [",".join(f"x_{i + 1}" for i in range(d))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.append(",".join(draw(st.lists(_CSV_CELLS, min_size=d, max_size=d))))
+    if draw(st.integers(0, 2)) == 0:
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(_CSV_JUNK)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40)
+@given(
+    texts=st.integers(1, 2).flatmap(lambda d: st.tuples(_csv_texts(d), _csv_texts(d))),
+    loss=st.sampled_from([family.value for family in LossFamily]),
+)
+def test_fuzzed_csv_files_keep_the_exit_contract_through_fit_and_select(texts, loss):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "p.csv"), os.path.join(tmp, "q.csv")]
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        data = ["--p-csv", paths[0], "--q-csv", paths[1], "--loss", loss]
+        run_contract(["fit", *data, "--lambda", "0.1", "--out", os.path.join(tmp, "m.json")])
+        run_contract(["select", *data, "--grid", "1e-2:10:2"])

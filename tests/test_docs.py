@@ -80,6 +80,7 @@ def test_each_formula_and_field_list_is_written_in_one_module():
     # E_q[beta^2], once, and balancing's _weights alone checks a curvature
     # weight's sign, once.  solver's fit alone builds a FitReport, once, for
     # both solve paths, and solver's _objective alone writes the objective.
+    # kernel alone sets the bound on the pooled sample size, and checks it, once.
     homes = {
         re.compile(r"\bgram\.values\b"): "kernel.py",
         re.compile(r'"mu_p":'): "data.py",
@@ -88,6 +89,8 @@ def test_each_formula_and_field_list_is_written_in_one_module():
         re.compile("curvature weights must be nonnegative"): "balancing.py",
         re.compile(r"\bFitReport\("): "solver.py",
         re.compile(r"0\.5 \* lam \* \(alpha @ margins\)"): "solver.py",
+        re.compile(r"\bMAX_POINTS = "): "kernel.py",
+        re.compile("points is over the limit of"): "kernel.py",
     }
     modules = sorted((ROOT / "src" / "kernelratio").glob("*.py"))
     found = [
@@ -105,6 +108,8 @@ def test_each_formula_and_field_list_is_written_in_one_module():
         "curvature weights must be nonnegative",
         "FitReport(",
         "0.5 * lam * (alpha @ margins)",
+        "MAX_POINTS = ",
+        "points is over the limit of",
     )
     for text in once:
         assert sum(path.read_text(encoding="utf-8").count(text) for path in modules) == 1, text

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,29 @@ def test_gram_is_positive_semidefinite_on_small_sets(seed):
 def test_gram_rejects_empty_point_list():
     with pytest.raises(InputError):
         gram_matrix(OFFSET, np.empty((0, 1)))
+
+
+def test_the_point_bound_caps_the_kernel_matrix_and_admits_the_sizes_in_use():
+    # 8-byte entries: the largest admitted kernel matrix takes 128 GiB.
+    # N = 4,000 is the largest pooled size fitted in a measurement, and a
+    # sampling test draws 100,001 points.  Only the arithmetic runs.
+    assert kernel.MAX_POINTS**2 * 8 == 128 * 2**30
+    for n in (1, 4_000, 100_001, kernel.MAX_POINTS):
+        kernel.check_point_count(n)
+    for n in (kernel.MAX_POINTS + 1, 10**400):
+        with pytest.raises(InputError, match=f"^a pooled sample of {n} points is over the limit of 131072$"):
+            kernel.check_point_count(n)
+
+
+def test_far_coordinates_have_kernel_value_zero_without_a_warning():
+    # Their squared distance overflows to inf, and exp(-inf) = 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (1, 2):
+            values = cross_matrix(KernelSpec(KernelFamily.GAUSSIAN), np.full((1, d), 1e200), np.full((2, d), -1e200))
+            assert np.array_equal(values, np.zeros((1, 2)))
+        assert np.array_equal(gram_matrix(OFFSET, [[1e200, 0.0], [0.0, 1.7e308]]).values, [[2.0, 1.0], [1.0, 2.0]])
+        assert kernel_eval(KernelSpec(KernelFamily.GAUSSIAN), [1e200], [-1e200]) == 0.0
 
 
 def test_points_without_coordinates_are_rejected():

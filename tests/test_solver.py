@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelratio import (
@@ -515,6 +515,15 @@ class TestPredict:
         whole = cross_matrix(spec, xs, points) @ alpha
         np.testing.assert_allclose(rows[0], whole, rtol=1e-12, atol=1e-12 * np.max(np.abs(whole)))
 
+    def test_far_points_and_huge_coefficients_predict_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            huge = RatioModel(KernelSpec(), np.array([[0.0], [1.0]]), np.array([1e308, 1e308]), 0.1, LossFamily.LR)
+            assert predict_ratio(huge, 0.5) == math.inf  # the margin overflows
+            # 2e200 apart, the kernel value is the offset 1, so the margin is 1.
+            far = RatioModel(KernelSpec(), np.array([[1e200]]), np.array([1.0]), 0.1, LossFamily.LR)
+            assert predict_ratio(far, -1e200) == math.e
+
     def test_margins_at_rejects_no_points_and_a_mismatched_alpha(self):
         xs = np.zeros((3, 1))
         with pytest.raises(InputError, match=r"^an expansion needs at least one point$"):
@@ -672,3 +681,45 @@ def test_fuzzed_model_files_load_finite_or_raise_input_error(content):
             return
     assert model.points.shape[0] >= 1
     assert np.all(np.isfinite(model.points)) and np.all(np.isfinite(model.alpha))
+
+
+_FAR = st.sampled_from([0.0, 1.0, 1e200, -1e200, 1e308, -1e308, 1.7976931348623157e308, 5e-324])
+_COORDINATES = _FAR | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _far_model_files(draw):
+    """A model file as _model_files draws it, or a valid one whose points and alpha take far values."""
+    if draw(st.booleans()):
+        return draw(_model_files())
+    d = draw(st.integers(1, 2))
+    count = draw(st.integers(1, 3))
+    doc = {
+        **VALID_MODEL_DOC,
+        "kernel_family": draw(st.sampled_from([family.value for family in KernelFamily])),
+        "loss": draw(st.sampled_from([family.value for family in LossFamily])),
+        "points": draw(st.lists(st.lists(_COORDINATES, min_size=d, max_size=d), min_size=count, max_size=count)),
+        "alpha": draw(st.lists(_COORDINATES, min_size=count, max_size=count)),
+    }
+    return json.dumps(doc).encode("utf-8")
+
+
+@settings(max_examples=60)
+@given(content=_far_model_files(), xs=st.sampled_from([2, 4]).flatmap(lambda n: st.lists(_COORDINATES, min_size=n, max_size=n)))
+def test_fuzzed_model_files_predict_or_raise_one_line_errors(content, xs):
+    # The file boundary's contract: a model that loads predicts without a
+    # warning, and a failure is an InputError or NumericalError of one line.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                model, _ = load_model(path)
+                ratios = predict_ratio(model, np.reshape(xs, (-1, model.points.shape[1])))
+            except (InputError, NumericalError) as exc:
+                assert len(str(exc).splitlines()) == 1
+                return
+    assert ratios.shape == (len(xs) // model.points.shape[1],)
+    assert not np.any(ratios < 0.0)
