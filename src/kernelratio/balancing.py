@@ -48,6 +48,12 @@ class SelectionRule(enum.Enum):
     THEORETICAL_ETA_S = "eta-s"
 
 
+# The longest lambda grid: the selection makes l(l-1)/2 pairwise norms and
+# report rows, half a million at this bound, so a longer grid is refused
+# before any of its values is built.
+MAX_GRID_LENGTH = 1_000
+
+
 @dataclass(frozen=True)
 class LambdaGrid:
     """Geometric candidate sequence lambda_i = lambda0 * xi^i, i = 1..l."""
@@ -61,6 +67,8 @@ class LambdaGrid:
             raise InputError(f"xi must exceed 1, got {self.xi}")
         if self.l < 1:
             raise InputError(f"grid length must be >= 1, got {self.l}")
+        if self.l > MAX_GRID_LENGTH:
+            raise InputError(f"a grid of {self.l} values is over the limit of {MAX_GRID_LENGTH}")
         # Every value must be a usable lambda; this also rejects a lambda0
         # that is not positive and finite.
         try:
@@ -295,21 +303,6 @@ class SelectionReport:
         }
 
 
-def choose_max_qualifying(norm_sq: dict, thresholds) -> int:
-    """Largest 1-based index i whose norms pass the threshold for all j < i.
-
-    There is one candidate per threshold.
-    `norm_sq` maps (i, j) with j < i to the squared distance; index 1
-    qualifies vacuously.  Monotone in the thresholds: raising any
-    threshold can only move the choice up.
-    """
-    chosen = 1
-    for i in range(2, len(thresholds) + 1):
-        if all(norm_sq[(i, j)] <= thresholds[j - 1] for j in range(1, i)):
-            chosen = i
-    return chosen
-
-
 def fit_grid(
     family: LossFamily,
     kernel: KernelSpec,
@@ -374,12 +367,15 @@ def select_from_fits(
         rows.append((lam, model.alpha, weights, threshold))
         per_lambda.append(entry)
 
+    # The choice: the largest i that passes against every j < i (index 1 vacuously).
     pairwise = []
-    norms = {}
+    chosen = 1
     for i, (lambda_i, alpha_i, _, _) in enumerate(rows, 1):
+        qualifies = True
         for j, (lambda_j, alpha_j, weights_j, threshold_j) in enumerate(rows[: i - 1], 1):
             value = empirical_h_norm(gram, weights_j, alpha_i, alpha_j, lambda_j)
-            norms[(i, j)] = value
+            passed = value <= threshold_j
+            qualifies = qualifies and passed
             pairwise.append(
                 {
                     "i": i,
@@ -388,11 +384,12 @@ def select_from_fits(
                     "lambda_j": lambda_j,
                     "norm_sq": value,
                     "threshold": threshold_j,
-                    "pass": value <= threshold_j,
+                    "pass": passed,
                 }
             )
+        if qualifies:
+            chosen = i
     thresholds = [threshold for *_, threshold in rows]
-    chosen = choose_max_qualifying(norms, thresholds)
 
     params = {"rule": rule.value, "n_total": n_total}
     if rule is SelectionRule.THEORETICAL_ETA_S:

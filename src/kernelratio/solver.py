@@ -98,14 +98,18 @@ def _objective(family: LossFamily, ys, alpha, margins, lam: float) -> float:
     return float(np.mean(loss_value(family, ys, margins)) + 0.5 * lam * (alpha @ margins))
 
 
+def _gradient(K, d1, alpha, lam: float) -> np.ndarray:
+    """The gradient K (d/N + lambda alpha) of J, from the loss slopes d1 at margins K alpha."""
+    return K.dot(d1 / d1.shape[0] + lam * alpha)
+
+
 def objective_and_gradient(family: LossFamily, gram, ys, alpha, lam: float):
     """Objective value and gradient at alpha; margins are K alpha."""
     K = gram_values(gram)
     ys = np.asarray(ys, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
-    margins = K @ alpha
-    grad = K @ (loss_d1(family, ys, margins) / ys.shape[0] + lam * alpha)
-    return _objective(family, ys, alpha, margins, lam), grad
+    margins = K.dot(alpha)
+    return _objective(family, ys, alpha, margins, lam), _gradient(K, loss_d1(family, ys, margins), alpha, lam)
 
 
 class ClosedFormSystem:
@@ -185,7 +189,7 @@ def _fit_cg(family, K, ys, lam, opts):
     # The loss terms at the current margins serve the gradient, the next
     # directional curvature and the next line search.
     terms = margin_terms(family, ys, margins, neg_ys)
-    grad = K.dot(terms.d1 / n_total)
+    grad = _gradient(K, terms.d1, alpha, lam)
     direction = -grad
     gg = float(grad.dot(grad))
     step = 1.0
@@ -228,7 +232,7 @@ def _fit_cg(family, K, ys, lam, opts):
         step = t
 
         terms = margin_terms(family, ys, margins, neg_ys)
-        grad_new = K.dot(terms.d1 / n_total + lam * alpha)
+        grad_new = _gradient(K, terms.d1, alpha, lam)
         gg_new = float(grad_new.dot(grad_new))
         beta = max(0.0, float(grad_new.dot(grad_new - grad)) / gg)
         # Quadratic losses with exact line steps are plain CG: restarting
@@ -244,7 +248,7 @@ def _fit_cg(family, K, ys, lam, opts):
         grad = grad_new
         gg = gg_new
 
-    return alpha, margins, iterations, math.sqrt(gg)
+    return alpha, margins, iterations
 
 
 def fit(
@@ -281,21 +285,21 @@ def fit(
         raise InputError(f"the Gram matrix has shape {K.shape}, not ({dataset.total}, {dataset.total})")
     ys = dataset.ys
 
-    if opts.method == "auto" and family.quadratic:
-        if system is None:
-            system = ClosedFormSystem(family, K, ys)
-        elif not system.serves(family, K, ys):
-            raise InputError("the closed-form system was set up for another family, Gram matrix or labels")
-        alpha, iterations, method = system.solve(lam), 0, "ClosedForm"
-        # At extreme lambda the coefficients are huge: the objective and the
-        # gradient norm then overflow to inf or nan, which the report shows.
-        with np.errstate(over="ignore", invalid="ignore"):
-            margins = K @ alpha
-            grad_norm = float(np.linalg.norm(K @ (loss_d1(family, ys, margins) / dataset.total + lam * alpha)))
-    else:
-        alpha, margins, iterations, grad_norm = _fit_cg(family, K, ys.astype(np.float64), lam, opts)
-        method = "NonlinearCG"
-    objective = _objective(family, ys, alpha, margins, lam)
+    # At extreme lambda, or on a diverged fit, the margins, the objective and
+    # the gradient norm overflow to inf or nan, which the report shows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if opts.method == "auto" and family.quadratic:
+            if system is None:
+                system = ClosedFormSystem(family, K, ys)
+            elif not system.serves(family, K, ys):
+                raise InputError("the closed-form system was set up for another family, Gram matrix or labels")
+            alpha, iterations, method = system.solve(lam), 0, "ClosedForm"
+            margins = K.dot(alpha)
+        else:
+            alpha, margins, iterations = _fit_cg(family, K, ys.astype(np.float64), lam, opts)
+            method = "NonlinearCG"
+        grad_norm = float(np.linalg.norm(_gradient(K, loss_d1(family, ys, margins), alpha, lam)))
+        objective = _objective(family, ys, alpha, margins, lam)
     report = FitReport(iterations, grad_norm, objective, converged=grad_norm <= opts.tol_grad, method=method)
     model = RatioModel(kernel=kernel, points=dataset.xs, alpha=alpha, lam=lam, family=family)
     return model, report

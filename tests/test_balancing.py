@@ -29,8 +29,8 @@ from kernelratio import (
     select_lambda,
 )
 from kernelratio.balancing import (
+    MAX_GRID_LENGTH,
     balance_eta,
-    choose_max_qualifying,
     curvature_operator_norm,
     fit_and_select,
     fit_grid,
@@ -62,6 +62,19 @@ class TestLambdaGrid:
     def test_validation(self, kwargs):
         with pytest.raises(InputError):
             LambdaGrid(**kwargs)
+
+    def test_a_grid_over_the_length_bound_is_refused_before_its_values_are_built(self, monkeypatch):
+        # Listing 10^9 values alone takes minutes and tens of GB.
+        def build(grid):
+            pytest.fail("built the grid's values")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LambdaGrid, "values", property(build))
+            with pytest.raises(InputError, match=r"^a grid of 1000000000 values is over the limit of 1000$"):
+                LambdaGrid(1e-3, 1 + 1e-9, 10**9)
+            with pytest.raises(InputError, match=r"^a grid of 1001 values is over the limit of 1000$"):
+                LambdaGrid(1e-3, 1.001, MAX_GRID_LENGTH + 1)
+        assert len(LambdaGrid(1e-3, 1.001, MAX_GRID_LENGTH).values) == MAX_GRID_LENGTH
 
 
 class TestCurvatureWeights:
@@ -438,10 +451,6 @@ class TestSelection:
         with pytest.raises(InputError, match=r"^fit 1 is exp at lambda=0\.001; the selection needs lr at "):
             select_from_fits(LossFamily.LR, gram, ds, GRID5, fits, SelectionRule.PRACTICAL_MJ)
 
-    def test_all_pass_chooses_largest(self):
-        norms = {(i, j): 0.0 for i in range(2, 6) for j in range(1, i)}
-        assert choose_max_qualifying(norms, [1.0] * 5) == 5
-
     def test_pairwise_count(self, pair, kspec):
         ds = sample_pair(pair, 20, 20, seed=1)
         report = select_lambda(ds, LossFamily.KULSIF, kspec, GRID5, SelectionRule.PRACTICAL_MJ)
@@ -483,19 +492,28 @@ class TestSelection:
         again = select_lambda(ds, LossFamily.KULSIF, kspec, truncated, SelectionRule.PRACTICAL_MJ)
         assert again.chosen_lambda == full.chosen_lambda
 
-    @given(seed=st.integers(0, 100_000), raises=st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6))
-    @example(seed=4, raises=[1.0] * 6)  # every threshold raised; a flipped comparison moves this choice down
-    @settings(max_examples=100)
-    def test_choice_monotone_in_thresholds(self, seed, raises):
-        # Raising any subset of the thresholds, each by its own amount,
-        # can only move the choice up.
-        rng = np.random.default_rng(seed)
-        l = int(rng.integers(2, 7))
-        norms = {(i, j): float(rng.uniform(0, 2)) for i in range(2, l + 1) for j in range(1, i)}
-        thresholds = [float(rng.uniform(0, 2)) for _ in range(l)]
-        base = choose_max_qualifying(norms, thresholds)
-        bigger = choose_max_qualifying(norms, [t + r for t, r in zip(thresholds, raises)])
-        assert bigger >= base
+    @given(
+        family=st.sampled_from(list(LossFamily)),
+        rule=st.sampled_from(list(SelectionRule)),
+        seed=st.integers(0, 10_000),
+        q0=st.floats(0.1, 10.0),
+        m=st.integers(0, 6),
+        n=st.integers(1, 6),
+    )
+    # Row (3, 1) fails while (3, 2) passes: the last row alone would choose 3, not 2.
+    @example(family=LossFamily.KULSIF, rule=SelectionRule.PRACTICAL_MJ, seed=1, q0=1.0, m=2, n=2)
+    @settings(max_examples=40, deadline=None)
+    def test_each_pair_passes_by_its_comparison_and_the_choice_is_the_largest_all_pass_index(
+        self, pair, kspec, family, rule, seed, q0, m, n
+    ):
+        # Together these make the choice monotone in the thresholds: raising
+        # one can only turn a row's pass on, and so move the choice up.
+        ds = sample_pair(pair, m, n, seed=seed)
+        report = select_lambda(ds, family, kspec, GRID5, rule, BoundConstants(q0=q0))
+        for row in report.pairwise:
+            assert row["pass"] is (row["norm_sq"] <= row["threshold"])
+        failed = {row["i"] for row in report.pairwise if not row["pass"]}
+        assert report.chosen_index == max(i for i in range(1, GRID5.l + 1) if i not in failed)
 
     def test_eta_s_threshold_formula(self, pair, kspec):
         ds = sample_pair(pair, 10, 10, seed=3)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelratio import InputError, LossFamily, SelectionRule, load_model
-from kernelratio import cli, experiment, kernel
+from kernelratio import balancing, cli, experiment, kernel
 from kernelratio.cli import _parse_grid, build_parser, main
 from kernelratio.experiment import ExperimentConfig
 
@@ -795,6 +795,31 @@ class TestOutOfRangeInput:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].endswith(f"a pooled sample of {size} points is over the limit of 131072")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "p.csv", "q.csv"]
+
+    @pytest.mark.parametrize("command", ["select", "experiment"])
+    def test_a_grid_over_the_length_bound_exits_two_with_one_line_before_any_value_or_fit(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # Listing 10^9 grid values alone takes minutes and tens of GB.
+        monkeypatch.chdir(tmp_path)
+
+        def build(*args, **kwargs):
+            pytest.fail("built the grid's values or made a fit")
+
+        monkeypatch.setattr(balancing.LambdaGrid, "values", property(build))
+        monkeypatch.setattr(balancing, "fit", build)
+        config = {"grid": {"lambda0": 1e-3, "xi": 1.000000001, "l": 10**9}, "output_dir": "out"}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        args = {
+            "select": ["select", *SYNTH, "--loss", "lr", "--grid", "1e-3:1.000000001:1000000000"],
+            "experiment": ["experiment", "config.json"],
+        }[command]
+        assert run_quiet(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].endswith("a grid of 1000000000 values is over the limit of 1000"), err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("loss", ["kulsif", "lr", "exp", "sq"])
     @pytest.mark.parametrize("command", ["fit", "select"])

@@ -80,7 +80,11 @@ def test_each_formula_and_field_list_is_written_in_one_module():
     # E_q[beta^2], once, and balancing's _weights alone checks a curvature
     # weight's sign, once.  solver's fit alone builds a FitReport, once, for
     # both solve paths, and solver's _objective alone writes the objective.
-    # kernel alone sets the bound on the pooled sample size, and checks it, once.
+    # kernel alone sets the bound on the pooled sample size, and checks it, once,
+    # and balancing alone the bound on the grid's length.  solver's _gradient
+    # alone writes the gradient, which CG, objective_and_gradient and every
+    # report share, and balancing alone compares a pair's norm with its
+    # threshold, so a report's pass flags and its choice cannot disagree.
     homes = {
         re.compile(r"\bgram\.values\b"): "kernel.py",
         re.compile(r'"mu_p":'): "data.py",
@@ -91,6 +95,10 @@ def test_each_formula_and_field_list_is_written_in_one_module():
         re.compile(r"0\.5 \* lam \* \(alpha @ margins\)"): "solver.py",
         re.compile(r"\bMAX_POINTS = "): "kernel.py",
         re.compile("points is over the limit of"): "kernel.py",
+        re.compile(r"\bMAX_GRID_LENGTH = "): "balancing.py",
+        re.compile("values is over the limit of"): "balancing.py",
+        re.compile(r"d1 / d1\.shape\[0\] \+ lam \* alpha"): "solver.py",
+        re.compile(r"value <= threshold_j"): "balancing.py",
     }
     modules = sorted((ROOT / "src" / "kernelratio").glob("*.py"))
     found = [
@@ -110,6 +118,10 @@ def test_each_formula_and_field_list_is_written_in_one_module():
         "0.5 * lam * (alpha @ margins)",
         "MAX_POINTS = ",
         "points is over the limit of",
+        "MAX_GRID_LENGTH = ",
+        "values is over the limit of",
+        "d1 / d1.shape[0] + lam * alpha",
+        "value <= threshold_j",
     )
     for text in once:
         assert sum(path.read_text(encoding="utf-8").count(text) for path in modules) == 1, text

@@ -291,6 +291,18 @@ class TestFit:
         assert [type(value) for value in plain.values()] == [type(value) for value in deep.values()]
         assert json.dumps(plain) == json.dumps(deep)
 
+    @pytest.mark.parametrize("family", [LossFamily.KULSIF, LossFamily.SQ])
+    @pytest.mark.parametrize("lam", [1e-3, 10.0])
+    @pytest.mark.parametrize("m, n, seed", [(10, 7, 1), (0, 5, 2)])
+    def test_closed_form_report_is_objective_and_gradient_at_its_alpha(self, family, lam, m, n, seed, pair, kspec):
+        # One gradient expression serves the report and objective_and_gradient.
+        ds = sample_pair(pair, m, n, seed=seed)
+        model, report = fit(family, kspec, ds, lam)
+        objective, grad = objective_and_gradient(family, gram_matrix(kspec, ds.xs), ds.ys, model.alpha, lam)
+        assert report.method == "ClosedForm"
+        assert report.objective == objective
+        assert report.grad_norm == float(np.linalg.norm(grad))
+
     def test_fit_two_point_kulsif_reaches_closed_form(self, kspec):
         ds = two_point_dataset()
         model, report = fit(LossFamily.KULSIF, kspec, ds, 0.1, FitOptions(method="cg"))
