@@ -115,8 +115,10 @@ def hessian_weights(
     lr: s(1-s) at s = logistic(y_i f(x_i)); sq: the constant 2.
     The margin-quadratic families' ell'' does not depend on the margin, so
     theirs are read off the labels alone.  Otherwise the margins are read
-    off the Gram matrix of the training points as K alpha.
+    off the Gram matrix of the training points as K alpha.  A model fitted
+    under another family's loss raises InputError.
     """
+    model.check_family(family)
     if family.quadratic:
         margins = np.zeros(dataset.total)
     else:
@@ -342,19 +344,18 @@ def select_from_fits(
     values = grid.values
     if len(fits) != len(values):
         raise InputError(f"got {len(fits)} fits for a grid of length {len(values)}")
-    for k, ((model, _), lam) in enumerate(zip(fits, values), 1):
-        if model.lam != float(lam) or model.family is not family:
-            raise InputError(
-                f"fit {k} is {model.family.value} at lambda={model.lam!r}; "
-                f"the selection needs {family.value} at the grid's lambda={float(lam)!r}"
-            )
     n_total = dataset.total
     consts = consts or BoundConstants()
 
     # One row per grid value: (lambda, alpha, curvature weights, threshold).
     rows = []
     per_lambda = []
-    for (model, report), lam in zip(fits, map(float, values)):
+    for k, ((model, report), lam) in enumerate(zip(fits, map(float, values)), 1):
+        if model.lam != lam or model.family is not family:
+            raise InputError(
+                f"fit {k} is {model.family.value} at lambda={model.lam!r}; "
+                f"the selection needs {family.value} at the grid's lambda={lam!r}"
+            )
         weights = hessian_weights(family, model, dataset, gram)
         trace = hessian_trace(gram, weights, lam)
         entry = {"lambda": lam, "trace": trace, "fit": report.to_dict()}

@@ -322,15 +322,7 @@ def run_rate_sweep(
     slope = None
     if len(sizes) >= 2:
         slope = float(np.polyfit(np.log(np.asarray(sizes, dtype=float)), np.log(medians), 1)[0])
-    return {
-        "loss": family.value,
-        "rule": rule.value,
-        "sizes": sizes,
-        "n_seeds": n_seeds,
-        "median_error": medians,
-        "slope": slope,
-        "unconverged": unconverged,
-    }
+    return {"sizes": sizes, "median_error": medians, "slope": slope, "unconverged": unconverged}
 
 
 def rate_sweep_csv_rows(result: dict) -> list[str]:

@@ -38,6 +38,11 @@ _START_HALVINGS = 4
 #: A row stops at the first level whose sum moved by at most this much,
 #: relative, from the previous level's.
 _REL_TOL = 1e-12
+#: kulsif's Bayes risk is -1/4 int p^2/q, so the share of p^2/q's mass
+#: outside the interval is that risk's relative error.  A pair that leaves
+#: out more is refused: this bound admits mu_p = 1, mu_q = 0, sigma = 1
+#: (1.3e-12 left out) and refuses mu = 0, sigma_q = 1, sigma_p = 1.2 (2.1e-9).
+_MAX_TRUNCATED_MASS = 1e-10
 #: The trapezoid error on a Gaussian of width sigma at step h is about
 #: 2 exp(-2 pi^2 sigma^2 / h^2), which is 1e-12 at h = 0.83 sigma.
 _MAX_STEP_PER_SIGMA = 0.83
@@ -165,12 +170,16 @@ def true_ratio(pair: GaussianPairSpec, x):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _margins_of(f, xs: np.ndarray) -> np.ndarray:
-    """Margins at xs of a model or a margin function."""
+def _margins_of(family: LossFamily, f):
+    """xs -> float64 margins, for a margin function or a model fitted under family's loss.
+
+    A model fitted under another family's loss raises InputError here, before any quadrature.
+    """
     if isinstance(f, RatioModel):
-        return np.asarray(predict_margin(f, xs), dtype=np.float64)
+        f.check_family(family)
+        return lambda xs: np.asarray(predict_margin(f, xs), dtype=np.float64)
     if callable(f):
-        return np.asarray(f(xs), dtype=np.float64)
+        return lambda xs: np.asarray(f(xs), dtype=np.float64)
     raise InputError(f"need a model or a margin function, got {type(f).__name__}")
 
 
@@ -180,15 +189,31 @@ def bayes_margin(ctx: OracleContext, family: LossFamily, x):
 
 
 def _check_finite_chi2(ctx: OracleContext, family: LossFamily) -> None:
-    """Raise InputError if the family's risk needs E_q[beta^2] = int p^2/q and the pair makes it infinite.
+    """Raise InputError if the family's risk needs E_q[beta^2] = int p^2/q and the oracle cannot integrate it.
 
     For Gaussians, int p^2/q is finite exactly when sigma_p^2 < 2 sigma_q^2.
+    Then p^2/q is, up to a constant, the Gaussian of variance
+    s^2 = 1/(2/sigma_p^2 - 1/sigma_q^2) and mean s^2 (2 mu_p/sigma_p^2 - mu_q/sigma_q^2),
+    and a pair that leaves more than _MAX_TRUNCATED_MASS of its mass outside
+    the oracle's interval is refused too.
     """
     pair = ctx.pair
-    if family.needs_finite_chi2 and not pair.sigma_p**2 < 2.0 * pair.sigma_q**2:
+    if not family.needs_finite_chi2:
+        return
+    if not pair.sigma_p**2 < 2.0 * pair.sigma_q**2:
         raise InputError(
             f"{family.value}'s Bayes risk and divergence need a finite E_q[beta^2], so sigma_p^2 < 2 sigma_q^2, "
             f"which fails for the pair {_fields(pair)}"
+        )
+    room = 2.0 * pair.sigma_q**2 - pair.sigma_p**2  # positive, as the test above showed
+    mean = (2.0 * pair.mu_p * pair.sigma_q**2 - pair.mu_q * pair.sigma_p**2) / room
+    scale = math.sqrt(2.0) * pair.sigma_p * pair.sigma_q / math.sqrt(room)  # s sqrt(2)
+    mass = 0.5 * (math.erfc((ctx.quad.hi - mean) / scale) + math.erfc((mean - ctx.quad.lo) / scale))
+    if not mass <= _MAX_TRUNCATED_MASS:
+        raise InputError(
+            f"{family.value}'s Bayes risk integrates p^2/q, which has {mass:.2g} of its mass outside the oracle's "
+            f"interval [{ctx.quad.lo!r}, {ctx.quad.hi!r}], over the bound {_MAX_TRUNCATED_MASS}, "
+            f"for the pair {_fields(pair)}"
         )
 
 
@@ -221,7 +246,8 @@ def population_risks(ctx: OracleContext, family: LossFamily, margins_of) -> np.n
 
 def population_risk(ctx: OracleContext, family: LossFamily, f) -> float:
     """Expected loss of a model or margin function under the half/half label model."""
-    return float(population_risks(ctx, family, lambda nodes: _margins_of(f, nodes)[None, :])[0])
+    margins = _margins_of(family, f)
+    return float(population_risks(ctx, family, lambda nodes: margins(nodes)[None, :])[0])
 
 
 def bayes_risk(ctx: OracleContext, family: LossFamily) -> float:
@@ -241,15 +267,17 @@ def bregman_error_direct(ctx: OracleContext, family: LossFamily, model) -> float
     Integrates losses.divergence(beta, v) against q, with beta the true
     ratio and v the model's margin.  The formula is written in the margin
     and is finite for every finite v, so no node is dropped; this route
-    shares only the margins with `bregman_error_via_risk`.  A pair on which
-    the divergence needs an infinite E_q[beta^2] raises InputError.
+    shares only the margins with `bregman_error_via_risk`.  A pair that
+    `_check_finite_chi2` refuses raises InputError, and so does a model
+    fitted under another family's loss.
     """
+    margins = _margins_of(family, model)
     _check_finite_chi2(ctx, family)
 
     def integrand(nodes):
         _, q = densities(ctx.pair, nodes)
         with np.errstate(over="ignore"):  # a diverged fit's divergence overflows; _integrate reports that
-            return (divergence(family, true_ratio(ctx.pair, nodes), _margins_of(model, nodes)) * q)[None, :]
+            return (divergence(family, true_ratio(ctx.pair, nodes), margins(nodes)) * q)[None, :]
 
     return float(_integrate(integrand, ctx.quad, "divergence")[0])
 

@@ -39,7 +39,6 @@ from .kernel import (
 from .losses import (
     LossFamily,
     loss_d1,
-    loss_d2,
     loss_value,
     margin_terms,
     ratio_map,
@@ -71,6 +70,11 @@ class RatioModel:
             raise InputError(f"alpha length {alpha.shape[0]} != {pts.shape[0]} points")
         if not (self.lam > 0.0 and np.isfinite(self.lam)):
             raise InputError(f"lambda must be positive, got {self.lam}")
+
+    def check_family(self, family: LossFamily) -> None:
+        """Raise InputError unless the model was fitted under family's loss."""
+        if family is not self.family:
+            raise InputError(f"the model was fitted under {self.family.value}'s loss, not {family.value}'s")
 
 
 @dataclass(frozen=True)
@@ -136,11 +140,11 @@ class ClosedFormSystem:
             raise InputError(f"no closed form for {family.value}; use the CG path")
         K = gram_values(gram)
         ys = np.asarray(ys, dtype=np.float64)
-        zero = np.zeros(ys.shape[0])
-        e = loss_d2(family, ys, zero)
+        terms = margin_terms(family, ys, np.zeros(ys.shape[0]))
+        e = terms.d2
         self.family, self.gram, self.ys = family, K, ys
         self.n_total = ys.shape[0]
-        self.d0 = loss_d1(family, ys, zero)
+        self.d0 = terms.d1
         self.flat = np.flatnonzero(e == 0.0)
         self.curved = np.flatnonzero(e != 0.0)
         self.e_s = e[self.curved]

@@ -116,6 +116,13 @@ class TestCurvatureWeights:
         assert np.array_equal(with_gram, loss_d2(family, ds.ys.astype(np.float64), predicted))
         assert np.array_equal(hessian_weights(family, model, ds, gram.values), with_gram)
 
+    def test_a_model_fitted_under_another_family_raises(self, pair, kspec):
+        # It used to read sq's constant 2 off an exp fit.
+        ds = sample_pair(pair, 10, 10, seed=0)
+        model, _ = fit(LossFamily.EXP, kspec, ds, 1e-2)
+        with pytest.raises(InputError, match=r"^the model was fitted under exp's loss, not sq's$"):
+            hessian_weights(LossFamily.SQ, model, ds, gram_matrix(kspec, ds.xs))
+
     def test_sq_weights_are_two(self, pair, kspec):
         ds = sample_pair(pair, 3, 3, seed=1)
         model, _ = fit(LossFamily.SQ, kspec, ds, 0.5)
@@ -386,6 +393,24 @@ class TestBoundCalculators:
             lhs = eta * s_term(rule, consts, n_total, lam)
             rhs = a_term(rule, consts, lam)
             assert abs(lhs - rhs) <= 1e-10 * rhs
+
+    @pytest.mark.parametrize("rule", list(BalanceRule))
+    def test_calculators_reject_a_nonpositive_lambda_or_sample_count(self, rule):
+        consts = BoundConstants()
+        with pytest.raises(InputError, match=r"^lambda must be positive, got 0\.0$"):
+            s_term(rule, consts, 100, 0.0)
+        with pytest.raises(InputError, match=r"^sample count must be >= 1, got 0$"):
+            s_term(rule, consts, 0, 0.1)
+        with pytest.raises(InputError, match=r"^lambda must be positive, got -1\.0$"):
+            a_term(rule, consts, -1.0)
+        with pytest.raises(InputError, match=r"^sample count must be >= 1, got 0$"):
+            balance_lambda(rule, consts, 0)
+
+    def test_a_balance_the_floats_cannot_verify_raises(self):
+        # b1^2 = 1e-600 underflows to 0 in the variance term, so eta S(lambda)
+        # reads 0 against A(lambda) = 1.2e-299 at the closed-form lambda.
+        with pytest.raises(NumericalError, match=r"^balance postcondition violated: residual -1\.229"):
+            balance_lambda(BalanceRule.SLOW_RATE, BoundConstants(b1=1e-300), 100)
 
     def test_constants_validation(self):
         with pytest.raises(InputError):

@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -213,6 +215,33 @@ class TestFit:
         assert report["converged"] is False
         assert report["grad_norm"] is None and report["objective"] is None
         assert captured.err.splitlines() == ["fit did not converge (grad_norm=inf)"]
+
+    def test_a_singular_closed_form_exits_three_naming_it(self, tmp_path, capsys):
+        # Two equal Q points under the Gaussian kernel make the Q block all
+        # 1/N; at lambda = 1e-17 adding lambda to its diagonal changes nothing.
+        p, q, out = tmp_path / "p.csv", tmp_path / "q.csv", tmp_path / "m.json"
+        p.write_text("x_1\n0.0\n", encoding="utf-8")
+        q.write_text("x_1\n1.0\n1.0\n", encoding="utf-8")
+        code = run_cli(
+            ["fit", "--p-csv", str(p), "--q-csv", str(q), "--loss", "kulsif", "--kernel", "gaussian"]
+            + ["--lambda", "1e-17", "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical error: closed-form system is singular: ")
+        assert not out.exists()
+
+    def test_a_failed_line_search_exits_three_naming_the_iteration_and_writes_no_model(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = run_cli(
+            ["fit", "--synthetic", "--m", "5", "--n", "5", "--seed", "0", "--loss", "kulsif", "--kernel", "gaussian"]
+            + ["--method", "cg", "--lambda", "1e-300", "--out", str(out)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical error: line search failed after 60 halvings at iteration 1182"
+        ]
+        assert not out.exists()
 
 
 class TestSelect:
@@ -578,12 +607,18 @@ class TestExperiment:
                 "which fails for the pair mu_p=0.0, sigma_p=2.0, mu_q=0.0, sigma_q=1.0",
             ),
             (
-                {"mu_p": 0.0, "sigma_p": 2.0, "mu_q": -100.0, "sigma_q": 2.0},
+                {"mu_p": 0.0, "sigma_p": 0.1, "mu_q": -40.0, "sigma_q": 1.0},
                 3,
-                "numerical error: non-finite risk integrand at node x=-35.744",
+                "numerical error: non-finite risk integrand at node x=-2.5964799999999997",
+            ),
+            (
+                {"mu_p": 0.0, "sigma_p": 1.4, "mu_q": 0.0, "sigma_q": 1.0},
+                2,
+                "error: kulsif's Bayes risk integrates p^2/q, which has 0.11 of its mass outside the oracle's "
+                "interval [-11.2, 11.2], over the bound 1e-10, for the pair mu_p=0.0, sigma_p=1.4, mu_q=0.0, sigma_q=1.0",
             ),
         ],
-        ids=["infinite chi2", "optimal margin past the float range"],
+        ids=["infinite chi2", "optimal margin past the float range", "p^2/q truncated by the interval"],
     )
     def test_a_kulsif_bayes_risk_that_is_not_finite_exits_before_any_fit(
         self, tmp_path, capsys, monkeypatch, pair, code, message
@@ -720,6 +755,24 @@ def run_quiet(args):
 
 SYNTH = ["--synthetic", "--m", "20", "--n", "20"]
 HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, start",
+    [
+        (["--help"], 0, "stdout", "usage: kernelratio "),
+        (["rate-sweep", "--loss", "kulsif", "--sizes", "1"], 2, "stderr", "error: each size must be at least 2"),
+    ],
+    ids=["help", "input error"],
+)
+def test_the_module_runs_as_a_script_with_main_s_exit_code(argv, code, stream, start):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "kernelratio.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == code
+    assert getattr(result, stream).startswith(start)
 
 
 def flag_action(command, flag):

@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kernelratio import GaussianPairSpec, InputError, LabeledDataset, load_two_csv, oracle, sample_pair
-from kernelratio.data import dataset_sha256, log_true_ratio
+from kernelratio.data import dataset_sha256, log_true_ratio, write_text
 
 
 def test_default_pair(pair):
@@ -21,6 +22,19 @@ def test_default_pair(pair):
 def test_pair_requires_positive_scales(kwargs):
     with pytest.raises(InputError):
         GaussianPairSpec(**kwargs)
+
+
+@pytest.mark.parametrize("value, shown", [("x", "'x'"), (10**400, "1" + "0" * 400)], ids=["string", "huge int"])
+def test_pair_requires_finite_numbers(value, shown):
+    with pytest.raises(InputError, match=rf"^mu_p must be a finite number, got {shown}$"):
+        GaussianPairSpec(mu_p=value)
+
+
+def test_write_text_turns_an_os_error_into_an_input_error_naming_the_path(tmp_path):
+    path = tmp_path / "missing" / "out.txt"
+    with pytest.raises(InputError, match=rf"^cannot write {re.escape(str(path))}: "):
+        write_text(str(path), ["text"])
+    assert not path.parent.exists()
 
 
 def test_the_pair_check_and_the_oracle_share_one_log_ratio():

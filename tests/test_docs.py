@@ -85,6 +85,8 @@ def test_each_formula_and_field_list_is_written_in_one_module():
     # alone writes the gradient, which CG, objective_and_gradient and every
     # report share, and balancing alone compares a pair's norm with its
     # threshold, so a report's pass flags and its choice cannot disagree.
+    # solver's RatioModel alone refuses a model read under another family's
+    # loss, and oracle alone bounds the mass of p^2/q outside its interval.
     homes = {
         re.compile(r"\bgram\.values\b"): "kernel.py",
         re.compile(r'"mu_p":'): "data.py",
@@ -99,6 +101,9 @@ def test_each_formula_and_field_list_is_written_in_one_module():
         re.compile("values is over the limit of"): "balancing.py",
         re.compile(r"d1 / d1\.shape\[0\] \+ lam \* alpha"): "solver.py",
         re.compile(r"value <= threshold_j"): "balancing.py",
+        re.compile(r"model was fitted under \{"): "solver.py",
+        re.compile(r"\b_MAX_TRUNCATED_MASS = "): "oracle.py",
+        re.compile("of its mass outside the oracle's"): "oracle.py",
     }
     modules = sorted((ROOT / "src" / "kernelratio").glob("*.py"))
     found = [
@@ -122,6 +127,9 @@ def test_each_formula_and_field_list_is_written_in_one_module():
         "values is over the limit of",
         "d1 / d1.shape[0] + lam * alpha",
         "value <= threshold_j",
+        "model was fitted under {",
+        "_MAX_TRUNCATED_MASS = ",
+        "of its mass outside the oracle's",
     )
     for text in once:
         assert sum(path.read_text(encoding="utf-8").count(text) for path in modules) == 1, text

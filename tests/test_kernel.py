@@ -45,6 +45,12 @@ def test_dimension_mismatch_raises():
         gram_matrix(OFFSET, np.zeros((2, 2, 2)))
 
 
+def test_a_scalar_is_one_point_and_a_single_point_is_at_most_1d():
+    assert kernel.as_points(3.0).tolist() == [[3.0]]
+    with pytest.raises(InputError, match=r"^a single point must be a scalar or 1-d vector, got shape \(1, 2\)$"):
+        kernel_eval(OFFSET, [[0.0, 1.0]], [0.0, 1.0])
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), 1e200, 1e-162, 1e-170])
 def test_bandwidth_must_be_positive(bad):
     with pytest.raises(InputError, match="bandwidth"):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -345,11 +346,74 @@ class TestInfiniteBayesRisk:
         assert bregman_error_direct(ctx, family, zero) == pytest.approx(via, rel=1e-9)
 
     def test_a_kulsif_margin_past_the_float_range_names_the_risk_node(self):
-        # The log ratio is 25x + 1250, so beta overflows above x = -21.6,
-        # and its square in the Q-weighted loss from x = -35.7 on.
-        ctx = OracleContext.default(GaussianPairSpec(mu_p=0.0, sigma_p=2.0, mu_q=-100.0, sigma_q=2.0))
-        with pytest.raises(NumericalError, match=r"^non-finite risk integrand at node x=-35\.744$"):
+        # p^2/q peaks at x = 0.2, well inside the interval, but its integral
+        # is over e^804: beta's square overflows in the Q-weighted loss
+        # between x = -2.65 and x = -1.43, where q is still positive.
+        ctx = OracleContext.default(GaussianPairSpec(mu_p=0.0, sigma_p=0.1, mu_q=-40.0, sigma_q=1.0))
+        with pytest.raises(NumericalError, match=r"^non-finite risk integrand at node x=-2\.5964799999999997$"):
             bayes_risk(ctx, LossFamily.KULSIF)
+
+
+def kulsif_closed_form_bayes_risk(pair):
+    """-1/4 int p^2/q for a Gaussian pair with sigma_p^2 < 2 sigma_q^2."""
+    room = 2.0 * pair.sigma_q**2 - pair.sigma_p**2
+    chi2 = pair.sigma_q**2 / (pair.sigma_p * math.sqrt(room)) * math.exp((pair.mu_p - pair.mu_q) ** 2 / room)
+    return -0.25 * chi2
+
+
+class TestTruncatedKulsifIntegrand:
+    # kulsif's Bayes integrand is -1/4 p^2/q.  With sigma_q = 1 and sigma_p
+    # near sqrt(2), p^2/q reaches past the 8-sigma interval, and the share
+    # of its mass left outside is the Bayes risk's relative error.
+    @pytest.mark.parametrize("sigma_p, mass", [(1.2, "2.1e-09"), (1.3, "8.4e-06"), (1.4, "0.11")])
+    def test_kulsif_rejects_a_pair_whose_p2_over_q_the_interval_truncates(self, sigma_p, mass):
+        pair = GaussianPairSpec(mu_p=0.0, sigma_p=sigma_p, mu_q=0.0, sigma_q=1.0)
+        ctx = OracleContext.default(pair)
+        message = (
+            rf"^kulsif's Bayes risk integrates p\^2/q, which has {re.escape(mass)} of its mass outside the "
+            rf"oracle's interval \[{-8 * sigma_p!r}, {8 * sigma_p!r}\], over the bound 1e-10, for the pair "
+            rf"mu_p=0\.0, sigma_p={sigma_p!r}, mu_q=0\.0, sigma_q=1\.0$"
+        )
+        zero = lambda xs: np.zeros(np.shape(xs))
+        with pytest.raises(InputError, match=message):
+            bayes_risk(ctx, LossFamily.KULSIF)
+        for route in (bregman_error_direct, bregman_error_via_risk):
+            with pytest.raises(InputError, match=message):
+                route(ctx, LossFamily.KULSIF, zero)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [GaussianPairSpec(mu_p=1.0, sigma_p=1.0, mu_q=0.0, sigma_q=1.0), GaussianPairSpec()],
+        ids=["mu_p=1", "default"],
+    )
+    def test_an_admitted_pair_matches_the_closed_form(self, pair):
+        # mu_p = 1 leaves 1.3e-12 of p^2/q outside the interval.
+        assert bayes_risk(OracleContext.default(pair), LossFamily.KULSIF) == pytest.approx(
+            kulsif_closed_form_bayes_risk(pair), rel=1e-11, abs=0.0
+        )
+
+    @pytest.mark.parametrize("family", [LossFamily.LR, LossFamily.EXP, LossFamily.SQ])
+    def test_the_other_families_score_a_pair_kulsif_refuses(self, family):
+        ctx = OracleContext.default(GaussianPairSpec(mu_p=0.0, sigma_p=1.4, mu_q=0.0, sigma_q=1.0))
+        zero = lambda xs: np.zeros(np.shape(xs))
+        via = bregman_error_via_risk(ctx, family, zero)
+        assert math.isfinite(bayes_risk(ctx, family)) and math.isfinite(via)
+        assert bregman_error_direct(ctx, family, zero) == pytest.approx(via, rel=1e-9)
+
+
+class TestModelFamily:
+    @pytest.mark.parametrize("route", [population_risk, bregman_error_via_risk, bregman_error_direct])
+    def test_a_model_scored_under_another_family_raises_before_any_quadrature(
+        self, ctx, pair, kspec, route, monkeypatch
+    ):
+        # Scored under lr's loss, this exp fit read 0.0720 on both routes;
+        # under its own it reads 0.1468.
+        model = fitted_model(pair, kspec, LossFamily.EXP, m=10, n=10, lam=1e-2)
+        integrated = []
+        monkeypatch.setattr(oracle, "_integrate", lambda *args: integrated.append(args))
+        with pytest.raises(InputError, match=r"^the model was fitted under exp's loss, not lr's$"):
+            route(ctx, LossFamily.LR, model)
+        assert integrated == []
 
 
 class TestBregmanRoutes:

@@ -545,6 +545,12 @@ class TestPredict:
             margins_at(KernelSpec(), np.zeros((2, 1)), [np.zeros(2), np.zeros(3)], xs)
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.1, math.inf])
+def test_a_model_needs_a_positive_finite_lambda(lam):
+    with pytest.raises(InputError, match=rf"^lambda must be positive, got {lam!r}$"):
+        RatioModel(KernelSpec(), np.zeros((1, 1)), np.ones(1), lam, LossFamily.KULSIF)
+
+
 class TestPersistence:
     def test_round_trip(self, pair, kspec, tmp_path):
         ds = sample_pair(pair, 4, 4, seed=3)
