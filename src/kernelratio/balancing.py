@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -52,6 +53,11 @@ class SelectionRule(enum.Enum):
 # report rows, half a million at this bound, so a longer grid is refused
 # before any of its values is built.
 MAX_GRID_LENGTH = 1_000
+
+# The smallest pooled sample whose CG grid fits run on threads.  numpy holds
+# the GIL through elementwise loops of at most 500 entries, so below this the
+# threads mostly wait on each other (a grid at N = 200 or 300 ran slower).
+MIN_THREADED_N = 512
 
 
 @dataclass(frozen=True)
@@ -256,17 +262,30 @@ def balance_lambda(rule: BalanceRule, consts: BoundConstants, n_total: int) -> f
 
     slow rate: 16 b1 radius sqrt(log(2/delta)) / sqrt(N)
     fast rate: (1296 q0^2 / (N L^2))^(alpha / (1 + 2 r alpha + alpha))
+
+    Constants that BoundConstants accepts can still put lambda or a side of
+    the balance past the float range (a power overflows, or lambda
+    underflows to 0); that raises InputError naming the rule.
     """
     if not n_total >= 1:
         raise InputError(f"sample count must be >= 1, got {n_total}")
-    if rule is BalanceRule.SLOW_RATE:
-        lam = 16.0 * consts.b1 * consts.radius * math.sqrt(consts.log_term) / math.sqrt(n_total)
-    else:
-        alpha = consts.capacity_alpha
-        exponent = alpha / (1.0 + 2.0 * consts.source_r * alpha + alpha)
-        lam = (1296.0 * consts.q0**2 / (n_total * consts.source_scale**2)) ** exponent
-    balance_gap = balance_eta(rule, consts) * s_term(rule, consts, n_total, lam) - a_term(rule, consts, lam)
-    if abs(balance_gap) > 1e-10 * max(a_term(rule, consts, lam), 1e-300):
+    lam = variance = bias = math.inf  # what a step that raises leaves behind
+    try:
+        if rule is BalanceRule.SLOW_RATE:
+            lam = 16.0 * consts.b1 * consts.radius * math.sqrt(consts.log_term) / math.sqrt(n_total)
+        else:
+            alpha = consts.capacity_alpha
+            exponent = alpha / (1.0 + 2.0 * consts.source_r * alpha + alpha)
+            lam = (1296.0 * consts.q0**2 / (n_total * consts.source_scale**2)) ** exponent
+        if lam > 0.0:
+            variance = balance_eta(rule, consts) * s_term(rule, consts, n_total, lam)
+            bias = a_term(rule, consts, lam)
+    except (OverflowError, ZeroDivisionError):
+        pass
+    if not all(value < math.inf for value in (lam, variance, bias)):
+        raise InputError(f"the {rule.value} balancing lambda for these constants leaves the float range")
+    balance_gap = variance - bias
+    if abs(balance_gap) > 1e-10 * max(bias, 1e-300):
         raise NumericalError(f"balance postcondition violated: residual {balance_gap}")
     return lam
 
@@ -305,6 +324,14 @@ class SelectionReport:
         }
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def fit_grid(
     family: LossFamily,
     kernel: KernelSpec,
@@ -316,15 +343,31 @@ def fit_grid(
     """Fit the estimator once per grid value, ascending.
 
     The margin-quadratic families share one closed-form setup over the grid.
+    The CG fits of a sample of at least MIN_THREADED_N points run on one
+    thread per usable core, up to one per value; each runs the same float
+    operations on the same read-only data, so the fits are those of the
+    serial loop bit for bit.  A failure names the first failing lambda in
+    grid order, after the fits still running have finished.
     """
     system = ClosedFormSystem(family, gram, dataset.ys) if family.quadratic else None
-    fits = []
-    for lam in grid.values:
+
+    def fit_at(lam: float) -> tuple[RatioModel, FitReport]:
         try:
-            fits.append(fit(family, kernel, dataset, float(lam), gram=gram, system=system))
+            return fit(family, kernel, dataset, lam, gram=gram, system=system)
         except NumericalError as exc:
             raise NumericalError(f"fit failed at lambda={lam}: {exc}") from exc
-    return fits
+
+    lambdas = [float(lam) for lam in grid.values]
+    workers = min(_usable_cores(), len(lambdas))
+    if family.quadratic or dataset.total < MIN_THREADED_N or workers < 2:
+        return [fit_at(lam) for lam in lambdas]
+    from concurrent.futures import ThreadPoolExecutor  # importing it costs every `import kernelratio` 5-8 ms
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return list(pool.map(fit_at, lambdas))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def select_from_fits(

@@ -21,6 +21,7 @@ starting level's sum against the sum over every other one of its nodes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -194,8 +195,9 @@ def _check_finite_chi2(ctx: OracleContext, family: LossFamily) -> None:
     For Gaussians, int p^2/q is finite exactly when sigma_p^2 < 2 sigma_q^2.
     Then p^2/q is, up to a constant, the Gaussian of variance
     s^2 = 1/(2/sigma_p^2 - 1/sigma_q^2) and mean s^2 (2 mu_p/sigma_p^2 - mu_q/sigma_q^2),
-    and a pair that leaves more than _MAX_TRUNCATED_MASS of its mass outside
-    the oracle's interval is refused too.
+    and a pair whose int p^2/q is past the float range, or that leaves
+    more than _MAX_TRUNCATED_MASS of its mass outside
+    the oracle's interval, is refused too.
     """
     pair = ctx.pair
     if not family.needs_finite_chi2:
@@ -206,6 +208,14 @@ def _check_finite_chi2(ctx: OracleContext, family: LossFamily) -> None:
             f"which fails for the pair {_fields(pair)}"
         )
     room = 2.0 * pair.sigma_q**2 - pair.sigma_p**2  # positive, as the test above showed
+    # log int p^2/q = log(sigma_q^2 / (sigma_p sqrt(room))) + (mu_p - mu_q)^2 / room
+    gap = pair.mu_p - pair.mu_q
+    log_chi2 = math.log(pair.sigma_q**2 / (pair.sigma_p * math.sqrt(room))) + gap * gap / room
+    if not log_chi2 <= math.log(sys.float_info.max):
+        raise InputError(
+            f"{family.value}'s Bayes risk integrates p^2/q, whose integral e^{log_chi2:.4g} is past the float range, "
+            f"for the pair {_fields(pair)}"
+        )
     mean = (2.0 * pair.mu_p * pair.sigma_q**2 - pair.mu_q * pair.sigma_p**2) / room
     scale = math.sqrt(2.0) * pair.sigma_p * pair.sigma_q / math.sqrt(room)  # s sqrt(2)
     mass = 0.5 * (math.erfc((ctx.quad.hi - mean) / scale) + math.erfc((mean - ctx.quad.lo) / scale))

@@ -1,4 +1,9 @@
+import concurrent.futures
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +35,7 @@ from kernelratio import (
 )
 from kernelratio.balancing import (
     MAX_GRID_LENGTH,
+    MIN_THREADED_N,
     balance_eta,
     curvature_operator_norm,
     fit_and_select,
@@ -412,6 +418,21 @@ class TestBoundCalculators:
         with pytest.raises(NumericalError, match=r"^balance postcondition violated: residual -1\.229"):
             balance_lambda(BalanceRule.SLOW_RATE, BoundConstants(b1=1e-300), 100)
 
+    @pytest.mark.parametrize(
+        "rule, kwargs",
+        [
+            (BalanceRule.SLOW_RATE, {"b1": 1e160}),  # b1^2 overflows
+            (BalanceRule.SLOW_RATE, {"target_norm": 1e200}),  # target_norm^2 overflows
+            (BalanceRule.FAST_RATE, {"q0": 1e200}),  # q0^2 overflows
+            (BalanceRule.FAST_RATE, {"source_scale": 1e-200}),  # source_scale^2 underflows to 0, then divides
+            (BalanceRule.SLOW_RATE, {"b1": 1e-200, "radius": 1e-200}),  # lambda underflows to 0
+        ],
+    )
+    def test_a_balancing_lambda_past_the_float_range_raises_input_error_naming_the_rule(self, rule, kwargs):
+        message = rf"^the {rule.value} balancing lambda for these constants leaves the float range$"
+        with pytest.raises(InputError, match=message):
+            balance_lambda(rule, BoundConstants(**kwargs), 100)
+
     def test_constants_validation(self):
         with pytest.raises(InputError):
             BoundConstants(source_r=0.7)
@@ -583,6 +604,104 @@ class TestSelection:
         ds = sample_pair(pair, 3, 3, seed=0)
         with pytest.raises(NumericalError, match="lambda=0.001"):
             select_lambda(ds, LossFamily.KULSIF, kspec, GRID5, SelectionRule.PRACTICAL_MJ)
+
+
+class TestConcurrentGrid:
+    # The CG grid fits run on threads from MIN_THREADED_N points on, given
+    # two usable cores; each test patches the affinity to the core count it
+    # needs, so that it holds on any host.
+    GRID = LambdaGrid.from_first(0.1, 10.0, 3)
+
+    @staticmethod
+    def _cores(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    @pytest.mark.parametrize("family", [LossFamily.LR, LossFamily.EXP])
+    def test_threaded_fits_equal_one_lambda_fits_bitwise(self, family, pair, kspec, monkeypatch):
+        # One thread per grid value, more than this host may have cores, and
+        # a short switch interval, so the threads interleave finely.
+        self._cores(monkeypatch, 8)
+        started = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                started.append(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        half = MIN_THREADED_N // 2 + 4
+        ds = sample_pair(pair, half, half, seed=0)
+        gram = gram_matrix(kspec, ds.xs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fits = fit_grid(family, kspec, ds, self.GRID, gram=gram)
+        finally:
+            sys.setswitchinterval(interval)
+        assert started == [self.GRID.l]
+        expected = [fit(family, kspec, ds, float(lam), gram=gram) for lam in self.GRID.values]
+        assert [model.lam for model, _ in fits] == [float(lam) for lam in self.GRID.values]
+        assert [model.alpha.tobytes() for model, _ in fits] == [model.alpha.tobytes() for model, _ in expected]
+        assert [report for _, report in fits] == [report for _, report in expected]
+
+    def test_a_failure_names_the_first_failing_lambda_in_grid_order_and_leaves_no_thread(
+        self, pair, kspec, monkeypatch
+    ):
+        # With two threads, the 2nd value's fit waits until the 5th has
+        # started on the other thread, after the 4th failed there; the 5th
+        # is still running when the 2nd fails.
+        from kernelratio import balancing
+
+        self._cores(monkeypatch, 2)
+        grid = LambdaGrid.from_first(1e-3, 10.0, 5)
+        values = [float(lam) for lam in grid.values]
+        fifth_started = threading.Event()
+        finished = []
+
+        def failing_fit(family, kernel, dataset, lam, **kwargs):
+            if lam == values[1]:
+                assert fifth_started.wait(timeout=10)
+            if lam == values[4]:
+                fifth_started.set()
+                time.sleep(0.3)
+            finished.append(lam)
+            if lam in (values[1], values[3]):
+                raise NumericalError("boom")
+            return lam
+
+        monkeypatch.setattr(balancing, "fit", failing_fit)
+        half = MIN_THREADED_N // 2
+        ds = sample_pair(pair, half, half, seed=0)
+        threads = threading.active_count()
+        with pytest.raises(NumericalError, match=rf"^fit failed at lambda={values[1]}: boom$"):
+            fit_grid(LossFamily.LR, kspec, ds, grid, gram=gram_matrix(kspec, ds.xs))
+        assert threading.active_count() == threads
+        assert values[4] in finished
+
+    @pytest.mark.parametrize(
+        "family, half, cores",
+        [
+            (LossFamily.EXP, 100, 2),  # below MIN_THREADED_N
+            (LossFamily.KULSIF, 300, 2),  # closed form
+            (LossFamily.SQ, 300, 2),  # closed form
+            (LossFamily.LR, 300, 1),  # one usable core
+        ],
+        ids=["exp at N=200", "kulsif at N=600", "sq at N=600", "one core"],
+    )
+    def test_the_serial_cases_start_no_pool(self, family, half, cores, pair, kspec, monkeypatch):
+        from kernelratio import balancing
+
+        self._cores(monkeypatch, cores)
+
+        def no_pool(*args, **kwargs):
+            pytest.fail("fit_grid started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        calls = []
+        monkeypatch.setattr(balancing, "fit", lambda *args, **kwargs: calls.append(args[3]))
+        ds = sample_pair(pair, half, half, seed=0)
+        fit_grid(family, kspec, ds, self.GRID, gram=gram_matrix(kspec, ds.xs))
+        assert calls == [float(lam) for lam in self.GRID.values]
 
 
 class TestPowerOfTwoScaling:

@@ -608,8 +608,9 @@ class TestExperiment:
             ),
             (
                 {"mu_p": 0.0, "sigma_p": 0.1, "mu_q": -40.0, "sigma_q": 1.0},
-                3,
-                "numerical error: non-finite risk integrand at node x=-2.5964799999999997",
+                2,
+                "error: kulsif's Bayes risk integrates p^2/q, whose integral e^806 is past the float range, "
+                "for the pair mu_p=0.0, sigma_p=0.1, mu_q=-40.0, sigma_q=1.0",
             ),
             (
                 {"mu_p": 0.0, "sigma_p": 1.4, "mu_q": 0.0, "sigma_q": 1.0},

@@ -347,11 +347,15 @@ class TestInfiniteBayesRisk:
 
     def test_a_kulsif_margin_past_the_float_range_names_the_risk_node(self):
         # p^2/q peaks at x = 0.2, well inside the interval, but its integral
-        # is over e^804: beta's square overflows in the Q-weighted loss
-        # between x = -2.65 and x = -1.43, where q is still positive.
+        # is e^806, so the optimal margin is refused before any quadrature.
+        # A margin of 1e200 overflows kulsif's loss at every node instead,
+        # and the first node is named.
         ctx = OracleContext.default(GaussianPairSpec(mu_p=0.0, sigma_p=0.1, mu_q=-40.0, sigma_q=1.0))
-        with pytest.raises(NumericalError, match=r"^non-finite risk integrand at node x=-2\.5964799999999997$"):
+        with pytest.raises(InputError, match=r"^kulsif's Bayes risk integrates p\^2/q, whose integral e\^806 is past"):
             bayes_risk(ctx, LossFamily.KULSIF)
+        huge = lambda xs: np.full(np.shape(xs), 1e200)
+        with pytest.raises(NumericalError, match=r"^non-finite risk integrand at node x=-48\.0$"):
+            population_risk(ctx, LossFamily.KULSIF, huge)
 
 
 def kulsif_closed_form_bayes_risk(pair):
