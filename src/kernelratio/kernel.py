@@ -100,7 +100,8 @@ def cross_matrix(spec: KernelSpec, left, right) -> np.ndarray:
     """Rectangular kernel matrix k(left_i, right_j), shape (N, M).
 
     Built in one (N, M) buffer: squared coordinate differences are summed
-    in place, one coordinate at a time, then mapped through the kernel.
+    in place, one coordinate at a time, then mapped through the kernel,
+    whose one divide by -2 sigma^2 is bitwise a negation and a divide.
     For d > 1 coordinates 2..d are added one block of rows at a time,
     through a scratch of at most TILE_ENTRIES entries (one row, if a row
     is longer).  The sequential sum makes entry (i, j) of
@@ -125,8 +126,7 @@ def cross_matrix(spec: KernelSpec, left, right) -> np.ndarray:
                 for k in range(1, a.shape[1]):
                     np.subtract.outer(a[start : start + rows, k], b[:, k], out=tmp)
                     block += np.square(tmp, out=tmp)
-        np.negative(values, out=values)
-        np.divide(values, 2.0 * spec.bandwidth**2, out=values)
+        np.divide(values, -2.0 * spec.bandwidth**2, out=values)
     np.exp(values, out=values)
     if spec.family is KernelFamily.ONE_PLUS_GAUSSIAN:
         np.add(values, 1.0, out=values)

@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import dataclasses
+import functools
 import io
 import json
 import os
@@ -13,8 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelratio import InputError, LossFamily, SelectionRule, load_model
-from kernelratio import balancing, cli, experiment, kernel
+from kernelratio import (
+    DEFAULT_PAIR,
+    FitOptions,
+    InputError,
+    KernelFamily,
+    KernelSpec,
+    LossFamily,
+    NumericalError,
+    SelectionRule,
+    fit,
+    load_model,
+    sample_pair,
+)
+from kernelratio import balancing, cli, experiment, kernel, solver
 from kernelratio.cli import _parse_grid, build_parser, main
 from kernelratio.experiment import ExperimentConfig
 
@@ -41,6 +55,16 @@ def csv_pair(tmp_path, dim=3, rows=40, seed=7):
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths.append(str(path))
     return paths
+
+
+@pytest.fixture
+def capped_cg(monkeypatch):
+    """Fits made with the default options stop CG after two iterations.
+
+    No lr or exp fit converges that fast, so each layer's non-convergence
+    report is reached whatever path the solver takes to the optimum.
+    """
+    monkeypatch.setattr(solver, "FitOptions", functools.partial(FitOptions, max_iters=2))
 
 
 class TestFit:
@@ -232,15 +256,18 @@ class TestFit:
         assert not out.exists()
 
     def test_a_failed_line_search_exits_three_naming_the_iteration_and_writes_no_model(self, tmp_path, capsys):
+        # At lambda = 1e-300 CG on kulsif meets a step no halving makes
+        # acceptable; the CLI reports the library's error, iteration and all.
+        dataset = sample_pair(DEFAULT_PAIR, 5, 5, 0)
+        with pytest.raises(NumericalError, match=r"^line search failed after \d+ halvings at iteration \d+$") as failed:
+            fit(LossFamily.KULSIF, KernelSpec(KernelFamily.GAUSSIAN), dataset, 1e-300, FitOptions(method="cg"))
         out = tmp_path / "m.json"
         code = run_cli(
             ["fit", "--synthetic", "--m", "5", "--n", "5", "--seed", "0", "--loss", "kulsif", "--kernel", "gaussian"]
             + ["--method", "cg", "--lambda", "1e-300", "--out", str(out)]
         )
         assert code == 3
-        assert capsys.readouterr().err.splitlines() == [
-            "numerical error: line search failed after 60 halvings at iteration 1182"
-        ]
+        assert capsys.readouterr().err.splitlines() == [f"numerical error: {failed.value}"]
         assert not out.exists()
 
 
@@ -339,19 +366,18 @@ class TestSelect:
         assert code == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.1, rel=1e-12)
 
-    def test_unconverged_fits_are_named_on_stderr(self, tmp_path, capsys):
+    def test_unconverged_fits_are_named_on_stderr(self, tmp_path, capsys, capped_cg):
         out = tmp_path / "selection.json"
         code = run_cli(
             ["select", "--loss", "exp", "--synthetic", "--m", "10", "--n", "10", "--seed", "0"]
-            + ["--grid", "1e-12:10:3", "--out", str(out)]
+            + ["--grid", "1e-3:10:3", "--out", str(out)]
         )
         assert code == 0  # a lambda is still chosen
         err = capsys.readouterr().err.splitlines()
         report = json.loads(out.read_text())
         unconverged = [e["lambda"] for e in report["per_lambda"] if not e["fit"]["converged"]]
-        assert len(unconverged) == 3
-        assert len(err) == 1 and "did not converge" in err[0]
-        assert all(repr(lam) in err[0] for lam in unconverged)
+        assert unconverged == _parse_grid("1e-3:10:3").values.tolist()
+        assert err == [f"warning: fit did not converge at lambda {', '.join(map(repr, unconverged))}"]
 
     def test_extreme_lambda_report_is_strict_json(self, tmp_path, capsys):
         p, q = csv_pair(tmp_path)
@@ -422,48 +448,62 @@ class TestExperiment:
         chosen_flags = [line.rsplit(",", 1)[1] for line in csv_lines[1:]]
         assert set(chosen_flags) <= {"0", "1"}
 
-    def _unconverged_config(self, tmp_path, loss):
-        """A config path whose three fits at lambda0 = 1e-13 CG leaves unconverged (lr and exp)."""
+    def _config_path(self, tmp_path, loss, lambda0):
+        """A config path for one 10 + 10 cell (seed 0) of `loss` on the grid lambda0 * 10^(1..3)."""
         config = self._config(tmp_path)
         config.update(
-            losses=[loss], grid={"lambda0": 1e-13, "xi": 10.0, "l": 3}, sample_sizes=[[10, 10]], seeds=[0]
+            losses=[loss], grid={"lambda0": lambda0, "xi": 10.0, "l": 3}, sample_sizes=[[10, 10]], seeds=[0]
         )
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
         return str(config_path)
 
-    def test_stdout_summarizes_top2_rate_and_unconverged_fits(self, tmp_path, capsys):
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            assert run_cli(["experiment", self._unconverged_config(tmp_path, "lr")]) == 0
-        captured = capsys.readouterr()
-        summary = json.loads(captured.out)
-        # The overflowing squared errors warn neither on stderr nor at all.
-        assert "RuntimeWarning" not in captured.err
-        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
-
-        def reject(constant):
-            raise ValueError(f"report.json holds {constant}, which strict JSON rejects")
-
-        report = json.loads(open(summary["report"]).read(), parse_constant=reject)
+    def test_stdout_summarizes_top2_rate_and_unconverged_fits(self, tmp_path, capsys, capped_cg):
+        assert run_cli(["experiment", self._config_path(tmp_path, "lr", 1e-3)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        report = strict_json(open(summary["report"]).read())
         (cell,) = report["cells"]
         assert summary["unconverged_fits"] == 3
         assert report["unconverged_fits"] == 3
-        assert not any(report["converged"] for report in cell["fit_reports"])
-        # Every fit diverged to an infinite MSE: null in the report, inf in
-        # the CSV, and the choice ranks last, so it is no top-2 hit.
+        assert not any(fit_report["converged"] for fit_report in cell["fit_reports"])
+        top2 = float(cell["chosen_rank_by_mse"] <= 2)
+        assert summary["top2_rate"] == [{"loss": "lr", "m": 10, "n": 10, "rate": top2}]
+
+    def test_an_infinite_mse_is_null_in_the_report_inf_in_the_csv_and_ranks_last(self, tmp_path, capsys, monkeypatch):
+        # Every coefficient 1e3 puts each margin of the offset kernel (k >= 1)
+        # at 2e4 or more, so the ratio exp(margin) overflows on the whole eval
+        # grid; lr's risk, a logaddexp of the margin, stays finite.
+        fit_and_select = experiment.fit_and_select
+
+        def diverged(*args):
+            fits, selection = fit_and_select(*args)
+            return [(dataclasses.replace(m, alpha=np.full_like(m.alpha, 1e3)), r) for m, r in fits], selection
+
+        monkeypatch.setattr(experiment, "fit_and_select", diverged)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run_cli(["experiment", self._config_path(tmp_path, "lr", 1e-3)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        # The overflowing squared errors warn neither on stderr nor at all.
+        assert captured.err == ""
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+        report = strict_json(open(summary["report"]).read())
+        (cell,) = report["cells"]
         assert cell["mse"] == [None, None, None]
+        assert np.all(np.isfinite(cell["bregman_error"]))
+        # The chosen fit's infinite MSE ranks last, so it is no top-2 hit.
         assert cell["chosen_rank_by_mse"] == 3
         assert summary["top2_rate"] == [{"loss": "lr", "m": 10, "n": 10, "rate": 0.0}]
         csv_mses = [line.split(",")[5] for line in open(summary["csv"]).read().splitlines()[1:]]
         assert csv_mses == ["inf", "inf", "inf"]
 
     def test_a_risk_past_the_float_range_exits_three_with_one_line(self, tmp_path, capsys):
-        # The lr fixture above with exp: its diverged fits' losses leave the
-        # float range on the quadrature nodes, so no risk can be scored.
+        # At lambda0 = 1e-13 exp's fits diverge: their losses leave the float
+        # range on the quadrature nodes, so no risk can be scored.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert run_cli(["experiment", self._unconverged_config(tmp_path, "exp")]) == 3
+            assert run_cli(["experiment", self._config_path(tmp_path, "exp", 1e-13)]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numerical error: non-finite risk integrand at node x=")
 
@@ -671,25 +711,26 @@ class TestRateSweep:
         assert lines[0] == "N,median_error"
         assert len(lines) == 2
 
-    # CG leaves 9 of these fits unconverged, for lr and exp alike.
-    UNCONVERGED = ["rate-sweep", "--sizes", "20,40", "--seeds", "2", "--grid", "1e-12:10:3"]
-
-    def test_unconverged_fits_are_named_on_stderr(self, capsys):
-        assert run_cli([*self.UNCONVERGED, "--loss", "lr"]) == 0  # every size and seed still chose a lambda
+    def test_unconverged_fits_are_named_on_stderr(self, capsys, capped_cg):
+        code = run_cli(["rate-sweep", "--loss", "lr", "--sizes", "20,40", "--seeds", "2", "--grid", "1e-3:10:3"])
+        assert code == 0  # every size and seed still chose a lambda
         captured = capsys.readouterr()
         assert list(json.loads(captured.out)["median_error"]) == ["20", "40"]
-        err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("warning: fit did not converge at N=20 seed=0 lambda=1e-12; ")
-        named = err[0].removeprefix("warning: fit did not converge at ").split("; ")
-        assert len(named) == len(set(named)) == 9
-        assert all(entry.startswith(("N=20 seed=", "N=40 seed=")) for entry in named)
+        named = [
+            f"N={size} seed={seed} lambda={lam!r}"
+            for size in (20, 40)
+            for seed in (0, 1)
+            for lam in _parse_grid("1e-3:10:3").values.tolist()
+        ]
+        assert captured.err.splitlines() == [f"warning: fit did not converge at {'; '.join(named)}"]
 
     def test_a_risk_past_the_float_range_exits_three_with_one_line(self, capsys):
-        # The lr fixture above with exp: its diverged fits' losses leave the
-        # float range on the quadrature nodes, so no risk can be scored.
+        # At lambda = 1e-12 exp's fits diverge: their losses leave the float
+        # range on the quadrature nodes, so no risk can be scored.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert run_cli([*self.UNCONVERGED, "--loss", "exp"]) == 3
+            args = ["rate-sweep", "--loss", "exp", "--sizes", "20,40", "--seeds", "2", "--grid", "1e-12:10:3"]
+            assert run_cli(args) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numerical error: non-finite risk integrand at node x=")
 

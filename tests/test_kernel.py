@@ -203,6 +203,27 @@ def test_tiled_cross_matrix_equals_the_broadcast_formula(tile, d, monkeypatch):
             assert np.array_equal(cross_matrix(spec, a, b), _broadcast_cross(spec, a, b))
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_one_divide_by_minus_two_sigma_squared_equals_the_broadcast_formula_byte_for_byte(d):
+    # cross_matrix divides by -2 sigma^2 once; the formula negates, then
+    # divides by 2 sigma^2.  IEEE division is sign-symmetric, so the two
+    # agree at every scale.
+    rng = np.random.default_rng(d)
+    for bandwidth in (1e-100, 1.0, 1e100):
+        # Scaled squared distances from about 1e-6 to 1e3 reach every exp
+        # value from just below 1 to 0; the repeated rows are coincident
+        # points, and 1e200 sends a squared distance to inf.
+        a = bandwidth * rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-3.0, 1.5, size=(40, 1))
+        a[1] = a[0]
+        a[-1] = 1e200
+        b = np.concatenate([a[:5], -a[-5:], rng.permutation(a)[:10]])
+        for family in KernelFamily:
+            spec = KernelSpec(family, bandwidth)
+            with np.errstate(over="ignore"):
+                expected = _broadcast_cross(spec, a, b)
+            assert cross_matrix(spec, a, b).tobytes() == expected.tobytes()
+
+
 def test_tiled_gram_is_exactly_symmetric_across_blocks(monkeypatch):
     monkeypatch.setattr(kernel, "TILE_ENTRIES", 64)  # blocks of 3 rows over 20 points
     pts = np.random.default_rng(3).normal(size=(20, 3))
