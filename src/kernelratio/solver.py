@@ -14,7 +14,8 @@ Two solve paths:
 * a direct linear solve for the families quadratic in the margin
   (kulsif, sq), which doubles as an oracle for the iterative path.
   Everything in it but lambda is set up once per dataset
-  (`ClosedFormSystem`), so a whole lambda grid shares one setup.
+  (`ClosedFormSystem`), so a whole lambda grid shares one setup: a
+  Lanczos basis for a large block, an LU per lambda otherwise.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ from .losses import (
 _ARMIJO_C = 1e-4
 _MAX_HALVINGS = 60
 
+# The curved block's row count from which the closed form solves a lambda
+# grid from Lanczos bases; below it, one LU per lambda is faster.
+MIN_LANCZOS_ROWS = 128
+
 
 @dataclass(frozen=True)
 class RatioModel:
@@ -61,11 +66,13 @@ class RatioModel:
 
     def __post_init__(self) -> None:
         pts = as_points(self.points)
-        alpha = np.asarray(self.alpha, dtype=np.float64).reshape(-1)
+        alpha = np.asarray(self.alpha, dtype=np.float64)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "alpha", alpha)
         if pts.shape[0] < 1:
             raise InputError("a model needs at least one point")
+        if alpha.ndim != 1:
+            raise InputError(f"alpha must be a flat vector, got shape {alpha.shape}")
         if alpha.shape[0] != pts.shape[0]:
             raise InputError(f"alpha length {alpha.shape[0]} != {pts.shape[0]} points")
         if not (self.lam > 0.0 and np.isfinite(self.lam)):
@@ -116,6 +123,39 @@ def objective_and_gradient(family: LossFamily, gram, ys, alpha, lam: float):
     return _objective(family, ys, alpha, margins, lam), _gradient(K, loss_d1(family, ys, margins), alpha, lam)
 
 
+def _lanczos(block, b, cap: int):
+    """Lanczos on the symmetric block from b, or None if it needs more than cap steps.
+
+    Returns the basis (one orthonormal row per step), the tridiagonal
+    projection T of the block onto it, |b| and the largest |Rayleigh
+    quotient| seen.  Each new vector is reorthogonalized against the whole
+    basis, twice.  The run stops when the next vector's norm is at most
+    1e-14 times that quotient, so the basis spans the block's action on b
+    to float resolution, or when the basis spans the whole space.
+    """
+    n = b.shape[0]
+    norm = float(np.linalg.norm(b))
+    basis = np.empty((min(cap, n), n))
+    diag, off, rho = [], [], 0.0
+    q = b / norm
+    for j in range(n):
+        if j == cap:
+            return None
+        basis[j] = q
+        v = block @ q
+        coeffs = basis[: j + 1] @ v
+        v -= coeffs @ basis[: j + 1]
+        v -= (basis[: j + 1] @ v) @ basis[: j + 1]
+        diag.append(float(coeffs[j]))
+        rho = max(rho, abs(diag[-1]))
+        beta = float(np.linalg.norm(v))
+        if beta <= 1e-14 * rho or j + 1 == n:
+            break
+        off.append(beta)
+        q = v / beta
+    return basis[: j + 1], np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), norm, rho
+
+
 class ClosedFormSystem:
     """The lambda-invariant part of the direct solve for the margin-quadratic families.
 
@@ -125,14 +165,24 @@ class ClosedFormSystem:
     curvatures and d0 the slopes at margin zero.  A row with zero curvature
     (kulsif's P block) reads lambda alpha_i = -d0_i / N, so those rows are
     set directly; the curved rows S then solve the smaller system
-    ((1/N) E_S K_SS + lambda I) alpha_S = -(d0_S + E_S K_SZ alpha_Z) / N
-    over the flat rows Z.  With no flat rows (sq) this is the full system.
+    ((1/N) E_S K_SS + lambda I) alpha_S = u + w / lambda over the flat rows
+    Z, with u = -d0_S / N and w = E_S K_SZ d0_Z / N^2, since
+    K_SZ alpha_Z = -K_SZ d0_Z / (N lambda).  With no flat rows (sq) this is
+    the full system and w is zero; kulsif's u is zero.
 
     Everything but lambda is built once, here, so a whole lambda grid shares
-    it: the vector K_SZ d0_Z, since K_SZ alpha_Z = -K_SZ d0_Z / (N lambda),
-    and the block (1/N) E_S K_SS.  `solve` adds lambda to the block's
-    diagonal, solves, and takes it off again, so one system serves one
-    solve at a time.
+    it: the vector K_SZ d0_Z and the block B = (1/N) E_S K_SS.  When B has
+    at least MIN_LANCZOS_ROWS rows and one curvature, so that it is
+    symmetric, each nonzero direction of u and w also gets a Lanczos basis
+    (`lanczos`) of at most max(64, rows / 4) vectors: a grid is shifts of one
+    matrix, and the kernel block's fast spectral decay makes the basis
+    small.  `solve` then takes alpha_S from small tridiagonal solves and
+    keeps it if its residual in the block's own system is at LU level.
+    Otherwise it solves by LU: it adds lambda to the block's diagonal,
+    solves, and takes it off again, so one system serves one solve at a
+    time.  LU also serves a small block, a basis that would outgrow its
+    cap (`lanczos` is None), and a lambda below the float resolution of a
+    diagonal entry, whose singular and non-finite cases it reports.
     """
 
     def __init__(self, family: LossFamily, gram, ys) -> None:
@@ -156,6 +206,19 @@ class ClosedFormSystem:
         self.block /= self.n_total
         self._diagonal = self.block.reshape(-1)[:: self.curved.size + 1]
         self._block_diagonal = self._diagonal.copy()
+        # One (basis, T, |b|, largest |Rayleigh quotient|, whether b is w) per nonzero direction.
+        self.lanczos = None
+        n_curved = self.curved.size
+        if n_curved >= MIN_LANCZOS_ROWS and np.all(self.e_s == self.e_s[0]):
+            self.lanczos = []
+            directions = ((0.0 - self.d0[self.curved]) / self.n_total, self.e_s * self.kz_d0 / self.n_total**2)
+            for per_lambda, b in enumerate(directions):
+                if np.any(b != 0.0):
+                    run = _lanczos(self.block, b, max(64, n_curved // 4))
+                    if run is None:
+                        self.lanczos = None
+                        break
+                    self.lanczos.append((*run, per_lambda))
 
     def serves(self, family: LossFamily, K, ys) -> bool:
         """Whether this system was set up for family over this very Gram matrix and these labels."""
@@ -170,18 +233,44 @@ class ClosedFormSystem:
         # 0.0 - x, not -x: a zero slope must give +0.0, not -0.0, in the model.
         alpha[flat] = 0.0 - d0[flat] / (n_total * lam)
         rhs = 0.0 - (d0[curved] - self.e_s * (self.kz_d0 / (n_total * lam))) / n_total
+        x = self._solve_lanczos(lam, rhs)
+        alpha[curved] = self._solve_lu(lam, rhs) if x is None else x
+        if not np.all(np.isfinite(alpha)):
+            raise NumericalError(f"closed-form coefficients are not finite at lambda={lam}")
+        return alpha
+
+    def _solve_lanczos(self, lam: float, rhs) -> np.ndarray | None:
+        """alpha_S from the Lanczos bases, or None where LU must solve."""
+        if self.lanczos is None or np.any(self._block_diagonal + lam == self._block_diagonal):
+            return None
+        # Starts at +0.0, so a zero right-hand side (kulsif with no P points) gives +0.0.
+        x = np.zeros(self.curved.size)
+        rho = 0.0
+        for basis, tridiagonal, norm, run_rho, per_lambda in self.lanczos:
+            first = np.zeros(tridiagonal.shape[0])
+            first[0] = norm / lam if per_lambda else norm
+            try:
+                x += np.linalg.solve(tridiagonal + lam * np.eye(first.size), first) @ basis
+            except np.linalg.LinAlgError:
+                return None
+            rho = max(rho, run_rho)
+        # The residual certificate costs one block matvec; its scale comes
+        # from the Lanczos runs, not from a norm of the block.  <=, so a nan
+        # residual goes to LU.
+        residual = rhs - (self.block @ x + lam * x)
+        bound = 64 * np.finfo(np.float64).eps * math.sqrt(x.size) * (rho * np.linalg.norm(x) + np.linalg.norm(rhs))
+        return x if np.linalg.norm(residual) <= bound else None
+
+    def _solve_lu(self, lam: float, rhs) -> np.ndarray:
         self._diagonal[:] = self._block_diagonal + lam
         try:
             # + 0.0 turns the -0.0 that a negative LU pivot makes of a zero
             # right-hand side (kulsif with no P points) into +0.0.
-            alpha[curved] = np.linalg.solve(self.block, rhs) + 0.0
+            return np.linalg.solve(self.block, rhs) + 0.0
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"closed-form system is singular: {exc}") from exc
         finally:
             self._diagonal[:] = self._block_diagonal
-        if not np.all(np.isfinite(alpha)):
-            raise NumericalError(f"closed-form coefficients are not finite at lambda={lam}")
-        return alpha
 
 
 @np.errstate(over="ignore")  # a trial step whose loss change overflows to inf fails Armijo and is halved

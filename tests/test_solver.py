@@ -71,6 +71,31 @@ def block_datasets(draw, p_counts=st.integers(1, 40)):
     return ds, KernelSpec(family, draw(st.floats(0.5, 2.0)) * math.sqrt(dim))
 
 
+@st.composite
+def lanczos_cases(draw):
+    """(family, dataset, kernel) whose closed-form block has 128 to 300 rows, so a setup builds Lanczos bases.
+
+    kulsif with P points, kulsif with none, and sq, in d = 1 or 3.
+    """
+    shapes = [(LossFamily.KULSIF, st.integers(1, 40)), (LossFamily.KULSIF, st.just(0)), (LossFamily.SQ, None)]
+    family, m_counts = draw(st.sampled_from(shapes))
+    curved, dim = draw(st.integers(solver.MIN_LANCZOS_ROWS, 300)), draw(st.sampled_from([1, 3]))
+    m = draw(st.integers(1, curved - 1) if m_counts is None else m_counts)
+    n = curved if family is LossFamily.KULSIF else curved - m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ds = LabeledDataset.from_blocks(rng.normal(0.5, size=(m, dim)), rng.normal(size=(n, dim)))
+    kernel = KernelSpec(draw(st.sampled_from(list(KernelFamily))), draw(st.floats(0.5, 2.0)) * math.sqrt(dim))
+    return family, ds, kernel
+
+
+def solve_outcome(system, lam):
+    """The solved coefficients' bytes, or the NumericalError's message."""
+    try:
+        return system.solve(lam).tobytes()
+    except NumericalError as exc:
+        return str(exc)
+
+
 def two_point_dataset():
     # One point from each class at the two component means.
     return LabeledDataset(xs=np.array([[4.0], [2.0]]), ys=np.array([1, -1]))
@@ -267,6 +292,52 @@ class TestClosedForm:
         ):
             with pytest.raises(InputError, match="set up for another family, Gram matrix or labels"):
                 fit(family, kspec, data, 0.1, gram=other, system=system)
+
+    @settings(max_examples=30)
+    @given(case=lanczos_cases(), lam=st.floats(1e-3, 10.0))
+    def test_lanczos_solves_match_lu_and_grid_fits_equal_one_lambda_fits(self, case, lam):
+        # The cases above stay below MIN_LANCZOS_ROWS, on the LU path; these
+        # blocks are large enough for the Lanczos bases.
+        family, ds, spec = case
+        gram = gram_matrix(spec, ds.xs)
+        system = solver.ClosedFormSystem(family, gram, ds.ys)
+        block = system.block.tobytes()
+        alpha = system.solve(lam)
+        reference = dense_lu_closed_form(family, gram.values, ds.ys, lam)
+        assert np.max(np.abs(alpha - reference)) <= 1e-9 * np.max(np.abs(reference))
+        grid = LambdaGrid.from_first(lam, 10.0, 3)
+        fits = fit_grid(family, spec, ds, grid, gram=gram)
+        for (model, _), value in zip(fits, map(float, grid.values)):
+            alone = solver.ClosedFormSystem(family, gram, ds.ys).solve(value)
+            assert model.alpha.tobytes() == alone.tobytes() == system.solve(value).tobytes()
+            if family is LossFamily.KULSIF and ds.m == 0:
+                assert np.all(model.alpha == 0.0) and not np.any(np.signbit(model.alpha))
+        assert system.block.tobytes() == block
+
+    def test_a_lambda_below_the_diagonals_resolution_solves_by_lu(self, pair, kspec, monkeypatch):
+        ds = sample_pair(pair, 64, 64, seed=0)
+        K = gram_matrix(kspec, ds.xs).values
+        system = solver.ClosedFormSystem(LossFamily.SQ, K, ds.ys)
+        assert system.lanczos is not None
+        lam = 1e-20  # the diagonal entries are 2 / 128
+        assert np.all(system.block.diagonal() + lam == system.block.diagonal())
+        monkeypatch.setattr(solver, "MIN_LANCZOS_ROWS", 10**9)
+        lu_only = solver.ClosedFormSystem(LossFamily.SQ, K, ds.ys)
+        assert lu_only.lanczos is None
+        assert solve_outcome(system, lam) == solve_outcome(lu_only, lam)
+
+    def test_a_basis_that_reaches_its_cap_leaves_every_lambda_to_lu(self, monkeypatch):
+        # Unit-spaced points at bandwidth 0.5: the block's spectrum fills
+        # [0.73, 1.27] / 64 without decaying, so no short basis spans it.
+        points = np.arange(128.0)[:, None]
+        ds = LabeledDataset.from_blocks(points[::2], points[1::2])
+        K = gram_matrix(KernelSpec(KernelFamily.GAUSSIAN, 0.5), ds.xs).values
+        system = solver.ClosedFormSystem(LossFamily.SQ, K, ds.ys)
+        assert system.lanczos is None
+        monkeypatch.setattr(solver, "MIN_LANCZOS_ROWS", 10**9)
+        lu_only = solver.ClosedFormSystem(LossFamily.SQ, K, ds.ys)
+        for lam in (1e-3, 1e-1, 10.0):
+            assert solve_outcome(system, lam) == solve_outcome(lu_only, lam)
 
 
 class TestFit:
@@ -551,6 +622,14 @@ def test_a_model_needs_a_positive_finite_lambda(lam):
         RatioModel(KernelSpec(), np.zeros((1, 1)), np.ones(1), lam, LossFamily.KULSIF)
 
 
+@pytest.mark.parametrize("alpha", [[[0.5], [0.25]], [[[0.5, 0.25]]], 0.5])
+def test_a_model_needs_a_flat_coefficient_vector(alpha):
+    points = np.zeros((np.size(alpha), 1))
+    message = f"alpha must be a flat vector, got shape {np.shape(alpha)}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        RatioModel(KernelSpec(), points, alpha, 0.1, LossFamily.KULSIF)
+
+
 class TestPersistence:
     def test_round_trip(self, pair, kspec, tmp_path):
         ds = sample_pair(pair, 4, 4, seed=3)
@@ -632,6 +711,15 @@ class TestPersistence:
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("alpha", [[[0.5], [0.25]], [[[0.5, 0.25]]], 0.5])
+    def test_coefficients_that_are_not_a_flat_list_are_rejected_naming_the_file(self, tmp_path, alpha):
+        path = tmp_path / "m.json"
+        points = [[float(k)] for k in range(np.size(alpha))]
+        path.write_text(json.dumps({**VALID_MODEL_DOC, "points": points, "alpha": alpha}), encoding="utf-8")
+        message = f"malformed model file {path}: alpha must be a flat vector, got shape {np.shape(alpha)}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_model(str(path))
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -672,9 +760,12 @@ _JSON_VALUES = st.recursive(
 
 @st.composite
 def _model_files(draw):
-    kind = draw(st.sampled_from(["replace", "delete", "whole", "bytes"]))
+    kind = draw(st.sampled_from(["replace", "delete", "whole", "bytes", "nested"]))
     if kind == "bytes":
         return draw(st.binary(max_size=40))
+    if kind == "nested":  # the valid file's coefficients in another shape
+        alpha = draw(st.sampled_from([[[0.5], [-0.5]], [[0.5, -0.5]], [[[0.5, -0.5]]], 0.5]))
+        return json.dumps({**VALID_MODEL_DOC, "alpha": alpha}).encode("utf-8")
     if kind == "whole":
         doc = draw(_JSON_VALUES)
     else:
@@ -694,11 +785,12 @@ def test_fuzzed_model_files_load_finite_or_raise_input_error(content):
         with open(path, "wb") as fh:
             fh.write(content)
         try:
-            model, _ = load_model(path)
+            model, doc = load_model(path)
         except InputError:
             return
     assert model.points.shape[0] >= 1
     assert np.all(np.isfinite(model.points)) and np.all(np.isfinite(model.alpha))
+    assert model.alpha.shape == np.shape(doc["alpha"])  # the file's coefficients as written, never reshaped
 
 
 _FAR = st.sampled_from([0.0, 1.0, 1e200, -1e200, 1e308, -1e308, 1.7976931348623157e308, 5e-324])
