@@ -5,6 +5,12 @@ estimator is fitted on the whole lambda grid, the balancing rule picks a
 value, and every fit is scored against the quadrature oracle (dense-grid
 MSE and divergence from the true ratio).  Results are merged in sorted
 order so reruns are byte-identical.
+
+An experiment's datasets, each (m, n, seed) with the cells of every loss,
+and a rate sweep's (size, seed) datasets run in `_map_in_shares`: one
+forked worker share per usable core, the parent running share 0.  Each
+cell runs the same float operations in whichever process runs it, so the
+outputs, and the error a failing run raises, are the serial loop's.
 """
 
 from __future__ import annotations
@@ -12,13 +18,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .balancing import BoundConstants, LambdaGrid, SelectionRule, fit_and_select
+from .balancing import BoundConstants, LambdaGrid, SelectionRule, _usable_cores, fit_and_select
 from .data import DEFAULT_PAIR, GaussianPairSpec, check_json_number, check_writable, read_json, sample_pair, write_json, write_text
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .kernel import KernelFamily, KernelSpec, check_point_count
 from .losses import LossFamily
 from .oracle import OracleContext, bayes_risk, grid_mse, population_risk, population_risks
@@ -209,15 +216,133 @@ def run_cell(
     }
 
 
+def _run_share(function, units: list, indices: list[int]) -> tuple[list, tuple | None]:
+    """function over units[k] for k in indices, in order, up to the first failure.
+
+    Returns the results and the failure (k, exception), or None.
+    """
+    results = []
+    for k in indices:
+        try:
+            results.append(function(units[k]))
+        except Exception as exc:  # raised again by _map_in_shares, earliest unit first
+            return results, (k, exc)
+    return results, None
+
+
+def _run_child(function, units: list, indices: list[int], write_end: int, inherited: list[int]) -> None:
+    """Run one share in a forked child, pickle its outcome to write_end, and end in os._exit.
+
+    os._exit: the child never returns into its caller's frames, runs no
+    atexit handler and flushes no inherited buffer.  An exception that is
+    not an InputError or a NumericalError travels with its traceback text.
+    """
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        results, failure = _run_share(function, units, indices)
+        text = None
+        if failure is not None and not isinstance(failure[1], (InputError, NumericalError)):
+            import traceback  # only a child that failed unexpectedly pays for it
+
+            text = "".join(traceback.format_exception(failure[1]))
+        payload = pickle.dumps((results, failure, text))
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _map_in_shares(function, units: list, groups) -> list:
+    """[function(unit) for unit in units], computed in K processes.
+
+    K is min(usable cores, distinct groups), or 1 without os.fork.  Unit k
+    runs in share groups[k] mod K, each share in list order.  The parent
+    forks one child per share but 0 before any work of its own, so no
+    thread of ours is alive at a fork, and closes each write end right after
+    its fork, so no child holds another's pipe open.  It runs share 0 (and
+    any share whose fork failed), then reads each child's pickled outcome to
+    EOF and reaps it.  A unit runs the same float operations in any process,
+    so the results are the serial loop's.
+
+    A share stops at its first failure; the one raised is the earliest in
+    list order, as in the serial loop.  A child that ends without an
+    outcome raises RuntimeError naming its share.  On any other error
+    (Ctrl-C included) the children still running are killed; every child
+    is reaped on every path.
+    """
+    shares = min(_usable_cores(), len(set(groups))) if hasattr(os, "fork") else 1
+    plan = [[k for k, group in enumerate(groups) if group % shares == share] for share in range(shares)]
+    children = []  # [share, pid, read end]; the pid is None once reaped, the read end once closed
+    local = [0]
+    try:
+        for share in range(1, shares):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                pid = None
+            if pid == 0:
+                _run_child(function, units, plan[share], write_end, [read_end, *(fd for _, _, fd in children)])
+            os.close(write_end)
+            if pid is None:
+                os.close(read_end)
+                local.append(share)
+            else:
+                children.append([share, pid, read_end])
+        outcomes = {share: (*_run_share(function, units, plan[share]), None) for share in local}
+        for child in children:
+            share, pid, read_end = child
+            with os.fdopen(read_end, "rb") as pipe:
+                child[2] = None
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            child[1] = None
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise RuntimeError(f"worker share {share} (pid {pid}) ended without a result, exit code {code}")
+            outcomes[share] = pickle.loads(payload)
+    except BaseException:
+        import signal  # only an error path pays for it
+
+        for _, pid, _ in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, pid, read_end in children:
+            if read_end is not None:
+                os.close(read_end)
+            if pid is not None:
+                os.waitpid(pid, 0)
+
+    results = [None] * len(units)
+    for share, (done, _, _) in outcomes.items():
+        for k, result in zip(plan[share], done):
+            results[k] = result
+    failures = [(*failure, text) for _, failure, text in outcomes.values() if failure is not None]
+    if failures:
+        _, exc, text = min(failures, key=lambda failure: failure[0])
+        if text is None:
+            raise exc
+        raise exc from RuntimeError(f"in a worker process:\n{text}")
+    return results
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run all cells; returns the report document (also used for the CSV)."""
+    """Run all cells; returns the report document (also used for the CSV).
+
+    The cells of one (m, n, seed) dataset, one per loss, share a group of
+    `_map_in_shares`, so the process that runs dataset 0 fits every loss.
+    """
     ctx = OracleContext.default(config.pair)
     bayes = {family: bayes_risk(ctx, family) for family in config.losses}
-    cells = []
-    for family in sorted(config.losses, key=lambda fam: fam.value):
-        for m, n in sorted(config.sample_sizes):
-            for seed in sorted(config.seeds):
-                cells.append(run_cell(config, family, m, n, seed, ctx, bayes[family]))
+    datasets = [(m, n, seed) for m, n in sorted(config.sample_sizes) for seed in sorted(config.seeds)]
+    keys = [(family, *dataset) for family in sorted(config.losses, key=lambda fam: fam.value) for dataset in datasets]
+    groups = [k % len(datasets) for k in range(len(keys))]
+    cells = _map_in_shares(lambda key: run_cell(config, *key, ctx, bayes[key[0]]), keys, groups)
     unconverged = sum(not fit["converged"] for cell in cells for fit in cell["fit_reports"])
     return {"config": config.to_dict(), "unconverged_fits": unconverged, "cells": cells}
 
@@ -305,19 +430,20 @@ def run_rate_sweep(
     ctx = OracleContext.default(DEFAULT_PAIR)
     bayes_value = bayes_risk(ctx, family)
 
-    medians = []
-    unconverged = []
-    for size in sizes:
-        m = size // 2
-        n = size - m
-        errors = []
-        for seed in range(n_seeds):
-            dataset = sample_pair(DEFAULT_PAIR, m, n, seed)
-            fits, selection = fit_and_select(dataset, family, KernelSpec(), grid, rule)
-            unconverged += [(size, seed, model.lam) for model, report in fits if not report.converged]
-            model = fits[selection.chosen_index - 1][0]
-            errors.append(2.0 * (population_risk(ctx, family, model) - bayes_value))
-        medians.append(float(np.median(errors)))
+    def run_unit(unit):
+        size, seed = unit
+        dataset = sample_pair(DEFAULT_PAIR, size // 2, size - size // 2, seed)
+        fits, selection = fit_and_select(dataset, family, KernelSpec(), grid, rule)
+        model = fits[selection.chosen_index - 1][0]
+        error = 2.0 * (population_risk(ctx, family, model) - bayes_value)
+        return error, [(size, seed, fit.lam) for fit, report in fits if not report.converged]
+
+    units = [(size, seed) for size in sizes for seed in range(n_seeds)]
+    outcomes = _map_in_shares(run_unit, units, range(len(units)))
+    medians = [
+        float(np.median([error for error, _ in outcomes[i * n_seeds : (i + 1) * n_seeds]])) for i in range(len(sizes))
+    ]
+    unconverged = [fit for _, fits in outcomes for fit in fits]
 
     slope = None
     if len(sizes) >= 2:

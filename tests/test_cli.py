@@ -67,6 +67,16 @@ def capped_cg(monkeypatch):
     monkeypatch.setattr(solver, "FitOptions", functools.partial(FitOptions, max_iters=2))
 
 
+def _forbidden_fork():
+    pytest.fail("forked a worker process")
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """A worker process started before the input checks fails the test: no child may start."""
+    monkeypatch.setattr(os, "fork", _forbidden_fork)
+
+
 class TestFit:
     def test_synthetic_smoke(self, tmp_path, capsys):
         out = tmp_path / "model.json"
@@ -597,7 +607,9 @@ class TestExperiment:
         ],
         ids=["top-level", "nested"],
     )
-    def test_a_repeated_key_exits_two_naming_it_before_any_fit(self, tmp_path, capsys, monkeypatch, content, key):
+    def test_a_repeated_key_exits_two_naming_it_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, no_fork, content, key
+    ):
         monkeypatch.chdir(tmp_path)  # where output_dir would land
         started = []
         monkeypatch.setattr(cli, "run_experiment", lambda config: started.append(config))
@@ -608,7 +620,7 @@ class TestExperiment:
         assert capsys.readouterr().err == f"error: cannot read config {config_path}: repeated key {key!r}\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
-    def test_a_deeply_nested_config_exits_two_naming_it_before_any_fit(self, tmp_path, capsys, monkeypatch):
+    def test_a_deeply_nested_config_exits_two_naming_it_before_any_fit(self, tmp_path, capsys, monkeypatch, no_fork):
         monkeypatch.chdir(tmp_path)  # where output_dir would land
         started = []
         monkeypatch.setattr(cli, "run_experiment", lambda config: started.append(config))
@@ -620,7 +632,9 @@ class TestExperiment:
         assert len(err) == 1 and err[0].startswith(f"error: cannot read config {config_path}: maximum recursion depth")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
-    def test_a_pair_the_oracle_cannot_resolve_exits_two_naming_it_before_any_fit(self, tmp_path, capsys, monkeypatch):
+    def test_a_pair_the_oracle_cannot_resolve_exits_two_naming_it_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, no_fork
+    ):
         # The 20,001-node rule over +-8 sigma of Q steps 0.08, eight sigma_p,
         # far too coarse to integrate p.
         started = []
@@ -662,7 +676,7 @@ class TestExperiment:
         ids=["infinite chi2", "optimal margin past the float range", "p^2/q truncated by the interval"],
     )
     def test_a_kulsif_bayes_risk_that_is_not_finite_exits_before_any_fit(
-        self, tmp_path, capsys, monkeypatch, pair, code, message
+        self, tmp_path, capsys, monkeypatch, no_fork, pair, code, message
     ):
         started = []
         monkeypatch.setattr(experiment, "run_cell", lambda *args: started.append(args))
@@ -780,7 +794,7 @@ class TestRateSweep:
             (["--r", "0.5", "--capacity-alpha", "inf"], "capacity_alpha must be finite and >= 1, got inf"),
         ],
     )
-    def test_bad_exponent_flags_exit_two_before_any_fit(self, capsys, monkeypatch, flags, message):
+    def test_bad_exponent_flags_exit_two_before_any_fit(self, capsys, monkeypatch, no_fork, flags, message):
         started = []
         monkeypatch.setattr(cli, "run_rate_sweep", lambda *args, **kwargs: started.append(args))
         assert run_cli(["rate-sweep", "--loss", "kulsif", "--sizes", "8", "--seeds", "1", *flags]) == 2
@@ -871,7 +885,7 @@ class TestOutOfRangeInput:
         ids=["rate-sweep", "select", "fit-huge-m", "experiment", "fit-csv"],
     )
     def test_a_sample_over_the_point_bound_exits_two_naming_its_size_before_any_allocation(
-        self, tmp_path, capsys, monkeypatch, args, size
+        self, tmp_path, capsys, monkeypatch, no_fork, args, size
     ):
         # Neither the sample nor its kernel matrix may be allocated: at sizes
         # like these numpy asks for terabytes.
@@ -893,7 +907,7 @@ class TestOutOfRangeInput:
 
     @pytest.mark.parametrize("command", ["select", "experiment"])
     def test_a_grid_over_the_length_bound_exits_two_with_one_line_before_any_value_or_fit(
-        self, tmp_path, capsys, monkeypatch, command
+        self, tmp_path, capsys, monkeypatch, no_fork, command
     ):
         # Listing 10^9 grid values alone takes minutes and tens of GB.
         monkeypatch.chdir(tmp_path)
@@ -1032,10 +1046,11 @@ class TestOutOfRangeInput:
 class TestUnwritableOutput:
     @staticmethod
     def _record_fits(monkeypatch):
-        """Stand-ins for every entry into the fits that record their calls."""
+        """Stand-ins for every entry into the fits that record their calls; a fork fails the test."""
         started = []
         for name in ("fit", "select_lambda", "run_rate_sweep", "run_experiment"):
             monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: started.append(name))
+        monkeypatch.setattr(os, "fork", _forbidden_fork)
         return started
 
     @pytest.mark.parametrize("command", ["fit", "select", "rate-sweep", "experiment"])
@@ -1162,7 +1177,9 @@ class TestUnwritableOutput:
         assert list(tmp_path.iterdir()) == [link]
 
     @pytest.mark.parametrize("blocker", ["regular file", "dangling symlink"])
-    def test_experiment_under_a_non_directory_exits_two_before_any_fit(self, tmp_path, capsys, monkeypatch, blocker):
+    def test_experiment_under_a_non_directory_exits_two_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, no_fork, blocker
+    ):
         # The default config: 1500 fits, had they run before the check.
         started = []
         monkeypatch.setattr(cli, "run_experiment", lambda config: started.append(config))

@@ -87,6 +87,8 @@ def test_each_formula_and_field_list_is_written_in_one_module():
     # threshold, so a report's pass flags and its choice cannot disagree.
     # solver's RatioModel alone refuses a model read under another family's
     # loss, and oracle alone bounds the mass of p^2/q outside its interval.
+    # balancing's _usable_cores alone reads the cores the process may use, for
+    # the grid's threads and the experiment's worker shares alike.
     homes = {
         re.compile(r"\bgram\.values\b"): "kernel.py",
         re.compile(r'"mu_p":'): "data.py",
@@ -104,6 +106,7 @@ def test_each_formula_and_field_list_is_written_in_one_module():
         re.compile(r"model was fitted under \{"): "solver.py",
         re.compile(r"\b_MAX_TRUNCATED_MASS = "): "oracle.py",
         re.compile("of its mass outside the oracle's"): "oracle.py",
+        re.compile(r"\bos\.sched_getaffinity\b"): "balancing.py",
     }
     modules = sorted((ROOT / "src" / "kernelratio").glob("*.py"))
     found = [
@@ -130,6 +133,7 @@ def test_each_formula_and_field_list_is_written_in_one_module():
         "model was fitted under {",
         "_MAX_TRUNCATED_MASS = ",
         "of its mass outside the oracle's",
+        "os.sched_getaffinity",
     )
     for text in once:
         assert sum(path.read_text(encoding="utf-8").count(text) for path in modules) == 1, text
